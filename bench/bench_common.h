@@ -13,7 +13,7 @@ namespace dehealth::bench {
 
 /// Prints the process-global metrics registry (non-zero metrics only) to
 /// stderr at exit, so every bench binary reports the instrumentation
-/// snapshot it ran under — e.g. the index prune hit/miss counts behind a
+/// snapshot it ran under — e.g. the exact-evaluation count behind a
 /// BENCH_index.json number. Safe at exit: Registry::Global() is a leaked
 /// singleton that outlives static destructors.
 inline void PrintMetricsSnapshot() {

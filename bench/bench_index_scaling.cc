@@ -2,7 +2,8 @@
 // anonymized Top-K queries against auxiliary sides of 1k / 5k / 20k users.
 // The dense path materializes a 500×n2 similarity matrix; the indexed path
 // (src/index) answers the same queries — bitwise-identically, see
-// tests/index — through the candidate index.
+// tests/index — with one FeatureStore row scan per query, ranked by
+// TopKForRow, and never holds more than one row.
 //
 // Peak RSS is process-wide and monotone, so each (mode, n2) cell runs in
 // its own process:
@@ -128,7 +129,9 @@ int RunCell(int n2, const std::string& mode) {
       return 1;
     }
     start = std::chrono::steady_clock::now();
-    const IndexedCandidateSource source(anon, *index);
+    std::vector<CandidateIndex> slices;
+    slices.push_back(std::move(index).value());
+    const IndexedCandidateSource source(anon, std::move(slices));
     auto sets = source.TopK(kTopK, /*num_threads=*/0);
     topk_ms = MsSince(start);
     if (!sets.ok()) {
@@ -151,6 +154,20 @@ int RunCell(int n2, const std::string& mode) {
       prepare_ms + topk_ms, setup_rss_kb, PeakRssKb(),
       static_cast<unsigned long long>(checksum));
   return 0;
+}
+
+/// One shard's local Top-K for a query under GLOBAL ids, with scores —
+/// what a fleet backend answers: a row scan of the slice ranked by
+/// TopKForRow. `row` is scratch of slice.num_auxiliary() doubles.
+std::vector<ScoredUser> SliceTopK(const CandidateIndex& slice,
+                                  const IndexedUserFeatures& query,
+                                  std::vector<double>* row) {
+  slice.ExactRowTo(query, row->data());
+  const int begin = static_cast<int>(slice.data().shard_begin);
+  std::vector<ScoredUser> scored;
+  for (const int local : TopKForRow(*row, kTopK))
+    scored.push_back({(*row)[static_cast<size_t>(local)], local + begin});
+  return scored;
 }
 
 /// Generates the dataset once, writes the N shard snapshots plus a
@@ -223,14 +240,10 @@ int RunShardSlice(int shards, int shard_index, const std::string& dir) {
 
   start = std::chrono::steady_clock::now();
   uint64_t checksum = 1469598103934665603ULL;
-  for (const IndexedUserFeatures& query : queries->data().users) {
-    const std::vector<ScoredUser> top = shard->TopKScoredForQuery(query, kTopK);
-    for (const ScoredUser& c : top) {
-      const uint64_t global =
-          static_cast<uint64_t>(c.user) + shard->data().shard_begin;
-      checksum = (checksum ^ global) * 1099511628211ULL;
-    }
-  }
+  std::vector<double> row(static_cast<size_t>(shard->num_auxiliary()));
+  for (const IndexedUserFeatures& query : queries->data().users)
+    for (const ScoredUser& c : SliceTopK(*shard, query, &row))
+      checksum = (checksum ^ static_cast<uint64_t>(c.user)) * 1099511628211ULL;
   const double topk_ms = MsSince(start);
   std::printf(
       "{\"mode\": \"shard-slice\", \"shards\": %d, \"shard_index\": %d, "
@@ -246,7 +259,8 @@ int RunShardSlice(int shards, int shard_index, const std::string& dir) {
 }
 
 /// Scatter-gather over all N shard snapshots in one process: per-shard
-/// Top-K lists merged with the router's merge kernel. The checksum must
+/// Top-K lists (SliceTopK) merged with the router's merge kernel,
+/// MergeScoredTopK. The checksum must
 /// equal the dense/indexed rows' at the same n2 — the bitwise-identity
 /// contract, measured rather than assumed.
 int RunShardedMerged(int shards, const std::string& dir) {
@@ -275,13 +289,12 @@ int RunShardedMerged(int shards, const std::string& dir) {
   CandidateSets candidates;
   std::vector<std::vector<ScoredUser>> per_shard(
       static_cast<size_t>(shards));
+  std::vector<double> row;
   for (const IndexedUserFeatures& query : queries->data().users) {
     for (int i = 0; i < shards; ++i) {
-      per_shard[static_cast<size_t>(i)] =
-          slices[static_cast<size_t>(i)].TopKScoredForQuery(query, kTopK);
-      for (ScoredUser& c : per_shard[static_cast<size_t>(i)])
-        c.user += static_cast<int>(
-            slices[static_cast<size_t>(i)].data().shard_begin);
+      const CandidateIndex& slice = slices[static_cast<size_t>(i)];
+      row.resize(static_cast<size_t>(slice.num_auxiliary()));
+      per_shard[static_cast<size_t>(i)] = SliceTopK(slice, query, &row);
     }
     const std::vector<ScoredUser> merged =
         MergeScoredTopK(per_shard, kTopK);
@@ -377,9 +390,9 @@ int RunAll(const std::string& out_path) {
       " for " + std::to_string(kNumQueries) +
       " anonymized users: dense similarity matrix vs candidate index vs"
       " sharded scatter-gather, all three bitwise-identical (see"
-      " tests/index and tests/shard). Exact-mode index queries take the"
-      " dense-scan crossover when posting volume is high; shard-slice"
-      " rows show the per-backend RSS of an N-shard fleet\",\n"
+      " tests/index and tests/shard). Indexed Top-K is one FeatureStore"
+      " row scan per query ranked by TopKForRow; shard-slice rows show"
+      " the per-backend RSS of an N-shard fleet\",\n"
       "  \"config\": {\"num_queries\": " + std::to_string(kNumQueries) +
       ", \"top_k\": " + std::to_string(kTopK) +
       ", \"forum_seed\": " + std::to_string(kForumSeed) +

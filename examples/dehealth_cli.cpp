@@ -8,8 +8,7 @@
 //   dehealth_cli attack   --anonymized anon.jsonl --auxiliary aux.jsonl
 //                         --k 10 --engine structural --learner smo
 //                         --threads 0 [--idf]
-//                         [--index] [--index-path idx.dhix]
-//                         [--max-candidates N]
+//                         [--index] [--index-path idx.dhix] [--shards N]
 //                         [--job-dir dir] [--shard-size N]
 //                         [--truth truth.csv] [--out predictions.csv]
 //                         [--trace-out trace.json] [--metrics-out m.prom]
@@ -27,7 +26,9 @@
 // threads, the default); results are identical for any value.
 // --index answers phase 1 from the auxiliary-side candidate index instead
 // of the dense similarity matrix (same results, see DESIGN.md);
-// --index-path persists the index as a snapshot reused across runs.
+// --index-path persists the index as a snapshot reused across runs, and
+// --shards N splits it into N in-process slices (same results again).
+// Unknown flags exit 1 (see docs/OPERATIONS.md for the catalog).
 // --job-dir runs the attack through the crash-safe job runner: completed
 // work is committed in checksummed shards, SIGTERM/SIGINT checkpoints and
 // exits cleanly (exit 0), and re-running the same command resumes from the
@@ -291,13 +292,12 @@ int CmdEvaluate(const Args& args) {
   auto config_or = ParseAttackFlags(args);
   if (!config_or.ok()) return Fail(config_or.status().ToString());
   DeHealthConfig config = *config_or;
-  if (config.use_index || config.index_max_candidates > 0)
-    return Fail("evaluate compares engines on exact full rankings; "
-                "--index/--index-path/--max-candidates do not apply");
+  if (config.use_index || config.num_shards > 1)
+    return Fail("evaluate compares engines on dense full rankings; "
+                "--index/--index-path/--shards do not apply");
   if (config.shard_count > 1)
     return Fail("evaluate needs the full auxiliary universe; "
-                "--shard-count does not apply (use --shards for "
-                "in-process parallel sharding)");
+                "--shard-count does not apply");
   if (!config.job_dir.empty())
     return Fail("evaluate is not checkpointable; --job-dir does not apply");
 
@@ -446,6 +446,8 @@ int main(int argc, char** argv) {
   }
   const std::string command = argv[1];
   const Args args(argc, argv, 2, AttackBooleanFlags());
+  if (Status st = RejectUnknownFlags(args); !st.ok())
+    return Fail(st.ToString());
   // Deterministic fault injection (tests only): "<site>:<kind>:<hit>,..."
   // — see src/common/fault_injection.h for the grammar.
   const std::string fault_spec = args.Get("fault-spec");

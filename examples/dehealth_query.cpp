@@ -31,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "common/flag_catalog.h"
 #include "common/flags.h"
 #include "serve/client.h"
 #include "serve/metrics.h"
@@ -133,6 +134,8 @@ int main(int argc, char** argv) {
   }
   const std::string command = argv[1];
   const FlagParser flags(argc, argv, 2);
+  if (Status st = RejectUnknownFlags(flags); !st.ok())
+    return Fail(st.ToString());
 
   auto port_or = flags.GetInt("port", 0);
   if (!port_or.ok()) return Fail(port_or.status().ToString());

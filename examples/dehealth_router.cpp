@@ -67,6 +67,8 @@ int Fail(const std::string& message) {
 
 int main(int argc, char** argv) {
   const FlagParser flags(argc, argv, 1, AttackBooleanFlags());
+  if (Status st = RejectUnknownFlags(flags); !st.ok())
+    return Fail(st.ToString());
 
   const std::string backend_spec = flags.Get("backends");
   if (backend_spec.empty())

@@ -7,7 +7,7 @@
 //   dehealth_serve --anonymized anon.jsonl --auxiliary aux.jsonl
 //                  [--k 10 --engine structural --learner smo --threads 0
 //                  --idf --filter]
-//                  [--index] [--index-path idx.dhix] [--max-candidates N]
+//                  [--index] [--index-path idx.dhix]
 //                  [--job-dir dir] [--shard-size N] [--ingest]
 //                  [--host 127.0.0.1] [--port 0] [--queue 64] [--batch 16]
 //                  [--timeout-ms 0] [--stats-period 0] [--port-file path]
@@ -67,6 +67,8 @@ int Fail(const std::string& message) {
 
 int main(int argc, char** argv) {
   const FlagParser flags(argc, argv, 1, AttackBooleanFlags());
+  if (Status st = RejectUnknownFlags(flags); !st.ok())
+    return Fail(st.ToString());
 
   const std::string anon_path = flags.Get("anonymized");
   const std::string aux_path = flags.Get("auxiliary");

@@ -27,6 +27,27 @@ StatusOr<FaultKind> ParseKind(const std::string& token) {
       "' (want fail|enospc|short|flip|reset|stall|crash)");
 }
 
+/// Whether `kind` can fire at a site: data sites (names ending in ".data",
+/// serviced by InjectDataFault) corrupt a buffer, every other site returns
+/// a Status. A kind its site cannot apply would silently do nothing, so
+/// Configure rejects the rule instead.
+bool KindAppliesAt(FaultKind kind, const std::string& site) {
+  const bool data_site = EndsWith(site, ".data");
+  switch (kind) {
+    case FaultKind::kFlip:
+      return data_site;
+    case FaultKind::kShort:
+    case FaultKind::kCrash:
+      return true;
+    case FaultKind::kFail:
+    case FaultKind::kEnospc:
+    case FaultKind::kReset:
+    case FaultKind::kStall:
+      return !data_site;
+  }
+  return false;
+}
+
 StatusOr<uint64_t> ParseCount(const std::string& token,
                               const std::string& what) {
   if (token.empty() || token.find_first_not_of("0123456789") !=
@@ -95,6 +116,12 @@ Status FaultInjector::Configure(const std::string& spec) {
           "' is not <site>:<kind>:<hit>[:<count>]");
     StatusOr<FaultKind> kind = ParseKind(parts[1]);
     if (!kind.ok()) return kind.status();
+    if (!KindAppliesAt(*kind, parts[0]))
+      return Status::InvalidArgument(
+          "fault spec: kind '" + parts[1] + "' cannot fire at site '" +
+          parts[0] +
+          "' (sites ending in .data take flip|short|crash, all others "
+          "fail|enospc|short|reset|stall|crash)");
     StatusOr<uint64_t> first_hit = ParseCount(parts[2], "hit number");
     if (!first_hit.ok()) return first_hit.status();
     if (*first_hit == 0)
@@ -146,6 +173,7 @@ Status InjectFaultPoint(const char* site) {
   if (!FaultInjector::Global().Hit(site, &kind)) return Status::OK();
   switch (kind) {
     case FaultKind::kFail:
+    case FaultKind::kFlip:  // Configure admits flip only at data sites
       return Status::Internal(StrFormat("injected fault at %s", site));
     case FaultKind::kEnospc:
       return Status::Internal(
@@ -180,12 +208,16 @@ bool InjectDataFault(const char* site, std::string* data) {
       return true;
     case FaultKind::kCrash:
       ::_exit(kFaultCrashExitCode);
-    default:
-      // Status-shaped kinds are serviced by InjectFaultPoint; firing one
-      // at a data site is a spec mistake — ignore rather than corrupt in
-      // an undefined way.
+    case FaultKind::kFail:
+    case FaultKind::kEnospc:
+    case FaultKind::kReset:
+    case FaultKind::kStall:
+      // Status-shaped kinds are serviced by InjectFaultPoint, and
+      // Configure rejects them at data sites; never corrupt in an
+      // undefined way.
       return false;
   }
+  return false;
 }
 
 }  // namespace dehealth

@@ -27,8 +27,10 @@ namespace dehealth {
 ///   <site>:<kind>:<hit>[:<count>]
 ///
 ///   site   injection-point name (see DESIGN.md "Fault tolerance" for the
-///          registry of sites)
-///   kind   fail | enospc | short | flip | reset | stall | crash
+///          registry of sites); names ending in ".data" are data sites
+///   kind   fail | enospc | short | flip | reset | stall | crash — data
+///          sites take flip | short | crash, all other sites take every
+///          kind but flip; a mismatch is rejected, never silently inert
 ///   hit    1-based hit number of `site` on which the rule starts firing
 ///   count  consecutive hits it keeps firing for (default 1; 0 = forever)
 ///
@@ -56,7 +58,8 @@ class FaultInjector {
 
   /// Parses and arms a fault spec (see the grammar above). Replaces any
   /// previously configured rules. An empty spec disarms (same as Reset).
-  /// InvalidArgument on a malformed rule, unknown kind, or bad counts.
+  /// InvalidArgument on a malformed rule, unknown kind, a kind its site
+  /// cannot apply, or bad counts.
   Status Configure(const std::string& spec);
 
   /// Disarms all rules and clears every hit counter.

@@ -1,5 +1,7 @@
 #include "common/flag_catalog.h"
 
+#include <algorithm>
+
 namespace dehealth {
 
 const std::vector<FlagDoc>& FlagCatalog() {
@@ -75,9 +77,6 @@ const std::vector<FlagDoc>& FlagCatalog() {
        "rank-CDF curve (default 1,2,5,10,20,50)"},
       {"learner", "cli attack, serve", false,
        "Phase-2 learner: smo (default), knn, rlsc, centroid"},
-      {"max-candidates", "cli attack, serve", false,
-       "Per-query exact-evaluation budget of the indexed path (0 = exact, "
-       "the default)"},
       {"metrics-out", "cli attack", false,
        "Write the run's metrics registry to this file (Prometheus text "
        "format)"},
@@ -124,8 +123,9 @@ const std::vector<FlagDoc>& FlagCatalog() {
       {"shard-size", "cli attack, serve", false,
        "Users per checkpoint shard under --job-dir (default 64)"},
       {"shards", "cli attack, serve", false,
-       "Partition the auxiliary universe across this many in-process "
-       "engine shards with bitwise-identical merged answers (default 1)"},
+       "Partition the auxiliary universe into this many in-process "
+       "candidate-index slices with bitwise-identical answers (structural "
+       "engine only; default 1)"},
       {"simd", "cli attack, serve", false,
        "Score-kernel instruction set: auto (default; DEHEALTH_SIMD env, "
        "then cpuid), avx2, sse2, or scalar — all tiers score identically"},
@@ -154,6 +154,16 @@ const std::vector<FlagDoc>& FlagCatalog() {
        "ids"},
   };
   return *catalog;
+}
+
+Status RejectUnknownFlags(const FlagParser& flags) {
+  const std::vector<FlagDoc>& catalog = FlagCatalog();
+  for (const std::string& name : flags.names())
+    if (std::none_of(catalog.begin(), catalog.end(),
+                     [&name](const FlagDoc& doc) { return name == doc.name; }))
+      return Status::InvalidArgument("unknown flag --" + name +
+                                     " (see docs/OPERATIONS.md)");
+  return Status::OK();
 }
 
 std::set<std::string> AttackBooleanFlags() {

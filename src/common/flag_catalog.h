@@ -5,6 +5,9 @@
 #include <string>
 #include <vector>
 
+#include "common/flags.h"
+#include "common/status.h"
+
 namespace dehealth {
 
 /// One command-line flag a shipped binary accepts. The catalog is the
@@ -27,8 +30,14 @@ struct FlagDoc {
 };
 
 /// Every flag accepted by dehealth_cli, dehealth_serve, dehealth_router,
-/// and dehealth_query, sorted by name.
+/// dehealth_query and dehealth_ingest, sorted by name.
 const std::vector<FlagDoc>& FlagCatalog();
+
+/// InvalidArgument ("unknown flag --name ...") for the first `--name` on
+/// the command line that FlagCatalog() does not list. All five binaries
+/// call it before reading their flags, so a misspelled or retired flag
+/// exits 1 instead of silently doing nothing.
+Status RejectUnknownFlags(const FlagParser& flags);
 
 /// The value-less flags of the catalog, what dehealth_cli, dehealth_serve
 /// and dehealth_router pass to FlagParser so "--idf --k 10" parses

@@ -12,6 +12,7 @@ FlagParser::FlagParser(int argc, char** argv, int first,
     const std::string token = argv[i];
     if (token.rfind("--", 0) != 0) continue;
     const std::string name = token.substr(2);
+    names_.push_back(name);
     if (boolean_flags.count(name) > 0) {  // boolean: no value
       flags_.insert(name);
       continue;

@@ -4,6 +4,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "common/status.h"
 
@@ -33,9 +34,13 @@ class FlagParser {
   /// True when the boolean flag "--flag" was passed.
   bool Has(const std::string& flag) const;
 
+  /// Every "--name" on the command line, without the dashes, in order.
+  const std::vector<std::string>& names() const { return names_; }
+
  private:
   std::map<std::string, std::string> values_;
   std::set<std::string> flags_;
+  std::vector<std::string> names_;
 };
 
 }  // namespace dehealth

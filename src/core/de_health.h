@@ -58,20 +58,15 @@ struct DeHealthConfig {
   /// When non-empty, the index is loaded from this snapshot file if it
   /// matches the auxiliary side + config (and rebuilt + saved otherwise).
   std::string index_snapshot_path;
-  /// Recall knob: when > 0, the index only *evaluates* at most this many
-  /// exact scores per anonymized user (best-first by upper bound) — faster,
-  /// but Top-K results may lose recall and are no longer guaranteed
-  /// identical to dense. 0 = exact (the default).
-  int index_max_candidates = 0;
 
   /// In-process horizontal sharding (src/shard/): when > 1, the auxiliary
-  /// universe is partitioned into this many contiguous-id-range shards,
-  /// each owning its own candidate index, behind a scatter-gather
-  /// CandidateSource. Results are bitwise-identical to num_shards == 1
-  /// (every shard runs the same exact kernel; see DESIGN.md "Sharding"),
-  /// so this knob is NOT part of the job fingerprint — checkpoints
-  /// interchange across shard counts. With index_snapshot_path set, each
-  /// shard persists its own `<path>.shard-<i>-of-<n>.dhix` snapshot.
+  /// universe is partitioned into this many contiguous-id-range candidate
+  /// index slices behind one IndexedCandidateSource. Results are
+  /// bitwise-identical to num_shards == 1 (every slice runs the same exact
+  /// kernel; see DESIGN.md "Sharding"), so this knob is NOT part of the
+  /// job fingerprint — checkpoints interchange across shard counts. With
+  /// index_snapshot_path set, each shard persists its own
+  /// `<path>.shard-<i>-of-<n>.dhix` snapshot. Structural engine only.
   int num_shards = 1;
   /// Shard-slice mode for distributed serving (dehealth_router + N
   /// backends): this process owns only shard `shard_index` of

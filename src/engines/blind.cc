@@ -10,19 +10,19 @@ namespace dehealth {
 
 namespace {
 
-/// Log2 buckets of the neighbor-degree distribution; degree d lands in
-/// bucket floor(log2(d)) clamped to the last bucket, so the histogram
+/// Log2 bins of the neighbor-degree distribution; degree d lands in bin
+/// floor(log2(d)) clamped to the last bin, so the histogram
 /// compares coarse neighborhood shape instead of exact degree sequences
 /// (robust to the sparse, noisy health graphs).
-constexpr int kDegreeBuckets = 16;
+constexpr int kDegreeBins = 16;
 
-int DegreeBucket(int degree) {
-  int bucket = 0;
-  while (degree > 1 && bucket < kDegreeBuckets - 1) {
+int DegreeBin(int degree) {
+  int bin = 0;
+  while (degree > 1 && bin < kDegreeBins - 1) {
     degree >>= 1;
-    ++bucket;
+    ++bin;
   }
-  return bucket;
+  return bin;
 }
 
 /// Per-node structural profile of one side, precomputed once.
@@ -49,9 +49,9 @@ SideProfile ProfileSide(const UdaGraph& side, int max_neighbors) {
     const auto& neighbors = graph.Neighbors(u);
     if (neighbors.empty()) continue;
     std::vector<double>& hist = profile.histogram[static_cast<size_t>(u)];
-    hist.assign(kDegreeBuckets, 0.0);
+    hist.assign(kDegreeBins, 0.0);
     for (const auto& nb : neighbors)
-      hist[static_cast<size_t>(DegreeBucket(graph.Degree(nb.id)))] += 1.0;
+      hist[static_cast<size_t>(DegreeBin(graph.Degree(nb.id)))] += 1.0;
     for (double& h : hist) h /= static_cast<double>(neighbors.size());
 
     std::vector<NodeId>& top = profile.top_neighbors[static_cast<size_t>(u)];
@@ -80,7 +80,7 @@ double HistogramSimilarity(const std::vector<double>& a,
   if (a.empty() && b.empty()) return 1.0;
   if (a.empty() || b.empty()) return 0.0;
   double l1 = 0.0;
-  for (int i = 0; i < kDegreeBuckets; ++i)
+  for (int i = 0; i < kDegreeBins; ++i)
     l1 += std::fabs(a[static_cast<size_t>(i)] - b[static_cast<size_t>(i)]);
   return 1.0 - 0.5 * l1;
 }

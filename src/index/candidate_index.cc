@@ -2,34 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
-#include "common/math_utils.h"
-#include "common/parallel.h"
 #include "graph/landmarks.h"
-#include "obs/standard_metrics.h"
 
 namespace dehealth {
 
 namespace {
-
-/// Absolute slack added to every upper bound before comparing against the
-/// current K-th score: the bound accumulators sum floats/doubles in posting
-/// order while the exact kernel sums in merge order, so the two can differ
-/// by a few ulps. Scores live in [0, c1·3 + c2·2 + c3·2], so 1e-9 absolute
-/// dwarfs any achievable summation discrepancy while staying far too small
-/// to force meaningful extra evaluations.
-constexpr double kBoundSlack = 1e-9;
-
-/// Dense-scan crossover: when the query's posting lists would touch at
-/// least this fraction of the universe (counting duplicates — the actual
-/// accumulation work), best-first pruning cannot recoup its per-candidate
-/// ScoreOne overhead against the batched SIMD row kernel, so Top-K
-/// switches to one ExactRowTo scan + heap. Scores are identical either
-/// way, so the result is unchanged. Tuned with bench_index_scaling (see
-/// BENCH_index.json); at 0.25 the WebMD-like forums' Top-K drops the
-/// pre-SIMD regression while sparse queries keep their pruning win.
-constexpr double kDenseScanFraction = 0.25;
 
 constexpr uint64_t kFnvOffset = 1469598103934665603ull;
 constexpr uint64_t kFnvPrime = 1099511628211ull;
@@ -47,44 +25,6 @@ void FnvMixValue(uint64_t& h, T value) {
   FnvMix(h, &value, sizeof(value));
 }
 
-/// Smallest float f with (double)f >= w; postings store it so
-/// min(w_query, (double)f) >= min(w_query, w_aux) and attribute bounds
-/// never under-estimate.
-float RoundUpToFloat(double w) {
-  float f = static_cast<float>(w);
-  if (static_cast<double>(f) < w)
-    f = std::nextafterf(f, std::numeric_limits<float>::infinity());
-  return f;
-}
-
-/// max over d in [lo, hi] of MinMaxRatio(q, d) — the bucket-level bound on
-/// a degree-ratio term. Follows MinMaxRatio's conventions (0/0 = 1,
-/// x/0 = 0/x = 0).
-double MinMaxRatioUpper(double q, double lo, double hi) {
-  if (q <= 0.0) return lo <= 0.0 ? 1.0 : 0.0;
-  if (lo <= q && q <= hi) return 1.0;
-  if (hi < q) return hi <= 0.0 ? 0.0 : hi / q;
-  return q / lo;  // lo > q > 0: ratio decreases with d
-}
-
-bool AnyNonZero(const std::vector<double>& v) {
-  for (double x : v)
-    if (x != 0.0) return true;
-  return false;
-}
-
-int DegreeBucketOf(double degree) {
-  const auto d = static_cast<unsigned long long>(degree);
-  if (d == 0) return 0;
-  int log2 = 0;
-  for (unsigned long long x = d; x >>= 1;) ++log2;
-  return 1 + log2;
-}
-
-constexpr uint8_t kHasNcs = 1;
-constexpr uint8_t kHasHop = 2;
-constexpr uint8_t kHasWeightedHop = 4;
-
 UserFeatureView ViewOf(const IndexedUserFeatures& f) {
   UserFeatureView view;
   view.degree = f.degree;
@@ -95,31 +35,6 @@ UserFeatureView ViewOf(const IndexedUserFeatures& f) {
   view.attributes = &f.attributes;
   return view;
 }
-
-/// Per-retrieval sparse accumulators, epoch-stamped so consecutive queries
-/// on the same thread reuse the O(n2) arrays without clearing them.
-struct Workspace {
-  std::vector<uint32_t> epoch;
-  std::vector<int> inter_count;
-  std::vector<double> inter_weight;
-  std::vector<int32_t> touched;
-  uint32_t current = 0;
-
-  void NextQuery(size_t n) {
-    if (epoch.size() != n) {
-      epoch.assign(n, 0);
-      inter_count.assign(n, 0);
-      inter_weight.assign(n, 0.0);
-      current = 0;
-    }
-    if (current == std::numeric_limits<uint32_t>::max()) {
-      std::fill(epoch.begin(), epoch.end(), 0);
-      current = 0;
-    }
-    ++current;
-    touched.clear();
-  }
-};
 
 }  // namespace
 
@@ -255,65 +170,15 @@ StatusOr<CandidateIndex> CandidateIndex::FromData(CandidateIndexData data) {
     return Status::InvalidArgument(
         "CandidateIndex: shard range exceeds universe size");
   CandidateIndex index(std::move(data));
-  index.BuildDerived();
-  return index;
-}
-
-void CandidateIndex::BuildDerived() {
-  const size_t n2 = data_.users.size();
   std::vector<UserFeatureView> views;
-  views.reserve(n2);
-  for (const IndexedUserFeatures& f : data_.users) views.push_back(ViewOf(f));
-  store_ = FeatureStore::Build(views);
-  idf_lookup_.clear();
-  idf_lookup_.reserve(data_.idf_table.size());
-  for (const auto& [id, w] : data_.idf_table) idf_lookup_.emplace(id, w);
-
-  postings_.clear();
-  total_attr_weight_.assign(n2, 0.0);
-  has_signal_.assign(n2, 0);
-  buckets_.assign(64, DegreeBucket());
-  for (size_t v = 0; v < n2; ++v) {
-    const IndexedUserFeatures& f = data_.users[v];
-    double total = 0.0;
-    for (const auto& [id, weight] : f.attributes) {
-      postings_[id].push_back(
-          {static_cast<int32_t>(v), RoundUpToFloat(weight)});
-      total += weight;
-    }
-    total_attr_weight_[v] = total;
-    uint8_t signal = 0;
-    if (AnyNonZero(f.ncs)) signal |= kHasNcs;
-    if (AnyNonZero(f.hop)) signal |= kHasHop;
-    if (AnyNonZero(f.weighted_hop)) signal |= kHasWeightedHop;
-    has_signal_[v] = signal;
-
-    DegreeBucket& bucket = buckets_[static_cast<size_t>(
-        DegreeBucketOf(f.degree))];
-    if (bucket.members.empty()) {
-      bucket.min_degree = bucket.max_degree = f.degree;
-      bucket.min_weighted_degree = bucket.max_weighted_degree =
-          f.weighted_degree;
-    } else {
-      bucket.min_degree = std::min(bucket.min_degree, f.degree);
-      bucket.max_degree = std::max(bucket.max_degree, f.degree);
-      bucket.min_weighted_degree =
-          std::min(bucket.min_weighted_degree, f.weighted_degree);
-      bucket.max_weighted_degree =
-          std::max(bucket.max_weighted_degree, f.weighted_degree);
-    }
-    bucket.any_ncs = bucket.any_ncs || (signal & kHasNcs);
-    bucket.any_hop = bucket.any_hop || (signal & kHasHop);
-    bucket.any_weighted_hop =
-        bucket.any_weighted_hop || (signal & kHasWeightedHop);
-    bucket.members.push_back(static_cast<int32_t>(v));
-  }
-  // Drop empty buckets so retrieval only scans populated ones.
-  buckets_.erase(std::remove_if(buckets_.begin(), buckets_.end(),
-                                [](const DegreeBucket& b) {
-                                  return b.members.empty();
-                                }),
-                 buckets_.end());
+  views.reserve(index.data_.users.size());
+  for (const IndexedUserFeatures& f : index.data_.users)
+    views.push_back(ViewOf(f));
+  index.store_ = FeatureStore::Build(views);
+  index.idf_lookup_.reserve(index.data_.idf_table.size());
+  for (const auto& [id, w] : index.data_.idf_table)
+    index.idf_lookup_.emplace(id, w);
+  return index;
 }
 
 std::vector<IndexedUserFeatures> CandidateIndex::ComputeQueryFeatures(
@@ -328,225 +193,11 @@ double CandidateIndex::ExactScore(const IndexedUserFeatures& query,
                                  ViewOf(data_.users[static_cast<size_t>(v)]));
 }
 
-void CandidateIndex::ExactRow(const IndexedUserFeatures& query,
-                              std::vector<double>* row) const {
-  row->resize(data_.users.size());
-  ExactRowTo(query, row->data());
-}
-
 void CandidateIndex::ExactRowTo(const IndexedUserFeatures& query,
                                 double* out) const {
   const SimilarityConfig config = similarity_config();
   const ScoreQuery q = store_.MakeQuery(ViewOf(query));
   store_.ScoreRow(config, q, out);
-}
-
-std::vector<int> CandidateIndex::TopKForQuery(const IndexedUserFeatures& query,
-                                              int k,
-                                              int max_candidates) const {
-  const std::vector<ScoredUser> scored =
-      TopKScoredForQuery(query, k, max_candidates);
-  std::vector<int> result;
-  result.reserve(scored.size());
-  for (const ScoredUser& c : scored) result.push_back(c.user);
-  return result;
-}
-
-std::vector<ScoredUser> CandidateIndex::TopKScoredForQuery(
-    const IndexedUserFeatures& query, int k, int max_candidates) const {
-  const size_t n2 = data_.users.size();
-  const size_t want = std::min(static_cast<size_t>(std::max(k, 0)), n2);
-  if (want == 0) return {};
-
-  // Dense-scan crossover (exact mode only — a max_candidates cap already
-  // bounds the work): the posting volume is a pre-accumulation estimate of
-  // phase 1's cost AND a lower bound on how many per-pair ScoreOne calls
-  // best-first would risk; past the threshold one batched ScoreRow over
-  // the whole universe is cheaper than pruning.
-  if (max_candidates <= 0) {
-    size_t posting_volume = 0;
-    for (const auto& [id, weight] : query.attributes) {
-      (void)weight;
-      auto it = postings_.find(id);
-      if (it != postings_.end()) posting_volume += it->second.size();
-    }
-    if (static_cast<double>(posting_volume) >=
-        kDenseScanFraction * static_cast<double>(n2)) {
-      static thread_local std::vector<double> row;
-      row.resize(n2);
-      ExactRowTo(query, row.data());
-      std::vector<ScoredUser> heap;
-      heap.reserve(want);
-      for (size_t v = 0; v < n2; ++v) {
-        const ScoredUser c{row[v], static_cast<int>(v)};
-        if (heap.size() < want) {
-          heap.push_back(c);
-          std::push_heap(heap.begin(), heap.end(), BetterScoredUser);
-        } else if (BetterScoredUser(c, heap.front())) {
-          std::pop_heap(heap.begin(), heap.end(), BetterScoredUser);
-          heap.back() = c;
-          std::push_heap(heap.begin(), heap.end(), BetterScoredUser);
-        }
-      }
-      std::sort(heap.begin(), heap.end(), BetterScoredUser);
-      obs::IndexMetrics& metrics = obs::GetIndexMetrics();
-      metrics.topk_queries->Increment();
-      metrics.exact_evals->Increment(n2);
-      metrics.dense_scans->Increment();
-      return heap;
-    }
-  }
-  const int64_t budget =
-      max_candidates > 0
-          ? std::max<int64_t>(max_candidates, static_cast<int64_t>(want))
-          : std::numeric_limits<int64_t>::max();
-  int64_t evaluated = 0;
-
-  static thread_local Workspace ws;
-  ws.NextQuery(n2);
-
-  // Sparse accumulation over the query's posting lists: after this loop,
-  // ws.touched holds every auxiliary user sharing >= 1 attribute, with the
-  // exact intersection count and an upper bound on Σ min(w_q, w_v).
-  const bool query_ncs = AnyNonZero(query.ncs);
-  const bool query_hop = AnyNonZero(query.hop);
-  const bool query_whop = AnyNonZero(query.weighted_hop);
-  double query_attr_weight = 0.0;
-  for (const auto& [id, weight] : query.attributes) {
-    query_attr_weight += weight;
-    auto it = postings_.find(id);
-    if (it == postings_.end()) continue;
-    for (const Posting& p : it->second) {
-      const auto v = static_cast<size_t>(p.user);
-      if (ws.epoch[v] != ws.current) {
-        ws.epoch[v] = ws.current;
-        ws.inter_count[v] = 0;
-        ws.inter_weight[v] = 0.0;
-        ws.touched.push_back(p.user);
-      }
-      ++ws.inter_count[v];
-      ws.inter_weight[v] +=
-          std::min(weight, static_cast<double>(p.weight_ub));
-    }
-  }
-  std::sort(ws.touched.begin(), ws.touched.end());
-
-  const SimilarityConfig config = similarity_config();
-  // Per-query precompute (norms + dense attribute table) shared by every
-  // exact evaluation below; ScoreOne is bitwise-equal to the golden
-  // CombinedStructuralScore, so pruning decisions and results are
-  // unchanged — each evaluation just costs far less.
-  const ScoreQuery score_query = store_.MakeQuery(ViewOf(query));
-  std::vector<ScoredUser> heap;
-  heap.reserve(want);
-  auto kth_score = [&] { return heap.front().score; };
-  auto evaluate = [&](int32_t v) {
-    const double score =
-        store_.ScoreOne(config, score_query, static_cast<int>(v));
-    ++evaluated;
-    const ScoredUser c{score, v};
-    if (heap.size() < want) {
-      heap.push_back(c);
-      std::push_heap(heap.begin(), heap.end(), BetterScoredUser);
-    } else if (BetterScoredUser(c, heap.front())) {
-      std::pop_heap(heap.begin(), heap.end(), BetterScoredUser);
-      heap.back() = c;
-      std::push_heap(heap.begin(), heap.end(), BetterScoredUser);
-    }
-  };
-  /// Structural-only upper bound c1·s^d + c2·s^s for one auxiliary user
-  /// (exact ratio terms, cosine terms bounded by 1 when both sides have
-  /// signal).
-  auto structural_bound = [&](size_t v) {
-    const IndexedUserFeatures& f = data_.users[v];
-    const uint8_t signal = has_signal_[v];
-    const double sd =
-        MinMaxRatio(query.degree, f.degree) +
-        MinMaxRatio(query.weighted_degree, f.weighted_degree) +
-        ((query_ncs && (signal & kHasNcs)) ? 1.0 : 0.0);
-    const double ss = ((query_hop && (signal & kHasHop)) ? 1.0 : 0.0) +
-                      ((query_whop && (signal & kHasWeightedHop)) ? 1.0 : 0.0);
-    return data_.c1 * sd + data_.c2 * ss;
-  };
-
-  // Phase 1: attribute sharers, best-first by upper bound. A candidate is
-  // pruned (and, since bounds are sorted descending, the scan stops) only
-  // when the heap is full AND its bound falls strictly below the K-th
-  // score — ties always evaluate, so exact tie-breaking is preserved.
-  std::vector<ScoredUser> sharers;
-  sharers.reserve(ws.touched.size());
-  const double query_attr_count = static_cast<double>(query.attributes.size());
-  for (int32_t v32 : ws.touched) {
-    const auto v = static_cast<size_t>(v32);
-    const double inter = static_cast<double>(ws.inter_count[v]);
-    const double set_union = query_attr_count +
-                             static_cast<double>(
-                                 data_.users[v].attributes.size()) -
-                             inter;
-    double attr_bound = set_union > 0.0 ? inter / set_union : 0.0;
-    const double weight_union =
-        query_attr_weight + total_attr_weight_[v] - ws.inter_weight[v];
-    attr_bound += weight_union > 0.0
-                      ? std::min(1.0, ws.inter_weight[v] / weight_union)
-                      : 1.0;
-    const double bound =
-        structural_bound(v) + data_.c3 * attr_bound + kBoundSlack;
-    sharers.push_back({bound, v32});
-  }
-  std::sort(sharers.begin(), sharers.end(), BetterScoredUser);
-  for (const ScoredUser& s : sharers) {
-    if (heap.size() == want && s.score < kth_score()) break;
-    if (evaluated >= budget) break;
-    evaluate(s.user);
-  }
-
-  // Phase 2: everyone else shares no attribute, so s^a = 0 exactly and
-  // only the structural terms remain. Buckets are screened best-first by
-  // their collective bound; members get an O(1) per-user bound.
-  std::vector<std::pair<double, size_t>> bucket_order;
-  bucket_order.reserve(buckets_.size());
-  for (size_t b = 0; b < buckets_.size(); ++b) {
-    const DegreeBucket& bucket = buckets_[b];
-    const double sd =
-        MinMaxRatioUpper(query.degree, bucket.min_degree,
-                         bucket.max_degree) +
-        MinMaxRatioUpper(query.weighted_degree, bucket.min_weighted_degree,
-                         bucket.max_weighted_degree) +
-        ((query_ncs && bucket.any_ncs) ? 1.0 : 0.0);
-    const double ss = ((query_hop && bucket.any_hop) ? 1.0 : 0.0) +
-                      ((query_whop && bucket.any_weighted_hop) ? 1.0 : 0.0);
-    bucket_order.emplace_back(data_.c1 * sd + data_.c2 * ss + kBoundSlack, b);
-  }
-  std::sort(bucket_order.begin(), bucket_order.end(),
-            [](const auto& a, const auto& b) {
-              if (a.first != b.first) return a.first > b.first;
-              return a.second < b.second;
-            });
-  for (const auto& [bucket_bound, b] : bucket_order) {
-    if (heap.size() == want && bucket_bound < kth_score()) break;
-    if (evaluated >= budget) break;
-    for (int32_t v32 : buckets_[b].members) {
-      const auto v = static_cast<size_t>(v32);
-      if (ws.epoch[v] == ws.current) continue;  // already seen as a sharer
-      if (evaluated >= budget) break;
-      if (heap.size() == want &&
-          structural_bound(v) + kBoundSlack < kth_score())
-        continue;
-      evaluate(v32);
-    }
-  }
-
-  std::sort(heap.begin(), heap.end(), BetterScoredUser);
-
-  // One atomic add per counter per query (never per candidate): the prune
-  // hit/miss ratio is the number the bench reports, and this keeps the
-  // accounting off the inner loop.
-  obs::IndexMetrics& metrics = obs::GetIndexMetrics();
-  metrics.topk_queries->Increment();
-  metrics.exact_evals->Increment(static_cast<uint64_t>(evaluated));
-  metrics.bound_pruned->Increment(
-      static_cast<uint64_t>(static_cast<int64_t>(n2) - evaluated));
-  return heap;
 }
 
 }  // namespace dehealth

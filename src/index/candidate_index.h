@@ -9,7 +9,6 @@
 #include "common/status.h"
 #include "core/feature_store.h"
 #include "core/similarity.h"
-#include "core/top_k.h"
 #include "core/uda_graph.h"
 
 namespace dehealth {
@@ -64,25 +63,13 @@ struct CandidateIndexData {
 /// and the raw (unscaled) attribute list.
 uint64_t FingerprintForIndex(const UdaGraph& side);
 
-/// A persistent auxiliary-side DA candidate index. Answers exact
-/// per-anonymized-user similarity scores and Top-K candidate queries
-/// WITHOUT forming the dense |Δ1|×|Δ2| similarity matrix:
-///
-///  1. an inverted index over the binary stylometric attributes yields, per
-///     query, every auxiliary user sharing at least one attribute together
-///     with a weighted-Jaccard upper bound on s^a (non-sharers have
-///     s^a = 0 exactly);
-///  2. logarithmic degree buckets plus per-user flags ("has NCS / landmark
-///     signal") give O(1) upper bounds on c1·s^d + c2·s^s for everyone
-///     else;
-///  3. best-first retrieval evaluates the exact score — via the SAME
-///     compiled kernel as the dense path (CombinedStructuralScore) — only
-///     when a candidate's upper bound can still beat the current K-th
-///     score.
-///
-/// Results are bitwise-identical to SelectTopKCandidates(kDirect) on the
-/// dense matrix (see DESIGN.md "Candidate index" for the argument); an
-/// optional per-query evaluation budget trades recall for speed.
+/// A persistent auxiliary-side score index: the auxiliary users' similarity
+/// features (landmark vectors, NCS vectors, IDF-scaled attributes), packed
+/// into a FeatureStore for the batched score kernel and persisted as a DHIX
+/// snapshot so a warm start skips the landmark precomputation. It answers
+/// exact per-anonymized-user scores WITHOUT forming the dense |Δ1|×|Δ2|
+/// similarity matrix: a query's row is one FeatureStore scan, bitwise equal
+/// to the dense row (see DESIGN.md "Candidate index").
 class CandidateIndex {
  public:
   /// Builds the index from the auxiliary side. `config.num_threads` drives
@@ -92,7 +79,7 @@ class CandidateIndex {
                                         const SimilarityConfig& config);
 
   /// Wraps deserialized snapshot data, rebuilding the derived structures
-  /// (inverted index, degree buckets). InvalidArgument when the data is
+  /// (feature store, IDF lookup). InvalidArgument when the data is
   /// internally inconsistent.
   static StatusOr<CandidateIndex> FromData(CandidateIndexData data);
 
@@ -124,80 +111,20 @@ class CandidateIndex {
   /// dense StructuralSimilarity::Combined).
   double ExactScore(const IndexedUserFeatures& query, NodeId v) const;
 
-  /// Exact scores of a query against every auxiliary user, in id order —
-  /// the verification path: one batched FeatureStore row scan, bitwise
-  /// equal to per-pair ExactScore calls.
-  void ExactRow(const IndexedUserFeatures& query,
-                std::vector<double>* row) const;
-
-  /// ExactRow into a caller-provided buffer of num_auxiliary() doubles —
-  /// the allocation-free form the dense-scan Top-K path and the sharded
-  /// source's row assembly reuse.
+  /// Exact scores of a query against every auxiliary user, in id order,
+  /// into out[0..num_auxiliary()): one batched FeatureStore row scan,
+  /// bitwise equal to per-pair ExactScore calls.
   void ExactRowTo(const IndexedUserFeatures& query, double* out) const;
-
-  /// The query's Top-K candidate list: the min(k, n2) auxiliary ids with
-  /// the largest exact scores, ordered by decreasing score with ties
-  /// broken by smaller id — bitwise what SelectTopKCandidates(kDirect)
-  /// returns for this row. `max_candidates > 0` caps the number of exact
-  /// score evaluations (clamped to >= k so the list still fills); the cap
-  /// may lose recall, 0 keeps the exact guarantee.
-  std::vector<int> TopKForQuery(const IndexedUserFeatures& query, int k,
-                                int max_candidates = 0) const;
-
-  /// TopKForQuery keeping the exact scores — what shard merging needs
-  /// (MergeScoredTopK re-ranks candidates across shards by score, so ids
-  /// alone are not enough). `user` fields are LOCAL ids; the caller
-  /// translates by data().shard_begin. When max_candidates == 0 and the
-  /// inverted index would touch most of the universe anyway, this switches
-  /// to a dense scan through the batched row kernel (same scores, so the
-  /// result is unchanged; see the "dense-scan crossover" note in
-  /// DESIGN.md).
-  std::vector<ScoredUser> TopKScoredForQuery(const IndexedUserFeatures& query,
-                                             int k,
-                                             int max_candidates = 0) const;
 
  private:
   explicit CandidateIndex(CandidateIndexData data);
 
-  /// Rebuilds the derived structures from data_.users.
-  void BuildDerived();
-
-  /// Posting entry of the inverted index: auxiliary user id plus its
-  /// (IDF-scaled) attribute weight rounded UP to float, so bounds computed
-  /// from it stay valid at 8 bytes/entry.
-  struct Posting {
-    int32_t user;
-    float weight_ub;
-  };
-
-  /// A logarithmic degree bucket: per-member O(1) screening data for users
-  /// that share no attribute with the query (s^a = 0 there, so only the
-  /// cheap structural terms can contribute).
-  struct DegreeBucket {
-    double min_degree = 0.0;
-    double max_degree = 0.0;
-    double min_weighted_degree = 0.0;
-    double max_weighted_degree = 0.0;
-    bool any_ncs = false;
-    bool any_hop = false;
-    bool any_weighted_hop = false;
-    std::vector<int32_t> members;  // ascending user id
-  };
-
   CandidateIndexData data_;
   SimdMode simd_mode_ = SimdMode::kAuto;
-  /// Blocked SoA mirror of data_.users for batched/precomputed exact
-  /// scoring (rebuilt by BuildDerived; never persisted).
+  /// Blocked SoA mirror of data_.users for batched exact scoring (rebuilt
+  /// by FromData; never persisted).
   FeatureStore store_;
   std::unordered_map<int, double> idf_lookup_;
-  std::unordered_map<int, std::vector<Posting>> postings_;
-  std::vector<DegreeBucket> buckets_;
-  /// total_attr_weight_[v] = Σ of v's scaled attribute weights (left-to-
-  /// right), for the weighted-Jaccard union lower bound.
-  std::vector<double> total_attr_weight_;
-  /// has_signal_[v] bit 0/1/2 = NCS / hop / weighted-hop vector has a
-  /// nonzero entry (cosine against it can exceed 0).
-  std::vector<uint8_t> has_signal_;
 };
 
 }  // namespace dehealth

@@ -1,77 +1,76 @@
 #include "index/indexed_source.h"
 
-#include "common/parallel.h"
+#include <algorithm>
+#include <cassert>
+#include <numeric>
+
+#include "obs/standard_metrics.h"
 #include "obs/trace.h"
 
 namespace dehealth {
 
-IndexedCandidateSource::IndexedCandidateSource(const UdaGraph& anonymized,
-                                               const CandidateIndex& index,
-                                               int num_threads,
-                                               int max_candidates)
-    : index_(&index),
-      queries_(index.ComputeQueryFeatures(anonymized, num_threads)),
-      max_candidates_(max_candidates) {}
+IndexedCandidateSource::IndexedCandidateSource(
+    const UdaGraph& anonymized, std::vector<CandidateIndex> slices,
+    int num_threads)
+    : slices_(std::move(slices)) {
+  assert(!slices_.empty() && "IndexedCandidateSource needs >= 1 slice");
+  offsets_.push_back(0);
+  for (const CandidateIndex& slice : slices_) {
+    assert(slice.data().shard_begin - slices_.front().data().shard_begin ==
+               static_cast<uint32_t>(offsets_.back()) &&
+           "slices must be ordered and contiguous");
+    offsets_.push_back(offsets_.back() + slice.num_auxiliary());
+  }
+  queries_ = slices_.front().ComputeQueryFeatures(anonymized, num_threads);
+}
 
 int IndexedCandidateSource::num_anonymized() const {
   return static_cast<int>(queries_.size());
 }
 
-int IndexedCandidateSource::num_auxiliary() const {
-  return index_->num_auxiliary();
-}
+int IndexedCandidateSource::num_auxiliary() const { return offsets_.back(); }
 
 double IndexedCandidateSource::Score(NodeId u, NodeId v) const {
-  return index_->ExactScore(queries_[static_cast<size_t>(u)], v);
+  // The slice owning v: the last one beginning at or before v (an empty
+  // slice shares its begin with the next one, which wins).
+  const auto s = static_cast<size_t>(
+      std::upper_bound(offsets_.begin() + 1, offsets_.end() - 1, v) -
+      (offsets_.begin() + 1));
+  return slices_[s].ExactScore(queries_[static_cast<size_t>(u)],
+                               v - offsets_[s]);
 }
 
 const std::vector<double>& IndexedCandidateSource::Row(
     NodeId u, std::vector<double>* scratch) const {
-  index_->ExactRow(queries_[static_cast<size_t>(u)], scratch);
+  scratch->resize(static_cast<size_t>(num_auxiliary()));
+  for (size_t s = 0; s < slices_.size(); ++s)
+    slices_[s].ExactRowTo(queries_[static_cast<size_t>(u)],
+                          scratch->data() + offsets_[s]);
   return *scratch;
 }
 
 StatusOr<CandidateSets> IndexedCandidateSource::TopK(int k,
                                                      int num_threads) const {
-  if (k < 1)
-    return Status::InvalidArgument(
-        "IndexedCandidateSource::TopK: k must be >= 1");
   obs::Span span("index", "indexed_top_k");
   span.SetArg("rows", static_cast<int64_t>(queries_.size()));
-  CandidateSets result(queries_.size());
-  // Row-parallel like the dense path: each task owns one preallocated
-  // output slot, so candidate sets are identical for any thread count.
-  ParallelFor(
-      0, static_cast<int64_t>(queries_.size()),
-      [&](int64_t u) {
-        result[static_cast<size_t>(u)] = index_->TopKForQuery(
-            queries_[static_cast<size_t>(u)], k, max_candidates_);
-      },
-      num_threads);
-  return result;
+  std::vector<int> users(queries_.size());
+  std::iota(users.begin(), users.end(), 0);
+  return TopKForUsers(users, k, num_threads);
 }
 
 StatusOr<CandidateSets> IndexedCandidateSource::TopKForUsers(
     const std::vector<int>& users, int k, int num_threads) const {
-  if (k < 1)
-    return Status::InvalidArgument(
-        "IndexedCandidateSource::TopKForUsers: k must be >= 1");
-  const int n1 = num_anonymized();
-  for (int u : users)
-    if (u < 0 || u >= n1)
-      return Status::InvalidArgument(
-          "IndexedCandidateSource::TopKForUsers: user id " +
-          std::to_string(u) + " out of range [0, " + std::to_string(n1) +
-          ")");
-  CandidateSets result(users.size());
-  ParallelFor(
-      0, static_cast<int64_t>(users.size()),
-      [&](int64_t i) {
-        result[static_cast<size_t>(i)] = index_->TopKForQuery(
-            queries_[static_cast<size_t>(users[static_cast<size_t>(i)])], k,
-            max_candidates_);
-      },
-      num_threads);
+  StatusOr<CandidateSets> result =
+      CandidateSource::TopKForUsers(users, k, num_threads);
+  if (!result.ok()) return result;
+  // Every Top-K row is one full scan: bound_pruned stays 0, and
+  // dense_scans == topk_queries.
+  const auto rows = static_cast<uint64_t>(users.size());
+  obs::IndexMetrics& metrics = obs::GetIndexMetrics();
+  metrics.topk_queries->Increment(rows);
+  metrics.dense_scans->Increment(rows);
+  metrics.exact_evals->Increment(rows *
+                                 static_cast<uint64_t>(num_auxiliary()));
   return result;
 }
 

@@ -6,7 +6,6 @@
 
 #include "core/de_health.h"
 #include "core/uda_graph.h"
-#include "index/candidate_index.h"
 
 namespace dehealth {
 
@@ -18,8 +17,6 @@ namespace dehealth {
 struct AttackScoreSource {
   /// Dense path: the materialized |Δ1|×|Δ2| matrix `source` borrows.
   std::vector<std::vector<double>> similarity;
-  /// Indexed path: the candidate index `source` borrows.
-  std::unique_ptr<CandidateIndex> index;
   std::unique_ptr<CandidateSource> source;
   /// True when config.use_index was set but the index could not be
   /// loaded/built/persisted — the bundle degraded to the dense path with a
@@ -39,12 +36,15 @@ struct AttackScoreSource {
 };
 
 /// Builds the score source the config asks for: the dense similarity
-/// matrix, the auxiliary-side candidate index (loaded from
-/// config.index_snapshot_path when the snapshot matches, rebuilt + saved
-/// otherwise), the in-process sharded scatter-gather source
-/// (config.num_shards > 1, bitwise-identical answers), or a single-shard
-/// slice (config.shard_count > 1 — local auxiliary ids over that shard's
-/// range). Graceful degradation: an index that cannot be
+/// matrix, or an IndexedCandidateSource over candidate-index slices — the
+/// whole index (config.use_index; loaded from config.index_snapshot_path
+/// when the snapshot matches, rebuilt + saved otherwise), N in-process
+/// shards (config.num_shards > 1), or one fleet slice
+/// (config.shard_count > 1 — local auxiliary ids over that shard's range).
+/// Every mode answers bitwise what the dense matrix answers. Matrix-backed
+/// engines (--engine=blind|community) are dense-only: they reject the
+/// index knobs and num_shards > 1, and slice mode keeps their shard's
+/// columns. Graceful degradation: an index that cannot be
 /// loaded/built/persisted falls back to the dense path with a warning
 /// (see `degraded_to_dense`) — an unusable snapshot file never takes the
 /// attack down with it. Defined in src/shard/attack_pipeline.cc (the
@@ -60,9 +60,8 @@ StatusOr<std::unique_ptr<AttackScoreSource>> BuildAttackScoreSource(
 ///     loads it from config.index_snapshot_path when the snapshot matches
 ///     the auxiliary side + config, persisting a rebuilt one otherwise)
 ///     and runs phases 1b-2 through it. Scores, candidate sets, filtering
-///     and refined-DA predictions are bitwise-identical to the dense path
-///     when index_max_candidates == 0; DeHealthResult::similarity stays
-///     empty (the matrix is never formed).
+///     and refined-DA predictions are bitwise-identical to the dense path;
+///     DeHealthResult::similarity stays empty (the matrix is never formed).
 /// config.job_dir is ignored here — use RunDeHealthAttackJob
 /// (src/job/runner.h) for the checkpointed variant.
 StatusOr<DeHealthResult> RunDeHealthAttack(const UdaGraph& anonymized,

@@ -133,8 +133,8 @@ uint64_t JobConfigFingerprint(const DeHealthConfig& config) {
   // Excluded on purpose: num_threads (results are thread-independent),
   // index_snapshot_path (a cache location), job_dir / job_shard_size (the
   // shard layout changes where bytes land, not what they are — the
-  // manifest records shard_size separately), and use_index when the index
-  // is exact (bitwise-identical to dense, so checkpoints interchange).
+  // manifest records shard_size separately), and use_index (the index is
+  // bitwise-identical to dense, so checkpoints interchange).
   std::string buf;
   const SimilarityConfig& sim = config.similarity;
   Append(buf, sim.c1);
@@ -168,11 +168,9 @@ uint64_t JobConfigFingerprint(const DeHealthConfig& config) {
   Append(buf, static_cast<int32_t>(r.false_addition_count));
   Append(buf, r.seed);
 
-  // The only index knob that changes results: a recall cap.
-  const int32_t effective_cap =
-      config.use_index ? static_cast<int32_t>(config.index_max_candidates)
-                       : 0;
-  Append(buf, effective_cap);
+  // The slot of the retired index recall cap: always 0, so job
+  // directories written while the cap existed still resume.
+  Append(buf, int32_t{0});
 
   // Slice identity: a job computed over shard i of N holds candidates for
   // a DIFFERENT id space than shard j (or the whole universe), so slices

@@ -42,10 +42,9 @@ struct JobManifest {
 };
 
 /// Fingerprint of the semantic (result-shaping) DeHealthConfig fields.
-/// Deliberately identical for {dense, exact index} runs — their results
-/// are bitwise-identical, so their checkpoints are interchangeable; a
-/// recall-capped index run (index_max_candidates > 0) fingerprints
-/// differently because its results differ.
+/// Deliberately identical for dense, indexed and in-process sharded runs —
+/// their results are bitwise-identical, so their checkpoints are
+/// interchangeable.
 uint64_t JobConfigFingerprint(const DeHealthConfig& config);
 
 std::string EncodeJobManifest(const JobManifest& manifest);

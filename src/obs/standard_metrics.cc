@@ -37,13 +37,13 @@ const MetricDef kCoreScoreBlockSize = {
 // ---- index ----
 const MetricDef kIndexTopKQueries = {
     "dehealth_index_topk_queries_total", MetricType::kCounter, "1", "index",
-    "Top-K queries answered by the candidate index"};
+    "Top-K rows answered by the candidate index"};
 const MetricDef kIndexExactEvals = {
     "dehealth_index_exact_evals_total", MetricType::kCounter, "candidates",
-    "index", "Candidates exactly scored by indexed Top-K search"};
+    "index", "Candidates exactly scored by indexed Top-K (n2 per row)"};
 const MetricDef kIndexBoundPruned = {
     "dehealth_index_bound_pruned_total", MetricType::kCounter, "candidates",
-    "index", "Candidates skipped by the index upper-bound prune"};
+    "index", "Always 0: indexed Top-K scores every candidate"};
 const MetricDef kIndexSnapshotLoads = {
     "dehealth_index_snapshot_loads_total", MetricType::kCounter, "1", "index",
     "DHIX snapshots loaded from disk instead of rebuilt"};
@@ -55,8 +55,8 @@ const MetricDef kIndexDenseFallbacks = {
     "index", "Indexed runs degraded to the dense Top-K path"};
 const MetricDef kIndexDenseScans = {
     "dehealth_index_dense_scans_total", MetricType::kCounter, "1", "index",
-    "Top-K queries answered by the dense-scan crossover (batched row "
-    "kernel instead of best-first pruning)"};
+    "Top-K rows answered by a full row scan (always equals "
+    "dehealth_index_topk_queries_total)"};
 
 // ---- shard ----
 const MetricDef kShardScatterRpcs = {

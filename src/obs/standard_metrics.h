@@ -27,7 +27,7 @@ extern const MetricDef kCoreRefinedUsers;
 extern const MetricDef kCoreSimdKernel;
 extern const MetricDef kCoreScoreBlockSize;
 
-// ---- index: DHIX snapshot lifecycle + bound-pruned Top-K retrieval ----
+// ---- index: DHIX snapshot lifecycle + indexed Top-K row scans ----
 extern const MetricDef kIndexTopKQueries;
 extern const MetricDef kIndexExactEvals;
 extern const MetricDef kIndexBoundPruned;
@@ -108,6 +108,9 @@ struct CoreMetrics {
 };
 CoreMetrics& GetCoreMetrics();
 
+/// Each indexed Top-K row counts one topk_queries, one dense_scans and n2
+/// exact_evals; bound_pruned stays 0. dense_scans and bound_pruned are
+/// kept only because perfbench/ reads them.
 struct IndexMetrics {
   Counter* topk_queries;
   Counter* exact_evals;
@@ -120,8 +123,8 @@ struct IndexMetrics {
 IndexMetrics& GetIndexMetrics();
 
 /// Shard scatter-gather metrics. Router processes usually bind these to
-/// their server registry via GetShardMetrics(&registry); the in-process
-/// sharded source uses the Registry::Global() binding.
+/// their server registry via BindShardMetrics(registry); shard snapshot
+/// quarantines use the Registry::Global() binding.
 struct ShardMetrics {
   Counter* scatter_rpcs;
   Counter* scatter_failures;

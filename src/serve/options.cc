@@ -16,14 +16,10 @@ StatusOr<DeHealthConfig> ParseAttackFlags(const FlagParser& flags) {
   DeHealthConfig config;
   OPTIONS_ASSIGN_OR_RETURN(k, flags.GetInt("k", 10));
   OPTIONS_ASSIGN_OR_RETURN(threads, flags.GetInt("threads", 0));
-  OPTIONS_ASSIGN_OR_RETURN(max_candidates,
-                           flags.GetInt("max-candidates", 0));
   if (k < 1) return Status::InvalidArgument("--k must be >= 1");
   if (threads < 0)
     return Status::InvalidArgument(
         "--threads must be >= 0 (0 = all hardware threads)");
-  if (max_candidates < 0)
-    return Status::InvalidArgument("--max-candidates must be >= 0");
   config.top_k = k;
   config.num_threads = threads;
   OPTIONS_ASSIGN_OR_RETURN(
@@ -39,16 +35,6 @@ StatusOr<DeHealthConfig> ParseAttackFlags(const FlagParser& flags) {
   // in memory for this run.
   config.use_index =
       flags.Has("index") || !config.index_snapshot_path.empty();
-  config.index_max_candidates = max_candidates;
-  // The candidate index is a structural-kernel artifact; the matrix-backed
-  // engines have nothing to load from it, so combining them is a config
-  // error, not a degradation.
-  if (config.engine != EngineKind::kStructural &&
-      (config.use_index || config.index_max_candidates > 0))
-    return Status::InvalidArgument(
-        std::string("--index/--index-path/--max-candidates only apply to "
-                    "--engine=structural, not --engine=") +
-        EngineKindName(config.engine));
   // Crash-safe checkpoint/resume (src/job/): both binaries accept the same
   // job flags so a serve warm start can reuse shards a CLI run committed.
   config.job_dir = flags.Get("job-dir");
@@ -62,6 +48,15 @@ StatusOr<DeHealthConfig> ParseAttackFlags(const FlagParser& flags) {
   OPTIONS_ASSIGN_OR_RETURN(shard_index, flags.GetInt("shard-index", 0));
   OPTIONS_ASSIGN_OR_RETURN(shard_count, flags.GetInt("shard-count", 1));
   if (shards < 1) return Status::InvalidArgument("--shards must be >= 1");
+  // The candidate index is a structural-kernel artifact, and in-process
+  // shards are index slices; the matrix-backed engines have nothing to
+  // load or slice, so combining them is a config error, not a degradation.
+  if (config.engine != EngineKind::kStructural &&
+      (config.use_index || shards > 1))
+    return Status::InvalidArgument(
+        std::string("--index/--index-path/--shards only apply to "
+                    "--engine=structural, not --engine=") +
+        EngineKindName(config.engine));
   if (shard_count < 1)
     return Status::InvalidArgument("--shard-count must be >= 1");
   if (shard_index < 0 || shard_index >= shard_count)

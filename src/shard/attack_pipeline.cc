@@ -1,20 +1,19 @@
 // Implements index/pipeline.h. Lives in src/shard/ (not src/index/)
-// because BuildAttackScoreSource is the one place all four score-source
-// modes meet — dense, indexed, in-process sharded, and shard slice — and
-// the sharded modes need src/shard/, which layers above src/index/.
+// because BuildAttackScoreSource is the one place every score-source mode
+// meets — dense, whole index, in-process shards, and fleet slice — and the
+// sharded modes need src/shard/, which layers above src/index/.
 #include "index/pipeline.h"
 
 #include <cstdio>
+#include <string>
 #include <utility>
 
 #include "engines/pipeline.h"
 #include "index/indexed_source.h"
 #include "index/snapshot.h"
 #include "obs/standard_metrics.h"
-#include "shard/matrix_sharded_source.h"
 #include "shard/partition.h"
 #include "shard/shard_index.h"
-#include "shard/sharded_source.h"
 
 namespace dehealth {
 
@@ -26,6 +25,28 @@ void WarnDenseFallback(const Status& status) {
                "to dense similarity path\n",
                status.ToString().c_str());
   obs::GetIndexMetrics().dense_fallbacks->Increment();
+}
+
+/// The candidate-index slices a structural config asks for: the N shards
+/// of an in-process run (--shards), this backend's one slice of a fleet
+/// (--shard-count), or the whole index (--index).
+StatusOr<std::vector<CandidateIndex>> LoadOrBuildSlices(
+    const UdaGraph& auxiliary, const DeHealthConfig& config,
+    const SimilarityConfig& sim_config) {
+  if (config.num_shards > 1)
+    return BuildShardIndexes(config.index_snapshot_path, auxiliary,
+                             sim_config, config.num_shards);
+  StatusOr<CandidateIndex> index =
+      config.shard_count > 1
+          ? LoadOrBuildShardIndex(config.index_snapshot_path, auxiliary,
+                                  sim_config, config.shard_index,
+                                  config.shard_count)
+          : LoadOrBuildIndex(config.index_snapshot_path, auxiliary,
+                             sim_config);
+  if (!index.ok()) return index.status();
+  std::vector<CandidateIndex> slices;
+  slices.push_back(std::move(index).value());
+  return slices;
 }
 
 }  // namespace
@@ -48,6 +69,16 @@ StatusOr<std::unique_ptr<AttackScoreSource>> BuildAttackScoreSource(
     return Status::InvalidArgument(
         "BuildAttackScoreSource: filtering thresholds are global and cannot "
         "be computed on a shard slice");
+  // The candidate index is a structural-kernel artifact, and in-process
+  // shards are index slices, so the matrix-backed engines fail fast on
+  // those knobs instead of silently degrading.
+  const bool structural = config.engine == EngineKind::kStructural;
+  if (!structural && (config.use_index || !config.index_snapshot_path.empty() ||
+                      config.num_shards > 1))
+    return Status::InvalidArgument(
+        std::string("BuildAttackScoreSource: --index/--index-path/--shards "
+                    "only apply to the structural engine, not --engine=") +
+        EngineKindName(config.engine));
 
   auto bundle = std::make_unique<AttackScoreSource>();
   SimilarityConfig sim_config = config.similarity;
@@ -56,125 +87,44 @@ StatusOr<std::unique_ptr<AttackScoreSource>> BuildAttackScoreSource(
   bundle->shard_count = config.shard_count;
   bundle->universe_size = auxiliary.num_users();
   bundle->universe_fingerprint = FingerprintForIndex(auxiliary);
+  // Slice mode serves only its shard's auxiliary range under LOCAL ids —
+  // the router (or the operator) re-anchors answers at shard_begin.
+  const ShardRange range =
+      ComputeShardRanges(bundle->universe_size, config.shard_count)
+          [static_cast<size_t>(config.shard_index)];
+  bundle->shard_begin = range.begin;
 
-  if (config.engine != EngineKind::kStructural) {
-    // Matrix-backed engines (--engine=blind|community, src/engines/): the
-    // score matrix is built once over the FULL universe, then served
-    // dense, scatter-gathered (--shards N, candidate selection only), or
-    // column-sliced (--shard-count fleet mode) — all bitwise-identical
-    // rankings by the shard-merge argument (DESIGN.md "Sharding"). The
-    // candidate index is a structural-kernel artifact, so the index knobs
-    // are meaningless here and fail fast instead of silently degrading.
-    if (config.use_index || !config.index_snapshot_path.empty() ||
-        config.index_max_candidates > 0)
-      return Status::InvalidArgument(
-          std::string("BuildAttackScoreSource: --index/--index-path/"
-                      "--max-candidates only apply to the structural "
-                      "engine, not --engine=") +
-          EngineKindName(config.engine));
-    StatusOr<std::vector<std::vector<double>>> matrix =
-        BuildEngineMatrix(anonymized, auxiliary, config);
-    if (!matrix.ok()) return matrix.status();
-    if (config.shard_count > 1) {
-      // Slice mode: keep only this shard's columns, exactly like the
-      // structural dense-slice path — local ids over [begin, end).
-      const ShardRange range =
-          ComputeShardRanges(bundle->universe_size, config.shard_count)
-              [static_cast<size_t>(config.shard_index)];
-      bundle->shard_begin = range.begin;
-      bundle->similarity.resize(matrix->size());
-      for (size_t u = 0; u < matrix->size(); ++u)
-        bundle->similarity[u].assign(
-            (*matrix)[u].begin() + range.begin,
-            (*matrix)[u].begin() + range.end);
-      bundle->source =
-          std::make_unique<DenseCandidateSource>(bundle->similarity);
-      return bundle;
-    }
-    bundle->similarity = std::move(matrix).value();
-    if (config.num_shards > 1)
-      bundle->source = std::make_unique<MatrixShardedSource>(
-          bundle->similarity, config.num_shards);
-    else
-      bundle->source =
-          std::make_unique<DenseCandidateSource>(bundle->similarity);
-    return bundle;
-  }
-
-  if (config.shard_count > 1) {
-    // Slice mode: this process serves only its shard's auxiliary range,
-    // with LOCAL ids — the router (or the operator) re-anchors answers at
-    // shard_begin. Always index-backed: the slice IS a candidate index.
-    const ShardRange range =
-        ComputeShardRanges(bundle->universe_size, config.shard_count)
-            [static_cast<size_t>(config.shard_index)];
-    bundle->shard_begin = range.begin;
-    StatusOr<CandidateIndex> index = LoadOrBuildShardIndex(
-        config.index_snapshot_path, auxiliary, sim_config,
-        config.shard_index, config.shard_count);
-    if (index.ok()) {
-      bundle->index =
-          std::make_unique<CandidateIndex>(std::move(index).value());
-      bundle->index->set_simd_mode(sim_config.simd);
-      bundle->source = std::make_unique<IndexedCandidateSource>(
-          anonymized, *bundle->index, config.num_threads,
-          config.index_max_candidates);
-      return bundle;
-    }
-    // Dense-slice fallback: compute the full matrix and keep only this
-    // shard's columns, so the slice still answers with local ids.
-    WarnDenseFallback(index.status());
-    bundle->degraded_to_dense = true;
-    const StructuralSimilarity similarity(anonymized, auxiliary, sim_config);
-    std::vector<std::vector<double>> full = similarity.ComputeMatrix();
-    bundle->similarity.resize(full.size());
-    for (size_t u = 0; u < full.size(); ++u)
-      bundle->similarity[u].assign(
-          full[u].begin() + range.begin, full[u].begin() + range.end);
-    bundle->source =
-        std::make_unique<DenseCandidateSource>(bundle->similarity);
-    return bundle;
-  }
-
-  if (config.num_shards > 1) {
-    // In-process sharding: N per-shard indexes behind scatter-gather.
-    // Answers are bitwise-identical to every other exact mode, so a
-    // failure here degrades to the dense path exactly like a failed index.
-    StatusOr<std::vector<CandidateIndex>> shards = BuildShardIndexes(
-        config.index_snapshot_path, auxiliary, sim_config, config.num_shards);
-    if (shards.ok()) {
-      bundle->source = std::make_unique<ShardedCandidateSource>(
-          anonymized, std::move(shards).value(), config.num_threads,
-          config.index_max_candidates);
-      return bundle;
-    }
-    WarnDenseFallback(shards.status());
-    bundle->degraded_to_dense = true;
-  } else if (config.use_index) {
-    StatusOr<CandidateIndex> index =
-        LoadOrBuildIndex(config.index_snapshot_path, auxiliary, sim_config);
-    if (index.ok()) {
-      bundle->index =
-          std::make_unique<CandidateIndex>(std::move(index).value());
+  if (structural &&
+      (config.use_index || config.num_shards > 1 || config.shard_count > 1)) {
+    StatusOr<std::vector<CandidateIndex>> slices =
+        LoadOrBuildSlices(auxiliary, config, sim_config);
+    if (slices.ok()) {
       // Snapshot loads come back with the default kAuto; the runtime SIMD
       // choice is a per-run knob, never part of the persisted index.
-      bundle->index->set_simd_mode(sim_config.simd);
+      for (CandidateIndex& slice : *slices)
+        slice.set_simd_mode(sim_config.simd);
       bundle->source = std::make_unique<IndexedCandidateSource>(
-          anonymized, *bundle->index, config.num_threads,
-          config.index_max_candidates);
+          anonymized, std::move(slices).value(), config.num_threads);
       return bundle;
     }
     // Graceful degradation: an index that cannot be loaded, built, or
     // persisted is a performance feature failing, not a correctness one —
     // warn and continue on the dense path instead of failing the attack.
-    // (With index_max_candidates > 0 the dense path is the exact variant
-    // of the recall-bounded answers the index would have given.)
-    WarnDenseFallback(index.status());
+    WarnDenseFallback(slices.status());
     bundle->degraded_to_dense = true;
   }
 
-  const StructuralSimilarity similarity(anonymized, auxiliary, sim_config);
-  bundle->similarity = similarity.ComputeMatrix();
+  StatusOr<std::vector<std::vector<double>>> matrix =
+      structural
+          ? StructuralSimilarity(anonymized, auxiliary, sim_config)
+                .ComputeMatrix()
+          : BuildEngineMatrix(anonymized, auxiliary, config);
+  if (!matrix.ok()) return matrix.status();
+  bundle->similarity = std::move(matrix).value();
+  if (config.shard_count > 1)
+    for (std::vector<double>& row : bundle->similarity)
+      row = std::vector<double>(row.begin() + range.begin,
+                                row.begin() + range.end);
   bundle->source = std::make_unique<DenseCandidateSource>(bundle->similarity);
   return bundle;
 }

@@ -99,8 +99,18 @@ run_cli(1 attack --anonymized "${WORK_DIR}/anon.jsonl"
         --auxiliary "${WORK_DIR}/aux.jsonl" --k 0)
 run_cli(1 attack --anonymized "${WORK_DIR}/anon.jsonl"
         --auxiliary "${WORK_DIR}/aux.jsonl" --k 5nonsense)
+# Unknown and retired flags fail instead of silently doing nothing.
 run_cli(1 attack --anonymized "${WORK_DIR}/anon.jsonl"
-        --auxiliary "${WORK_DIR}/aux.jsonl" --max-candidates -1)
+        --auxiliary "${WORK_DIR}/aux.jsonl" --max-candidates 5)
+if(NOT RUN_ERR MATCHES "unknown flag")
+  message(FATAL_ERROR "retired --max-candidates error unclear: ${RUN_ERR}")
+endif()
+# Matrix-backed engines have no index to slice: --shards is a config error.
+run_cli(1 attack --anonymized "${WORK_DIR}/anon.jsonl"
+        --auxiliary "${WORK_DIR}/aux.jsonl" --engine blind --shards 2)
+if(NOT RUN_ERR MATCHES "--shards only apply to --engine=structural")
+  message(FATAL_ERROR "--engine blind --shards error unclear: ${RUN_ERR}")
+endif()
 # Graceful degradation: an unusable index snapshot path must not take the
 # attack down — it warns and falls back to the dense similarity path, and
 # the answers are identical to the exact indexed run above.

@@ -102,10 +102,10 @@ TEST_F(FaultInjectionTest, StatusShapesMatchKinds) {
 
 TEST_F(FaultInjectionTest, DataFaultFlipAndShort) {
   ASSERT_TRUE(
-      FaultInjector::Global().Configure("flip:flip:1,cut:short:1").ok());
+      FaultInjector::Global().Configure("buf.data:flip:1,cut:short:1").ok());
   const std::string original = "abcdefgh";
   std::string flipped = original;
-  EXPECT_TRUE(InjectDataFault("flip", &flipped));
+  EXPECT_TRUE(InjectDataFault("buf.data", &flipped));
   EXPECT_EQ(flipped.size(), original.size());
   EXPECT_NE(flipped, original);  // exactly one bit differs, mid-buffer
   EXPECT_EQ(flipped[4] ^ original[4], 0x10);
@@ -120,6 +120,32 @@ TEST_F(FaultInjectionTest, DataFaultIgnoresStatusShapedKinds) {
   std::string data = "payload";
   EXPECT_FALSE(InjectDataFault("d", &data));
   EXPECT_EQ(data, "payload");  // never corrupted in an undefined way
+}
+
+TEST_F(FaultInjectionTest, FlipOutsideDataSitesIsRejected) {
+  // A status-shaped site has nothing to flip: the rule could never fire.
+  for (const char* spec : {"file.read:flip:1", "x:flip:1:0"}) {
+    Status st = FaultInjector::Global().Configure(spec);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << spec;
+  }
+  EXPECT_FALSE(FaultInjector::Global().enabled());
+  EXPECT_TRUE(FaultInjector::Global().Configure("file.read.data:flip:1").ok());
+}
+
+TEST_F(FaultInjectionTest, StatusKindsAtDataSitesAreRejected) {
+  // A data site corrupts a buffer and returns no Status to fail with.
+  for (const char* spec :
+       {"file.read.data:fail:1", "segment.load.data:enospc:1",
+        "forum.load.data:reset:1", "snapshot.load.data:stall:1"}) {
+    Status st = FaultInjector::Global().Configure(spec);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << spec;
+  }
+  EXPECT_FALSE(FaultInjector::Global().enabled());
+  // short and crash apply at both kinds of site.
+  EXPECT_TRUE(FaultInjector::Global()
+                  .Configure("file.read.data:short:1,file.read:short:1,"
+                             "job.phase2:crash:9,file.read.data:crash:9")
+                  .ok());
 }
 
 TEST_F(FaultInjectionTest, DeterministicAcrossRearm) {

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/flag_catalog.h"
+
 namespace dehealth {
 namespace {
 
@@ -62,6 +64,24 @@ TEST(FlagParserTest, BooleanFlagsTakeNoValue) {
   ASSERT_TRUE(k.ok());
   // "--idf" must not have swallowed "--k" as its value.
   EXPECT_EQ(*k, 3);
+}
+
+TEST(FlagParserTest, UnknownFlagsAreRejected) {
+  EXPECT_TRUE(RejectUnknownFlags(Parse({"prog", "attack", "--k", "5",
+                                        "--idf", "--index-path", "a.dhix"},
+                                       2, AttackBooleanFlags()))
+                  .ok());
+  // A misspelled flag, a retired one, and a trailing valueless unknown
+  // flag all fail instead of being silently ignored.
+  for (const char* unknown : {"bogus-flag", "max-candidates"}) {
+    const std::string flag = std::string("--") + unknown;
+    Status st = RejectUnknownFlags(
+        Parse({"prog", "attack", "--k", "5", flag.c_str(), "7"}, 2));
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << unknown;
+    EXPECT_NE(st.message().find("unknown flag " + flag), std::string::npos)
+        << st.ToString();
+  }
+  EXPECT_FALSE(RejectUnknownFlags(Parse({"--k", "5", "--bogus"})).ok());
 }
 
 }  // namespace

@@ -2,7 +2,8 @@
 // blind, and community alike, all through BuildAttackScoreSource (the one
 // place every score-source mode meets):
 //   - bitwise-identical scores and candidate sets for 1/4/8 threads;
-//   - --shards {1,2,3} merged answers bitwise-equal to unsharded;
+//   - structural --shards {2,3} answers bitwise-equal to unsharded, and
+//     the matrix-backed engines rejecting --shards;
 //   - checkpointed job runs (fresh AND resumed-from-complete) equal to
 //     the one-shot pipeline;
 //   - a job directory written under one engine fails closed under
@@ -10,7 +11,6 @@
 //   - empty and singleton universes handled without faults.
 
 #include <cmath>
-#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -20,22 +20,10 @@
 #include "datagen/split.h"
 #include "index/pipeline.h"
 #include "job/runner.h"
+#include "testing/scoped_temp_dir.h"
 
 namespace dehealth {
 namespace {
-
-/// RAII scratch directory under /tmp, removed recursively on destruction.
-class TempDir {
- public:
-  explicit TempDir(const std::string& name) : path_("/tmp/" + name) {
-    std::filesystem::remove_all(path_);
-  }
-  ~TempDir() { std::filesystem::remove_all(path_); }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
 
 DeHealthConfig EngineConfig(EngineKind engine, int num_threads = 1,
                             int num_shards = 1) {
@@ -105,6 +93,15 @@ TEST_P(EngineConformanceTest, TopKIdenticalAcrossThreadCounts) {
 }
 
 TEST_P(EngineConformanceTest, ShardedAnswersEqualUnsharded) {
+  if (GetParam() != EngineKind::kStructural) {
+    // In-process shards are candidate-index slices, and the matrix-backed
+    // engines have no index: --shards is a config error, as --index is.
+    auto sharded = BuildAttackScoreSource(*anon_, *aux_,
+                                          EngineConfig(GetParam(), 2, 2));
+    ASSERT_FALSE(sharded.ok());
+    EXPECT_EQ(sharded.status().code(), StatusCode::kInvalidArgument);
+    return;
+  }
   auto whole = BuildAttackScoreSource(*anon_, *aux_,
                                       EngineConfig(GetParam(), 2, 1));
   ASSERT_TRUE(whole.ok());
@@ -140,7 +137,7 @@ TEST_P(EngineConformanceTest, CheckpointedJobEqualsOneShotAndResumes) {
   auto golden = RunDeHealthAttack(*anon_, *aux_, EngineConfig(GetParam()));
   ASSERT_TRUE(golden.ok());
 
-  TempDir dir("dehealth_engine_conformance_job");
+  const ScopedTempDir dir;
   DeHealthConfig job_config = EngineConfig(GetParam());
   job_config.job_dir = dir.path();
   job_config.job_shard_size = 3;
@@ -158,7 +155,7 @@ TEST_P(EngineConformanceTest, CheckpointedJobEqualsOneShotAndResumes) {
 }
 
 TEST_P(EngineConformanceTest, JobDirOfAnotherEngineFailsClosed) {
-  TempDir dir("dehealth_engine_conformance_cross");
+  const ScopedTempDir dir;
   DeHealthConfig job_config = EngineConfig(GetParam());
   job_config.job_dir = dir.path();
   ASSERT_TRUE(RunDeHealthAttackJob(*anon_, *aux_, job_config).ok());
@@ -180,7 +177,7 @@ TEST_P(EngineConformanceTest, EngineSeedIsPartOfTheJobFingerprint) {
   // engine_seed shapes non-structural results, so two seeds must never
   // share a job directory; for structural it is inert and must NOT
   // invalidate pre-engine directories (the fingerprint ignores it).
-  TempDir dir("dehealth_engine_conformance_seed");
+  const ScopedTempDir dir;
   DeHealthConfig job_config = EngineConfig(GetParam());
   job_config.job_dir = dir.path();
   ASSERT_TRUE(RunDeHealthAttackJob(*anon_, *aux_, job_config).ok());

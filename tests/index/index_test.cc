@@ -12,7 +12,6 @@
 #include "index/candidate_index.h"
 #include "index/indexed_source.h"
 #include "index/pipeline.h"
-#include "obs/standard_metrics.h"
 
 namespace dehealth {
 namespace {
@@ -53,7 +52,7 @@ TEST(IndexEquivalenceTest, TopKMatchesDenseAcrossSizesAndThreads) {
       const auto matrix = DenseMatrix(s, sim);
       auto index = CandidateIndex::Build(s.auxiliary, sim);
       ASSERT_TRUE(index.ok()) << index.status().ToString();
-      const IndexedCandidateSource source(s.anonymized, *index);
+      const IndexedCandidateSource source(s.anonymized, {*index});
       for (const int k : {1, 5, 17}) {
         SCOPED_TRACE("k=" + std::to_string(k));
         auto dense = SelectTopKCandidates(matrix, k);
@@ -75,7 +74,7 @@ TEST(IndexEquivalenceTest, ScoreAndRowAreBitwiseIdenticalToDense) {
   const auto matrix = DenseMatrix(s, sim);
   auto index = CandidateIndex::Build(s.auxiliary, sim);
   ASSERT_TRUE(index.ok());
-  const IndexedCandidateSource source(s.anonymized, *index);
+  const IndexedCandidateSource source(s.anonymized, {*index});
   ASSERT_EQ(source.num_anonymized(), static_cast<int>(matrix.size()));
   std::vector<double> scratch;
   for (size_t u = 0; u < matrix.size(); ++u) {
@@ -96,7 +95,7 @@ TEST(IndexEquivalenceTest, KLargerThanAuxiliarySideMatchesDense) {
   const int n2 = s.auxiliary.num_users();
   auto index = CandidateIndex::Build(s.auxiliary, sim);
   ASSERT_TRUE(index.ok());
-  const IndexedCandidateSource source(s.anonymized, *index);
+  const IndexedCandidateSource source(s.anonymized, {*index});
   auto dense = SelectTopKCandidates(matrix, n2 + 50);
   auto indexed = source.TopK(n2 + 50, 1);
   ASSERT_TRUE(dense.ok());
@@ -104,70 +103,14 @@ TEST(IndexEquivalenceTest, KLargerThanAuxiliarySideMatchesDense) {
   EXPECT_EQ(*indexed, *dense);
 }
 
-TEST(IndexEquivalenceTest, DenseScanCrossoverKeepsRankingBitwise) {
-  // Generated forums share a small vocabulary, so realistic queries sit
-  // well past the 25% posting-volume crossover: the exact TopK path takes
-  // the batched dense scan. A max_candidates cap disables the crossover
-  // and walks postings best-first instead. Both must produce the same
-  // ranking bitwise when the cap does not prune (cap == universe).
-  const Scenario s = MakeScenario(60, 13);
-  SimilarityConfig sim;
-  sim.idf_weight_attributes = true;
-  auto index = CandidateIndex::Build(s.auxiliary, sim);
-  ASSERT_TRUE(index.ok());
-  const int n2 = index->num_auxiliary();
-  const std::vector<IndexedUserFeatures> queries =
-      index->ComputeQueryFeatures(s.anonymized);
-  obs::Counter* dense_scans = obs::GetIndexMetrics().dense_scans;
-  const uint64_t scans_before = dense_scans->Value();
-  for (size_t u = 0; u < queries.size(); u += 5) {
-    const std::vector<ScoredUser> exact =
-        index->TopKScoredForQuery(queries[u], 7, /*max_candidates=*/0);
-    const std::vector<ScoredUser> pruned =
-        index->TopKScoredForQuery(queries[u], 7, /*max_candidates=*/n2);
-    ASSERT_EQ(exact.size(), pruned.size()) << "u=" << u;
-    for (size_t i = 0; i < exact.size(); ++i) {
-      EXPECT_EQ(exact[i].user, pruned[i].user) << "u=" << u << " i=" << i;
-      EXPECT_EQ(exact[i].score, pruned[i].score);  // bitwise
-    }
-  }
-  // The crossover must actually have fired — otherwise this test compared
-  // the best-first path against itself.
-  EXPECT_GT(dense_scans->Value(), scans_before);
-}
-
 TEST(IndexEquivalenceTest, RejectsInvalidK) {
   const Scenario s = MakeScenario(16, 9);
   auto index = CandidateIndex::Build(s.auxiliary, SimilarityConfig{});
   ASSERT_TRUE(index.ok());
-  const IndexedCandidateSource source(s.anonymized, *index);
+  const IndexedCandidateSource source(s.anonymized, {*index});
   auto result = source.TopK(0, 1);
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(IndexEquivalenceTest, MaxCandidatesCapStillFillsCandidateSets) {
-  const Scenario s = MakeScenario(60, 11);
-  auto index = CandidateIndex::Build(s.auxiliary, SimilarityConfig{});
-  ASSERT_TRUE(index.ok());
-  const int k = 5;
-  // A cap below k is clamped up to k, so every user still gets min(k, n2)
-  // candidates; a generous cap must reproduce the exact result.
-  const IndexedCandidateSource tight(s.anonymized, *index, 0, 2);
-  auto capped = tight.TopK(k, 1);
-  ASSERT_TRUE(capped.ok());
-  const size_t expected =
-      static_cast<size_t>(std::min(k, s.auxiliary.num_users()));
-  for (const auto& set : *capped) EXPECT_EQ(set.size(), expected);
-
-  const IndexedCandidateSource loose(s.anonymized, *index, 0,
-                                     s.auxiliary.num_users());
-  const IndexedCandidateSource exact(s.anonymized, *index);
-  auto loose_sets = loose.TopK(k, 1);
-  auto exact_sets = exact.TopK(k, 1);
-  ASSERT_TRUE(loose_sets.ok());
-  ASSERT_TRUE(exact_sets.ok());
-  EXPECT_EQ(*loose_sets, *exact_sets);
 }
 
 TEST(IndexPipelineTest, EndToEndAttackMatchesDensePath) {

@@ -15,22 +15,10 @@
 #include "index/indexed_source.h"
 #include "index/snapshot.h"
 #include "io/file_util.h"
+#include "testing/scoped_temp_dir.h"
 
 namespace dehealth {
 namespace {
-
-/// RAII temp path under /tmp, removed on destruction.
-class TempFile {
- public:
-  explicit TempFile(const std::string& name) : path_("/tmp/" + name) {
-    std::remove(path_.c_str());
-  }
-  ~TempFile() { std::remove(path_.c_str()); }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
 
 struct Scenario {
   UdaGraph anonymized;
@@ -60,10 +48,11 @@ CandidateIndex BuildIndex(const Scenario& s, bool idf) {
 TEST(IndexSnapshotTest, RoundTripPreservesDataAndAnswers) {
   const Scenario s = MakeScenario(40, 17);
   const CandidateIndex original = BuildIndex(s, /*idf=*/true);
-  TempFile file("dehealth_index_roundtrip.dhix");
-  ASSERT_TRUE(SaveIndexSnapshot(original, file.path()).ok());
+  const ScopedTempDir tmp;
+  const std::string file = tmp.File("dehealth_index_roundtrip.dhix");
+  ASSERT_TRUE(SaveIndexSnapshot(original, file).ok());
 
-  auto loaded = LoadIndexSnapshot(file.path());
+  auto loaded = LoadIndexSnapshot(file);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   const CandidateIndexData& a = original.data();
   const CandidateIndexData& b = loaded->data();
@@ -85,8 +74,8 @@ TEST(IndexSnapshotTest, RoundTripPreservesDataAndAnswers) {
     EXPECT_EQ(a.users[v].attributes, b.users[v].attributes);
   }
 
-  const IndexedCandidateSource from_original(s.anonymized, original);
-  const IndexedCandidateSource from_loaded(s.anonymized, *loaded);
+  const IndexedCandidateSource from_original(s.anonymized, {original});
+  const IndexedCandidateSource from_loaded(s.anonymized, {*loaded});
   auto sets_original = from_original.TopK(5, 1);
   auto sets_loaded = from_loaded.TopK(5, 1);
   ASSERT_TRUE(sets_original.ok());
@@ -95,7 +84,8 @@ TEST(IndexSnapshotTest, RoundTripPreservesDataAndAnswers) {
 }
 
 TEST(IndexSnapshotTest, MissingFileIsNotFound) {
-  auto r = LoadIndexSnapshot("/tmp/definitely_missing_dehealth.dhix");
+  const ScopedTempDir tmp;
+  auto r = LoadIndexSnapshot(tmp.File("definitely_missing_dehealth.dhix"));
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
 }
@@ -152,26 +142,28 @@ TEST(IndexSnapshotTest, RejectsCorruptedPayload) {
 }
 
 TEST(IndexSnapshotTest, DecodeErrorFromDiskNamesTheFile) {
-  TempFile file("dehealth_index_named_error.dhix");
+  const ScopedTempDir tmp;
+  const std::string file = tmp.File("dehealth_index_named_error.dhix");
   ASSERT_TRUE(
-      WriteStringToFile("NOPE" + std::string(64, '\0'), file.path()).ok());
-  auto r = LoadIndexSnapshot(file.path());
+      WriteStringToFile("NOPE" + std::string(64, '\0'), file).ok());
+  auto r = LoadIndexSnapshot(file);
   ASSERT_FALSE(r.ok());
   // Loading through a path must name that path in the error, so a failure
   // among several snapshot files is attributable.
-  EXPECT_NE(r.status().message().find(file.path()), std::string::npos)
+  EXPECT_NE(r.status().message().find(file), std::string::npos)
       << r.status().ToString();
   EXPECT_NE(r.status().message().find("byte "), std::string::npos);
 }
 
 TEST(IndexLoadOrBuildTest, BuildsAndPersistsWhenMissing) {
   const Scenario s = MakeScenario(24, 4);
-  TempFile file("dehealth_index_loadorbuild.dhix");
+  const ScopedTempDir tmp;
+  const std::string file = tmp.File("dehealth_index_loadorbuild.dhix");
   const SimilarityConfig sim;
-  auto built = LoadOrBuildIndex(file.path(), s.auxiliary, sim);
+  auto built = LoadOrBuildIndex(file, s.auxiliary, sim);
   ASSERT_TRUE(built.ok()) << built.status().ToString();
   // The snapshot was written and now loads on its own.
-  auto loaded = LoadIndexSnapshot(file.path());
+  auto loaded = LoadIndexSnapshot(file);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->data().auxiliary_fingerprint,
             built->data().auxiliary_fingerprint);
@@ -179,16 +171,17 @@ TEST(IndexLoadOrBuildTest, BuildsAndPersistsWhenMissing) {
 
 TEST(IndexLoadOrBuildTest, RebuildsOnConfigMismatch) {
   const Scenario s = MakeScenario(24, 4);
-  TempFile file("dehealth_index_configmismatch.dhix");
+  const ScopedTempDir tmp;
+  const std::string file = tmp.File("dehealth_index_configmismatch.dhix");
   SimilarityConfig sim;
-  ASSERT_TRUE(LoadOrBuildIndex(file.path(), s.auxiliary, sim).ok());
+  ASSERT_TRUE(LoadOrBuildIndex(file, s.auxiliary, sim).ok());
 
   sim.idf_weight_attributes = true;  // score-shaping change
-  auto rebuilt = LoadOrBuildIndex(file.path(), s.auxiliary, sim);
+  auto rebuilt = LoadOrBuildIndex(file, s.auxiliary, sim);
   ASSERT_TRUE(rebuilt.ok());
   EXPECT_TRUE(rebuilt->data().idf_weight_attributes);
   // The snapshot on disk was refreshed to the new config.
-  auto loaded = LoadIndexSnapshot(file.path());
+  auto loaded = LoadIndexSnapshot(file);
   ASSERT_TRUE(loaded.ok());
   EXPECT_TRUE(loaded->data().idf_weight_attributes);
 }
@@ -196,11 +189,12 @@ TEST(IndexLoadOrBuildTest, RebuildsOnConfigMismatch) {
 TEST(IndexLoadOrBuildTest, RebuildsOnAuxiliaryChange) {
   const Scenario s1 = MakeScenario(24, 5);
   const Scenario s2 = MakeScenario(30, 6);
-  TempFile file("dehealth_index_auxmismatch.dhix");
+  const ScopedTempDir tmp;
+  const std::string file = tmp.File("dehealth_index_auxmismatch.dhix");
   const SimilarityConfig sim;
-  auto first = LoadOrBuildIndex(file.path(), s1.auxiliary, sim);
+  auto first = LoadOrBuildIndex(file, s1.auxiliary, sim);
   ASSERT_TRUE(first.ok());
-  auto second = LoadOrBuildIndex(file.path(), s2.auxiliary, sim);
+  auto second = LoadOrBuildIndex(file, s2.auxiliary, sim);
   ASSERT_TRUE(second.ok());
   EXPECT_NE(first->data().auxiliary_fingerprint,
             second->data().auxiliary_fingerprint);
@@ -209,18 +203,19 @@ TEST(IndexLoadOrBuildTest, RebuildsOnAuxiliaryChange) {
 
 TEST(IndexLoadOrBuildTest, RecoversFromCorruptSnapshot) {
   const Scenario s = MakeScenario(24, 7);
-  TempFile file("dehealth_index_corrupt.dhix");
+  const ScopedTempDir tmp;
+  const std::string file = tmp.File("dehealth_index_corrupt.dhix");
   const SimilarityConfig sim;
-  ASSERT_TRUE(LoadOrBuildIndex(file.path(), s.auxiliary, sim).ok());
-  auto bytes = ReadFileToString(file.path());
+  ASSERT_TRUE(LoadOrBuildIndex(file, s.auxiliary, sim).ok());
+  auto bytes = ReadFileToString(file);
   ASSERT_TRUE(bytes.ok());
   std::string corrupted = *bytes;
   corrupted[corrupted.size() / 3] ^= 0xFF;
-  ASSERT_TRUE(WriteStringToFile(corrupted, file.path()).ok());
+  ASSERT_TRUE(WriteStringToFile(corrupted, file).ok());
   // LoadOrBuild treats the corrupt file as stale: rebuilds and rewrites.
-  auto recovered = LoadOrBuildIndex(file.path(), s.auxiliary, sim);
+  auto recovered = LoadOrBuildIndex(file, s.auxiliary, sim);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-  EXPECT_TRUE(LoadIndexSnapshot(file.path()).ok());
+  EXPECT_TRUE(LoadIndexSnapshot(file).ok());
 }
 
 TEST(IndexLoadOrBuildTest, RecoversFromBitFlipAnywhereInSnapshot) {
@@ -230,10 +225,11 @@ TEST(IndexLoadOrBuildTest, RecoversFromBitFlipAnywhereInSnapshot) {
   // checksum mismatch) and the index rebuilt, or it never reaches the
   // caller. After each recovery the on-disk snapshot is valid again.
   const Scenario s = MakeScenario(16, 9);
-  TempFile file("dehealth_index_bitflip_loop.dhix");
+  const ScopedTempDir tmp;
+  const std::string file = tmp.File("dehealth_index_bitflip_loop.dhix");
   const SimilarityConfig sim;
-  ASSERT_TRUE(LoadOrBuildIndex(file.path(), s.auxiliary, sim).ok());
-  auto clean = ReadFileToString(file.path());
+  ASSERT_TRUE(LoadOrBuildIndex(file, s.auxiliary, sim).ok());
+  auto clean = ReadFileToString(file);
   ASSERT_TRUE(clean.ok());
   const std::string bytes = *clean;
   const size_t stride = bytes.size() / 12 + 1;
@@ -241,13 +237,13 @@ TEST(IndexLoadOrBuildTest, RecoversFromBitFlipAnywhereInSnapshot) {
     for (int bit : {0, 7}) {
       std::string corrupted = bytes;
       corrupted[pos] ^= static_cast<char>(1 << bit);
-      ASSERT_TRUE(WriteStringToFile(corrupted, file.path()).ok());
-      auto recovered = LoadOrBuildIndex(file.path(), s.auxiliary, sim);
+      ASSERT_TRUE(WriteStringToFile(corrupted, file).ok());
+      auto recovered = LoadOrBuildIndex(file, s.auxiliary, sim);
       ASSERT_TRUE(recovered.ok())
           << "byte " << pos << " bit " << bit << ": "
           << recovered.status().ToString();
       EXPECT_EQ(recovered->num_auxiliary(), s.auxiliary.num_users());
-      auto reloaded = ReadFileToString(file.path());
+      auto reloaded = ReadFileToString(file);
       ASSERT_TRUE(reloaded.ok());
       EXPECT_EQ(*reloaded, bytes)
           << "byte " << pos << " bit " << bit
@@ -258,16 +254,17 @@ TEST(IndexLoadOrBuildTest, RecoversFromBitFlipAnywhereInSnapshot) {
 
 TEST(IndexLoadOrBuildTest, RecoversFromInjectedLoadFaults) {
   const Scenario s = MakeScenario(16, 10);
-  TempFile file("dehealth_index_faultload.dhix");
+  const ScopedTempDir tmp;
+  const std::string file = tmp.File("dehealth_index_faultload.dhix");
   const SimilarityConfig sim;
-  ASSERT_TRUE(LoadOrBuildIndex(file.path(), s.auxiliary, sim).ok());
+  ASSERT_TRUE(LoadOrBuildIndex(file, s.auxiliary, sim).ok());
   // A torn read or in-flight corruption of the snapshot bytes is caught by
   // framing/checksum and answered by a rebuild, not an error or a crash.
   for (const char* spec :
        {"snapshot.load.data:flip:1", "snapshot.load.data:short:1",
         "file.read:fail:1", "snapshot.load:fail:1"}) {
     ASSERT_TRUE(FaultInjector::Global().Configure(spec).ok());
-    auto recovered = LoadOrBuildIndex(file.path(), s.auxiliary, sim);
+    auto recovered = LoadOrBuildIndex(file, s.auxiliary, sim);
     FaultInjector::Global().Reset();
     ASSERT_TRUE(recovered.ok())
         << spec << ": " << recovered.status().ToString();
@@ -276,8 +273,8 @@ TEST(IndexLoadOrBuildTest, RecoversFromInjectedLoadFaults) {
   // Save-side faults are surfaced (the caller asked for persistence).
   ASSERT_TRUE(
       FaultInjector::Global().Configure("snapshot.save:enospc:1").ok());
-  std::remove(file.path().c_str());
-  auto failed = LoadOrBuildIndex(file.path(), s.auxiliary, sim);
+  std::remove(file.c_str());
+  auto failed = LoadOrBuildIndex(file, s.auxiliary, sim);
   FaultInjector::Global().Reset();
   ASSERT_FALSE(failed.ok());
   EXPECT_EQ(failed.status().code(), StatusCode::kInternal);

@@ -22,26 +22,11 @@
 #include "ingest/segment.h"
 #include "ingest/state.h"
 #include "serve/engine.h"
+#include "testing/scoped_temp_dir.h"
 
 namespace dehealth {
 namespace ingest {
 namespace {
-
-class TempFile {
- public:
-  explicit TempFile(const std::string& name) : path_("/tmp/" + name) {
-    std::remove(path_.c_str());
-    std::remove((path_ + ".quarantined").c_str());
-  }
-  ~TempFile() {
-    std::remove(path_.c_str());
-    std::remove((path_ + ".quarantined").c_str());
-  }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
 
 struct Fixture {
   ForumDataset anonymized;
@@ -130,12 +115,13 @@ TEST(EpochHandlerTest, BootEpochMatchesPlainEngine) {
 
 TEST(EpochHandlerTest, StagedSegmentLeavesAnswersBitwiseStable) {
   const Fixture f = MakeFixture(12, 7);
-  TempFile segment_file("epoch_staged.dhsg");
-  CutTailSegment(f, segment_file.path());
+  const ScopedTempDir tmp;
+  const std::string segment_file = tmp.File("epoch_staged.dhsg");
+  CutTailSegment(f, segment_file);
   auto handler = MakeHandler(f, SmallConfig());
 
   const std::string before = Witness(*handler);
-  ASSERT_TRUE(handler->LoadSegment(segment_file.path()).ok());
+  ASSERT_TRUE(handler->LoadSegment(segment_file).ok());
   EXPECT_EQ(handler->staged_segments(), 1u);
   EXPECT_EQ(handler->epoch_seq(), 0u);
   // Staging is invisible to queries until the seal.
@@ -144,10 +130,11 @@ TEST(EpochHandlerTest, StagedSegmentLeavesAnswersBitwiseStable) {
 
 TEST(EpochHandlerTest, SealSwapsToTheGrownUniverse) {
   const Fixture f = MakeFixture(12, 7);
-  TempFile segment_file("epoch_seal.dhsg");
-  CutTailSegment(f, segment_file.path());
+  const ScopedTempDir tmp;
+  const std::string segment_file = tmp.File("epoch_seal.dhsg");
+  CutTailSegment(f, segment_file);
   auto handler = MakeHandler(f, SmallConfig());
-  ASSERT_TRUE(handler->LoadSegment(segment_file.path()).ok());
+  ASSERT_TRUE(handler->LoadSegment(segment_file).ok());
   ASSERT_TRUE(handler->SealEpoch().ok());
   EXPECT_EQ(handler->epoch_seq(), 1u);
   EXPECT_EQ(handler->staged_segments(), 0u);
@@ -175,32 +162,34 @@ TEST(EpochHandlerTest, SealWithoutStagedSegmentsStillIncrementsEpoch) {
 TEST(EpochHandlerTest, MissingSegmentFileIsNotFound) {
   const Fixture f = MakeFixture(10, 9);
   auto handler = MakeHandler(f, SmallConfig());
-  Status loaded = handler->LoadSegment("/tmp/no_such_segment.dhsg");
+  const ScopedTempDir tmp;
+  Status loaded = handler->LoadSegment(tmp.File("no_such_segment.dhsg"));
   EXPECT_EQ(loaded.code(), StatusCode::kNotFound);
   EXPECT_EQ(handler->staged_segments(), 0u);
 }
 
 TEST(EpochHandlerTest, CorruptSegmentIsQuarantined) {
   const Fixture f = MakeFixture(10, 9);
-  TempFile segment_file("epoch_corrupt.dhsg");
-  CutTailSegment(f, segment_file.path());
+  const ScopedTempDir tmp;
+  const std::string segment_file = tmp.File("epoch_corrupt.dhsg");
+  CutTailSegment(f, segment_file);
   // Poison one payload byte on disk.
   {
-    std::ifstream in(segment_file.path(), std::ios::binary);
+    std::ifstream in(segment_file, std::ios::binary);
     std::string bytes((std::istreambuf_iterator<char>(in)),
                       std::istreambuf_iterator<char>());
     ASSERT_GT(bytes.size(), 16u);
     bytes[16] = static_cast<char>(bytes[16] ^ 0x40);
-    std::ofstream out(segment_file.path(),
+    std::ofstream out(segment_file,
                       std::ios::binary | std::ios::trunc);
     out << bytes;
   }
   auto handler = MakeHandler(f, SmallConfig());
-  EXPECT_FALSE(handler->LoadSegment(segment_file.path()).ok());
+  EXPECT_FALSE(handler->LoadSegment(segment_file).ok());
   // The corrupt file was moved aside; the server keeps serving.
-  std::ifstream original(segment_file.path());
+  std::ifstream original(segment_file);
   EXPECT_FALSE(original.good());
-  std::ifstream quarantined(segment_file.path() + ".quarantined");
+  std::ifstream quarantined(segment_file + ".quarantined");
   EXPECT_TRUE(quarantined.good());
   EXPECT_EQ(handler->staged_segments(), 0u);
   EXPECT_TRUE(handler->TopKScored(AllUsers(*handler), 3).ok());
@@ -213,24 +202,25 @@ TEST(EpochHandlerTest, CorruptSegmentIsQuarantined) {
 // the honest segment afterwards.
 TEST(EpochHandlerTest, LyingSegmentIsRolledBackAndSealStaysStable) {
   const Fixture f = MakeFixture(12, 7);
-  TempFile liar_file("epoch_liar.dhsg");
-  TempFile good_file("epoch_liar_good.dhsg");
-  DeltaSegment good = CutTailSegment(f, good_file.path());
+  const ScopedTempDir tmp;
+  const std::string liar_file = tmp.File("epoch_liar.dhsg");
+  const std::string good_file = tmp.File("epoch_liar_good.dhsg");
+  DeltaSegment good = CutTailSegment(f, good_file);
   // Valid frame (magic/version/checksum all fine), lying payload: the
   // result fingerprint claims a state the posts do not produce.
   DeltaSegment liar = good;
   liar.result_fingerprint ^= 1;
-  ASSERT_TRUE(SaveSegmentFile(liar, liar_file.path()).ok());
+  ASSERT_TRUE(SaveSegmentFile(liar, liar_file).ok());
 
   auto handler = MakeHandler(f, SmallConfig());
   const std::string before = Witness(*handler);
-  Status loaded = handler->LoadSegment(liar_file.path());
+  Status loaded = handler->LoadSegment(liar_file);
   EXPECT_EQ(loaded.code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(handler->staged_segments(), 0u);
   // The lying file is corrupt evidence: quarantined like an undecodable one.
-  std::ifstream original(liar_file.path());
+  std::ifstream original(liar_file);
   EXPECT_FALSE(original.good());
-  std::ifstream quarantined(liar_file.path() + ".quarantined");
+  std::ifstream quarantined(liar_file + ".quarantined");
   EXPECT_TRUE(quarantined.good());
 
   // Sealing the rolled-back staging state changes nothing: the poisoned
@@ -240,7 +230,7 @@ TEST(EpochHandlerTest, LyingSegmentIsRolledBackAndSealStaysStable) {
 
   // The rollback restored the parent state bitwise: the honest segment
   // still applies and seals to the same universe as a from-scratch build.
-  ASSERT_TRUE(handler->LoadSegment(good_file.path()).ok());
+  ASSERT_TRUE(handler->LoadSegment(good_file).ok());
   ASSERT_TRUE(handler->SealEpoch().ok());
   auto full_engine = QueryEngine::Create(
       BuildUdaGraph(f.anonymized), BuildUdaGraph(f.full), SmallConfig());
@@ -254,34 +244,36 @@ TEST(EpochHandlerTest, LyingSegmentIsRolledBackAndSealStaysStable) {
 // dataset/snapshot/log files.
 TEST(EpochHandlerTest, NonSegmentFileIsRefusedButNotQuarantined) {
   const Fixture f = MakeFixture(10, 9);
-  TempFile not_a_segment("epoch_not_a_segment.jsonl");
+  const ScopedTempDir tmp;
+  const std::string not_a_segment = tmp.File("epoch_not_a_segment.jsonl");
   {
-    std::ofstream out(not_a_segment.path(), std::ios::binary);
+    std::ofstream out(not_a_segment, std::ios::binary);
     out << "{\"user_id\": 0, \"thread_id\": 0, \"text\": \"hello\"}\n";
   }
   auto handler = MakeHandler(f, SmallConfig());
-  Status loaded = handler->LoadSegment(not_a_segment.path());
+  Status loaded = handler->LoadSegment(not_a_segment);
   EXPECT_FALSE(loaded.ok());
   // The file is untouched, exactly where it was.
-  std::ifstream original(not_a_segment.path());
+  std::ifstream original(not_a_segment);
   EXPECT_TRUE(original.good());
-  std::ifstream quarantined(not_a_segment.path() + ".quarantined");
+  std::ifstream quarantined(not_a_segment + ".quarantined");
   EXPECT_FALSE(quarantined.good());
   EXPECT_EQ(handler->staged_segments(), 0u);
 }
 
 TEST(EpochHandlerTest, WrongShardIdentityIsRefused) {
   const Fixture f = MakeFixture(10, 9);
-  TempFile segment_file("epoch_wrong_shard.dhsg");
+  const ScopedTempDir tmp;
+  const std::string segment_file = tmp.File("epoch_wrong_shard.dhsg");
   IngestState state = IngestState::FromDataset(f.base);
   auto segment = CutSegment(&state, f.tail, 0, 0, /*shard_index=*/2,
                             /*shard_count=*/4);
   ASSERT_TRUE(segment.ok());
-  ASSERT_TRUE(WriteSegmentVerified(*segment, segment_file.path()).ok());
+  ASSERT_TRUE(WriteSegmentVerified(*segment, segment_file).ok());
 
   // An unsharded server only accepts universal (0, 1) segments.
   auto handler = MakeHandler(f, SmallConfig());
-  Status loaded = handler->LoadSegment(segment_file.path());
+  Status loaded = handler->LoadSegment(segment_file);
   EXPECT_EQ(loaded.code(), StatusCode::kFailedPrecondition);
 
   // The matching slice accepts the same file.
@@ -289,18 +281,19 @@ TEST(EpochHandlerTest, WrongShardIdentityIsRefused) {
   sliced.shard_index = 2;
   sliced.shard_count = 4;
   auto slice_handler = MakeHandler(f, sliced);
-  Status slice_loaded = slice_handler->LoadSegment(segment_file.path());
+  Status slice_loaded = slice_handler->LoadSegment(segment_file);
   EXPECT_TRUE(slice_loaded.ok()) << slice_loaded.ToString();
 }
 
 TEST(EpochHandlerTest, StaleSegmentIsRefusedAndStagingSurvives) {
   const Fixture f = MakeFixture(10, 9);
-  TempFile segment_file("epoch_stale.dhsg");
-  CutTailSegment(f, segment_file.path());
+  const ScopedTempDir tmp;
+  const std::string segment_file = tmp.File("epoch_stale.dhsg");
+  CutTailSegment(f, segment_file);
   auto handler = MakeHandler(f, SmallConfig());
-  ASSERT_TRUE(handler->LoadSegment(segment_file.path()).ok());
+  ASSERT_TRUE(handler->LoadSegment(segment_file).ok());
   // Applying the same segment again: its parent is the pre-apply state.
-  Status again = handler->LoadSegment(segment_file.path());
+  Status again = handler->LoadSegment(segment_file);
   EXPECT_EQ(again.code(), StatusCode::kFailedPrecondition);
   EXPECT_EQ(handler->staged_segments(), 1u);
   // The once-applied staging still seals cleanly.
@@ -310,8 +303,9 @@ TEST(EpochHandlerTest, StaleSegmentIsRefusedAndStagingSurvives) {
 
 TEST(EpochHandlerTest, AutoSealPostsThresholdSealsInsideTheLoad) {
   const Fixture f = MakeFixture(12, 7);
-  TempFile segment_file("epoch_auto_posts.dhsg");
-  const DeltaSegment segment = CutTailSegment(f, segment_file.path());
+  const ScopedTempDir tmp;
+  const std::string segment_file = tmp.File("epoch_auto_posts.dhsg");
+  const DeltaSegment segment = CutTailSegment(f, segment_file);
   ASSERT_GT(segment.posts.size(), 0u);
 
   auto handler = MakeHandler(f, SmallConfig());
@@ -321,7 +315,7 @@ TEST(EpochHandlerTest, AutoSealPostsThresholdSealsInsideTheLoad) {
 
   // The load that reaches the threshold seals before it returns: the
   // caller's post-op ShardInfo already shows the new epoch.
-  ASSERT_TRUE(handler->LoadSegment(segment_file.path()).ok());
+  ASSERT_TRUE(handler->LoadSegment(segment_file).ok());
   EXPECT_EQ(handler->epoch_seq(), 1u);
   EXPECT_EQ(handler->staged_segments(), 0u);
 
@@ -334,8 +328,9 @@ TEST(EpochHandlerTest, AutoSealPostsThresholdSealsInsideTheLoad) {
 
 TEST(EpochHandlerTest, AutoSealBelowPostsThresholdStaysStaged) {
   const Fixture f = MakeFixture(12, 7);
-  TempFile segment_file("epoch_auto_below.dhsg");
-  const DeltaSegment segment = CutTailSegment(f, segment_file.path());
+  const ScopedTempDir tmp;
+  const std::string segment_file = tmp.File("epoch_auto_below.dhsg");
+  const DeltaSegment segment = CutTailSegment(f, segment_file);
 
   auto handler = MakeHandler(f, SmallConfig());
   AutoSealPolicy policy;
@@ -343,7 +338,7 @@ TEST(EpochHandlerTest, AutoSealBelowPostsThresholdStaysStaged) {
   handler->ConfigureAutoSeal(policy);
 
   const std::string before = Witness(*handler);
-  ASSERT_TRUE(handler->LoadSegment(segment_file.path()).ok());
+  ASSERT_TRUE(handler->LoadSegment(segment_file).ok());
   EXPECT_EQ(handler->epoch_seq(), 0u);
   EXPECT_EQ(handler->staged_segments(), 1u);
   EXPECT_EQ(Witness(*handler), before);  // staged, invisible, unsealed
@@ -351,8 +346,9 @@ TEST(EpochHandlerTest, AutoSealBelowPostsThresholdStaysStaged) {
 
 TEST(EpochHandlerTest, AutoSealAgeThresholdSealsOnTheInjectedClock) {
   const Fixture f = MakeFixture(12, 7);
-  TempFile segment_file("epoch_auto_age.dhsg");
-  CutTailSegment(f, segment_file.path());
+  const ScopedTempDir tmp;
+  const std::string segment_file = tmp.File("epoch_auto_age.dhsg");
+  CutTailSegment(f, segment_file);
 
   auto handler = MakeHandler(f, SmallConfig());
   int64_t now_ms = 1000;
@@ -366,7 +362,7 @@ TEST(EpochHandlerTest, AutoSealAgeThresholdSealsOnTheInjectedClock) {
   ASSERT_TRUE(idle.ok());
   EXPECT_FALSE(*idle);
 
-  ASSERT_TRUE(handler->LoadSegment(segment_file.path()).ok());
+  ASSERT_TRUE(handler->LoadSegment(segment_file).ok());
   EXPECT_EQ(handler->epoch_seq(), 0u);
 
   // One ms short of the threshold: still the old epoch.
@@ -400,8 +396,9 @@ TEST(EpochHandlerTest, AutoSealAgeClockStartsAtFirstStagedSegment) {
   // Two segments staged at different times: the age trigger measures from
   // the FIRST, so a trickle of segments cannot postpone the seal forever.
   const Fixture f = MakeFixture(12, 7);
-  TempFile first_file("epoch_auto_first.dhsg");
-  TempFile second_file("epoch_auto_second.dhsg");
+  const ScopedTempDir tmp;
+  const std::string first_file = tmp.File("epoch_auto_first.dhsg");
+  const std::string second_file = tmp.File("epoch_auto_second.dhsg");
   // Chain: base -> (tail half 1) -> (tail half 2).
   IngestState state = IngestState::FromDataset(f.base);
   const size_t half = f.tail.size() / 2;
@@ -413,10 +410,10 @@ TEST(EpochHandlerTest, AutoSealAgeClockStartsAtFirstStagedSegment) {
   ASSERT_FALSE(tail_b.empty());
   auto seg_a = CutSegment(&state, tail_a);
   ASSERT_TRUE(seg_a.ok());
-  ASSERT_TRUE(WriteSegmentVerified(*seg_a, first_file.path()).ok());
+  ASSERT_TRUE(WriteSegmentVerified(*seg_a, first_file).ok());
   auto seg_b = CutSegment(&state, tail_b);
   ASSERT_TRUE(seg_b.ok());
-  ASSERT_TRUE(WriteSegmentVerified(*seg_b, second_file.path()).ok());
+  ASSERT_TRUE(WriteSegmentVerified(*seg_b, second_file).ok());
 
   auto handler = MakeHandler(f, SmallConfig());
   int64_t now_ms = 0;
@@ -425,9 +422,9 @@ TEST(EpochHandlerTest, AutoSealAgeClockStartsAtFirstStagedSegment) {
   policy.now_ms = [&now_ms] { return now_ms; };
   handler->ConfigureAutoSeal(policy);
 
-  ASSERT_TRUE(handler->LoadSegment(first_file.path()).ok());
+  ASSERT_TRUE(handler->LoadSegment(first_file).ok());
   now_ms += 9000;
-  ASSERT_TRUE(handler->LoadSegment(second_file.path()).ok());
+  ASSERT_TRUE(handler->LoadSegment(second_file).ok());
   EXPECT_EQ(handler->staged_segments(), 2u);
 
   // 9s after the first segment: not due. 10s after: due, even though the
@@ -451,11 +448,12 @@ TEST(EpochHandlerTest, AutoSealAgeClockStartsAtFirstStagedSegment) {
 // either the old one or the new one, nothing in between.
 TEST(EpochHandlerTest, QueriesSurviveConcurrentSeal) {
   const Fixture f = MakeFixture(12, 13);
-  TempFile segment_file("epoch_race.dhsg");
-  CutTailSegment(f, segment_file.path());
+  const ScopedTempDir tmp;
+  const std::string segment_file = tmp.File("epoch_race.dhsg");
+  CutTailSegment(f, segment_file);
   auto handler = MakeHandler(f, SmallConfig());
   const std::string old_witness = Witness(*handler);
-  ASSERT_TRUE(handler->LoadSegment(segment_file.path()).ok());
+  ASSERT_TRUE(handler->LoadSegment(segment_file).ok());
 
   std::atomic<bool> stop{false};
   std::atomic<int> failures{0};

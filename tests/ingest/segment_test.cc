@@ -15,28 +15,11 @@
 #include "common/fault_injection.h"
 #include "io/file_util.h"
 #include "io/forum_io.h"
+#include "testing/scoped_temp_dir.h"
 
 namespace dehealth {
 namespace ingest {
 namespace {
-
-/// RAII temp path under /tmp, removed (with its quarantine twin) on
-/// destruction.
-class TempFile {
- public:
-  explicit TempFile(const std::string& name) : path_("/tmp/" + name) {
-    std::remove(path_.c_str());
-    std::remove((path_ + ".quarantined").c_str());
-  }
-  ~TempFile() {
-    std::remove(path_.c_str());
-    std::remove((path_ + ".quarantined").c_str());
-  }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
 
 bool FileExists(const std::string& path) {
   std::ifstream in(path);
@@ -105,18 +88,19 @@ TEST_F(SegmentTest, DecodeRejectsVersionZero) {
 }
 
 TEST_F(SegmentTest, FileMagicProbeDistinguishesSegments) {
-  TempFile segment_file("dhsg_magic_probe.dhsg");
-  ASSERT_TRUE(SaveSegmentFile(MakeSegment(1, 2), segment_file.path()).ok());
-  EXPECT_TRUE(FileHasSegmentMagic(segment_file.path()));
-  TempFile other_file("dhsg_magic_probe.txt");
+  const ScopedTempDir tmp;
+  const std::string segment_file = tmp.File("dhsg_magic_probe.dhsg");
+  ASSERT_TRUE(SaveSegmentFile(MakeSegment(1, 2), segment_file).ok());
+  EXPECT_TRUE(FileHasSegmentMagic(segment_file));
+  const std::string other_file = tmp.File("dhsg_magic_probe.txt");
   ASSERT_TRUE(
-      WriteStringToFileAtomic("not a segment", other_file.path()).ok());
-  EXPECT_FALSE(FileHasSegmentMagic(other_file.path()));
-  EXPECT_FALSE(FileHasSegmentMagic("/tmp/definitely_missing.dhsg"));
+      WriteStringToFileAtomic("not a segment", other_file).ok());
+  EXPECT_FALSE(FileHasSegmentMagic(other_file));
+  EXPECT_FALSE(FileHasSegmentMagic(tmp.File("definitely_missing.dhsg")));
   // Shorter than the magic itself.
-  TempFile tiny_file("dhsg_magic_probe_tiny.bin");
-  ASSERT_TRUE(WriteStringToFileAtomic("DH", tiny_file.path()).ok());
-  EXPECT_FALSE(FileHasSegmentMagic(tiny_file.path()));
+  const std::string tiny_file = tmp.File("dhsg_magic_probe_tiny.bin");
+  ASSERT_TRUE(WriteStringToFileAtomic("DH", tiny_file).ok());
+  EXPECT_FALSE(FileHasSegmentMagic(tiny_file));
 }
 
 TEST_F(SegmentTest, DecodeRejectsFlippedBitAnywhere) {
@@ -151,40 +135,45 @@ TEST_F(SegmentTest, DecodeRejectsPostBeyondUniverse) {
 }
 
 TEST_F(SegmentTest, SaveLoadRoundTrip) {
-  TempFile file("dhsg_roundtrip.dhsg");
+  const ScopedTempDir tmp;
+  const std::string file = tmp.File("dhsg_roundtrip.dhsg");
   const DeltaSegment segment = MakeSegment(7, 8);
-  ASSERT_TRUE(SaveSegmentFile(segment, file.path()).ok());
-  auto loaded = LoadSegmentFile(file.path());
+  ASSERT_TRUE(SaveSegmentFile(segment, file).ok());
+  auto loaded = LoadSegmentFile(file);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(EncodeSegment(*loaded), EncodeSegment(segment));
 }
 
 TEST_F(SegmentTest, LoadMissingFileIsNotFound) {
-  auto loaded = LoadSegmentFile("/tmp/definitely_missing.dhsg");
+  const ScopedTempDir tmp;
+  auto loaded = LoadSegmentFile(tmp.File("definitely_missing.dhsg"));
   EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound);
 }
 
 TEST_F(SegmentTest, SaveFaultSitePropagates) {
-  TempFile file("dhsg_save_fault.dhsg");
+  const ScopedTempDir tmp;
+  const std::string file = tmp.File("dhsg_save_fault.dhsg");
   ASSERT_TRUE(
       FaultInjector::Global().Configure("segment.save:enospc:1").ok());
-  EXPECT_FALSE(SaveSegmentFile(MakeSegment(1, 2), file.path()).ok());
+  EXPECT_FALSE(SaveSegmentFile(MakeSegment(1, 2), file).ok());
 }
 
 TEST_F(SegmentTest, LoadFaultSitePropagates) {
-  TempFile file("dhsg_load_fault.dhsg");
-  ASSERT_TRUE(SaveSegmentFile(MakeSegment(1, 2), file.path()).ok());
+  const ScopedTempDir tmp;
+  const std::string file = tmp.File("dhsg_load_fault.dhsg");
+  ASSERT_TRUE(SaveSegmentFile(MakeSegment(1, 2), file).ok());
   ASSERT_TRUE(
       FaultInjector::Global().Configure("segment.load:fail:1").ok());
-  EXPECT_FALSE(LoadSegmentFile(file.path()).ok());
+  EXPECT_FALSE(LoadSegmentFile(file).ok());
 }
 
 TEST_F(SegmentTest, LoadDataFaultIsCaughtByChecksum) {
-  TempFile file("dhsg_load_flip.dhsg");
-  ASSERT_TRUE(SaveSegmentFile(MakeSegment(1, 2), file.path()).ok());
+  const ScopedTempDir tmp;
+  const std::string file = tmp.File("dhsg_load_flip.dhsg");
+  ASSERT_TRUE(SaveSegmentFile(MakeSegment(1, 2), file).ok());
   ASSERT_TRUE(
       FaultInjector::Global().Configure("segment.load.data:flip:1").ok());
-  auto loaded = LoadSegmentFile(file.path());
+  auto loaded = LoadSegmentFile(file);
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
 }
 
@@ -192,27 +181,29 @@ TEST_F(SegmentTest, LoadDataFaultIsCaughtByChecksum) {
 // read-back, the corrupt file is quarantined, and the recomputed rewrite
 // succeeds — the final artifact on disk is clean.
 TEST_F(SegmentTest, WriteVerifiedQuarantinesAndRecomputes) {
-  TempFile file("dhsg_write_flip.dhsg");
+  const ScopedTempDir tmp;
+  const std::string file = tmp.File("dhsg_write_flip.dhsg");
   const DeltaSegment segment = MakeSegment(5, 6);
   ASSERT_TRUE(
       FaultInjector::Global().Configure("segment.write.data:flip:1").ok());
-  Status written = WriteSegmentVerified(segment, file.path());
+  Status written = WriteSegmentVerified(segment, file);
   ASSERT_TRUE(written.ok()) << written.ToString();
   // The poisoned first write was moved aside...
-  EXPECT_TRUE(FileExists(file.path() + ".quarantined"));
+  EXPECT_TRUE(FileExists(file + ".quarantined"));
   // ...and the rewrite is bit-exact.
   FaultInjector::Global().Reset();
-  auto loaded = LoadSegmentFile(file.path());
+  auto loaded = LoadSegmentFile(file);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(EncodeSegment(*loaded), EncodeSegment(segment));
 }
 
 TEST_F(SegmentTest, WriteVerifiedGivesUpOnPersistentCorruption) {
-  TempFile file("dhsg_write_dead_disk.dhsg");
+  const ScopedTempDir tmp;
+  const std::string file = tmp.File("dhsg_write_dead_disk.dhsg");
   ASSERT_TRUE(FaultInjector::Global()
                   .Configure("segment.write.data:flip:1:0")
                   .ok());
-  EXPECT_FALSE(WriteSegmentVerified(MakeSegment(5, 6), file.path()).ok());
+  EXPECT_FALSE(WriteSegmentVerified(MakeSegment(5, 6), file).ok());
 }
 
 TEST_F(SegmentTest, CompactMergesAChain) {
@@ -261,33 +252,35 @@ TEST_F(SegmentTest, CompactFaultSitePropagates) {
 }
 
 TEST_F(SegmentTest, TailReaderSkipsCoveredPrefix) {
-  TempFile file("dhsg_tail.jsonl");
+  const ScopedTempDir tmp;
+  const std::string file = tmp.File("dhsg_tail.jsonl");
   ForumDataset forum;
   forum.num_users = 3;
   forum.num_threads = 2;
   forum.posts = {{0, 0, "one"}, {1, 0, "two"}, {2, 1, "three"}};
-  ASSERT_TRUE(SaveForumDataset(forum, file.path()).ok());
-  auto tail = LoadTailPosts(file.path(), 2);
+  ASSERT_TRUE(SaveForumDataset(forum, file).ok());
+  auto tail = LoadTailPosts(file, 2);
   ASSERT_TRUE(tail.ok()) << tail.status().ToString();
   ASSERT_EQ(tail->size(), 1u);
   EXPECT_EQ((*tail)[0].text, "three");
   // An offset past the end means the log was truncated or rotated.
-  auto truncated = LoadTailPosts(file.path(), 4);
+  auto truncated = LoadTailPosts(file, 4);
   ASSERT_FALSE(truncated.ok());
   EXPECT_NE(truncated.status().message().find("truncated or rotated"),
             std::string::npos);
 }
 
 TEST_F(SegmentTest, TailReaderDataFaultFailsClosed) {
-  TempFile file("dhsg_tail_fault.jsonl");
+  const ScopedTempDir tmp;
+  const std::string file = tmp.File("dhsg_tail_fault.jsonl");
   ForumDataset forum;
   forum.num_users = 1;
   forum.num_threads = 1;
   forum.posts = {{0, 0, "only"}};
-  ASSERT_TRUE(SaveForumDataset(forum, file.path()).ok());
+  ASSERT_TRUE(SaveForumDataset(forum, file).ok());
   ASSERT_TRUE(
       FaultInjector::Global().Configure("forum.tail.data:short:1").ok());
-  EXPECT_FALSE(LoadTailPosts(file.path(), 0).ok());
+  EXPECT_FALSE(LoadTailPosts(file, 0).ok());
 }
 
 }  // namespace

@@ -5,11 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include "testing/scoped_temp_dir.h"
+
 namespace dehealth {
 namespace {
 
 TEST(FileUtilTest, RoundTripsBinaryContent) {
-  const std::string path = "/tmp/dehealth_file_util_test.bin";
+  const ScopedTempDir tmp;
+  const std::string path = tmp.File("dehealth_file_util_test.bin");
   std::string content = "binary\0payload\nwith\tstuff";
   content += '\0';
   content += '\xFF';
@@ -21,7 +24,8 @@ TEST(FileUtilTest, RoundTripsBinaryContent) {
 }
 
 TEST(FileUtilTest, RoundTripsEmptyFile) {
-  const std::string path = "/tmp/dehealth_file_util_empty.bin";
+  const ScopedTempDir tmp;
+  const std::string path = tmp.File("dehealth_file_util_empty.bin");
   ASSERT_TRUE(WriteStringToFile("", path).ok());
   auto read = ReadFileToString(path);
   ASSERT_TRUE(read.ok());
@@ -30,7 +34,8 @@ TEST(FileUtilTest, RoundTripsEmptyFile) {
 }
 
 TEST(FileUtilTest, MissingFileIsNotFound) {
-  auto r = ReadFileToString("/tmp/definitely_missing_dehealth_util.bin");
+  const ScopedTempDir tmp;
+  auto r = ReadFileToString(tmp.File("definitely_missing_dehealth_util.bin"));
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
 }
@@ -42,7 +47,8 @@ TEST(FileUtilTest, UnwritableDirectoryIsNotFound) {
 }
 
 TEST(FileUtilTest, AtomicWriteRoundTripsAndLeavesNoTempFile) {
-  const std::string path = "/tmp/dehealth_file_util_atomic.bin";
+  const ScopedTempDir tmp;
+  const std::string path = tmp.File("dehealth_file_util_atomic.bin");
   std::string content = "snapshot\0bytes";
   content += '\xFE';
   ASSERT_TRUE(WriteStringToFileAtomic(content, path).ok());
@@ -55,7 +61,8 @@ TEST(FileUtilTest, AtomicWriteRoundTripsAndLeavesNoTempFile) {
 }
 
 TEST(FileUtilTest, AtomicWriteReplacesExistingFileWholesale) {
-  const std::string path = "/tmp/dehealth_file_util_atomic_replace.bin";
+  const ScopedTempDir tmp;
+  const std::string path = tmp.File("dehealth_file_util_atomic_replace.bin");
   ASSERT_TRUE(WriteStringToFile("old content, longer than new", path).ok());
   ASSERT_TRUE(WriteStringToFileAtomic("new", path).ok());
   auto read = ReadFileToString(path);
@@ -67,7 +74,8 @@ TEST(FileUtilTest, AtomicWriteReplacesExistingFileWholesale) {
 }
 
 TEST(FileUtilTest, AtomicWriteRecoversFromStaleTempFile) {
-  const std::string path = "/tmp/dehealth_file_util_atomic_stale.bin";
+  const ScopedTempDir tmp;
+  const std::string path = tmp.File("dehealth_file_util_atomic_stale.bin");
   // Simulate a crash mid-write from an earlier process: a stale .tmp left
   // behind must not block (or corrupt) the next atomic write.
   ASSERT_TRUE(WriteStringToFile("half-written garb", path + ".tmp").ok());

@@ -8,6 +8,7 @@
 
 #include "common/fault_injection.h"
 #include "datagen/forum_generator.h"
+#include "testing/scoped_temp_dir.h"
 
 namespace dehealth {
 namespace {
@@ -114,7 +115,8 @@ TEST(ForumJsonlTest, ToleratesBlankLines) {
 
 TEST(ForumFileIoTest, SaveAndLoad) {
   const ForumDataset original = SmallDataset();
-  const std::string path = "/tmp/dehealth_forum_io_test.jsonl";
+  const ScopedTempDir tmp;
+  const std::string path = tmp.File("dehealth_forum_io_test.jsonl");
   ASSERT_TRUE(SaveForumDataset(original, path).ok());
   auto loaded = LoadForumDataset(path);
   ASSERT_TRUE(loaded.ok());
@@ -125,7 +127,8 @@ TEST(ForumFileIoTest, SaveAndLoad) {
 TEST(ForumFileIoTest, TruncatedFileFailsCleanly) {
   auto forum = GenerateForum(WebMdLikeConfig(10, 3));
   ASSERT_TRUE(forum.ok());
-  const std::string path = "/tmp/dehealth_forum_truncated.jsonl";
+  const ScopedTempDir tmp;
+  const std::string path = tmp.File("dehealth_forum_truncated.jsonl");
   ASSERT_TRUE(SaveForumDataset(forum->dataset, path).ok());
   const std::string full = ForumDatasetToJsonl(forum->dataset);
   // Cut mid-record: the dangling line must come back as a Status error.
@@ -137,7 +140,8 @@ TEST(ForumFileIoTest, TruncatedFileFailsCleanly) {
 }
 
 TEST(ForumFileIoTest, LoadMissingFileFails) {
-  auto r = LoadForumDataset("/tmp/definitely_missing_dehealth.jsonl");
+  const ScopedTempDir tmp;
+  auto r = LoadForumDataset(tmp.File("definitely_missing_dehealth.jsonl"));
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
 }
@@ -145,7 +149,8 @@ TEST(ForumFileIoTest, LoadMissingFileFails) {
 // A parse failure from disk must name the file AND the line where parsing
 // stopped — a bad record among millions is attributable, not a mystery.
 TEST(ForumFileIoTest, ParseErrorsCarryPathAndLine) {
-  const std::string path = "/tmp/dehealth_forum_badline.jsonl";
+  const ScopedTempDir tmp;
+  const std::string path = tmp.File("dehealth_forum_badline.jsonl");
   std::ofstream(path, std::ios::binary)
       << "{\"num_users\": 3, \"num_threads\": 2}\n"
       << "{\"user_id\": 0, \"thread_id\": 0, \"text\": \"ok\"}\n"
@@ -217,7 +222,8 @@ TEST(ForumJsonlTest, MalformedCorpusSweep) {
 TEST(ForumFileIoTest, InjectedCorruptionFailsCleanly) {
   auto forum = GenerateForum(WebMdLikeConfig(10, 5));
   ASSERT_TRUE(forum.ok());
-  const std::string path = "/tmp/dehealth_forum_faulted.jsonl";
+  const ScopedTempDir tmp;
+  const std::string path = tmp.File("dehealth_forum_faulted.jsonl");
   ASSERT_TRUE(SaveForumDataset(forum->dataset, path).ok());
   // A read-side I/O error is always surfaced.
   ASSERT_TRUE(FaultInjector::Global().Configure("file.read:fail:1").ok());

@@ -5,7 +5,6 @@
 
 #include "job/runner.h"
 
-#include <cstdio>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -19,25 +18,10 @@
 #include "index/pipeline.h"
 #include "io/file_util.h"
 #include "job/manifest.h"
+#include "testing/scoped_temp_dir.h"
 
 namespace dehealth {
 namespace {
-
-/// RAII scratch directory under /tmp, removed recursively on destruction.
-class TempDir {
- public:
-  explicit TempDir(const std::string& name) : path_("/tmp/" + name) {
-    std::filesystem::remove_all(path_);
-  }
-  ~TempDir() { std::filesystem::remove_all(path_); }
-  const std::string& path() const { return path_; }
-  std::string File(const std::string& name) const {
-    return (std::filesystem::path(path_) / name).string();
-  }
-
- private:
-  std::string path_;
-};
 
 DeHealthConfig JobConfig(const std::string& dir, int shard_size = 3) {
   DeHealthConfig config;
@@ -193,15 +177,16 @@ TEST_F(JobTest, ShardFailsClosedOnAnyIdentityMismatch) {
 }
 
 TEST_F(JobTest, ConfigFingerprintCoversOnlySemanticFields) {
-  DeHealthConfig base = JobConfig("/tmp/a", 7);
+  DeHealthConfig base = JobConfig("job-a", 7);
   DeHealthConfig operational = base;
   // Results are bitwise-independent of these: an interrupted 8-thread
   // indexed run may finish single-threaded and dense.
   operational.num_threads = 8;
-  operational.job_dir = "/tmp/b";
+  operational.job_dir = "job-b";
   operational.job_shard_size = 3;
-  operational.index_snapshot_path = "/tmp/x.dhix";
-  operational.use_index = true;  // exact index == dense, bitwise
+  operational.index_snapshot_path = "x.dhix";
+  operational.use_index = true;  // index == dense, bitwise
+  operational.num_shards = 4;    // index slices == one index, bitwise
   EXPECT_EQ(JobConfigFingerprint(base), JobConfigFingerprint(operational));
 
   DeHealthConfig other_k = base;
@@ -210,17 +195,22 @@ TEST_F(JobTest, ConfigFingerprintCoversOnlySemanticFields) {
   DeHealthConfig filtered = base;
   filtered.enable_filtering = true;
   EXPECT_NE(JobConfigFingerprint(base), JobConfigFingerprint(filtered));
-  // A recall-capped index changes answers, so it must change identity.
-  DeHealthConfig capped = base;
-  capped.use_index = true;
-  capped.index_max_candidates = 3;
-  EXPECT_NE(JobConfigFingerprint(base), JobConfigFingerprint(capped));
+}
+
+TEST(JobFingerprintTest, PinnedSoExistingJobDirectoriesResume) {
+  // The literal values every earlier build computed: a change here would
+  // strand the DHJB job directories already on disk, so the encoding
+  // (retired fields included) must stay byte-for-byte the same.
+  DeHealthConfig config;
+  EXPECT_EQ(JobConfigFingerprint(config), 0x65ba5975ced6d223ULL);
+  config.use_index = true;
+  EXPECT_EQ(JobConfigFingerprint(config), 0x65ba5975ced6d223ULL);
 }
 
 // ------------------------------------------------------------ happy path
 
 TEST_F(JobTest, JobMatchesDirectRun) {
-  TempDir dir("dehealth_job_match");
+  const ScopedTempDir dir;
   auto result = RunDeHealthAttackJob(*anon_, *aux_, JobConfig(dir.path()));
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ExpectSameAttackResult(*result, *golden_);
@@ -243,7 +233,7 @@ TEST_F(JobTest, JobMatchesDirectRun) {
 }
 
 TEST_F(JobTest, FilteringJobMatchesDirectRun) {
-  TempDir dir("dehealth_job_filter");
+  const ScopedTempDir dir;
   DeHealthConfig config = JobConfig(dir.path());
   config.enable_filtering = true;
   DeHealthConfig direct = config;
@@ -257,8 +247,8 @@ TEST_F(JobTest, FilteringJobMatchesDirectRun) {
 }
 
 TEST_F(JobTest, ShardSizeAndThreadCountDoNotChangeAnswers) {
-  TempDir dir_a("dehealth_job_shard2");
-  TempDir dir_b("dehealth_job_shard30");
+  const ScopedTempDir dir_a;
+  const ScopedTempDir dir_b;
   DeHealthConfig a = JobConfig(dir_a.path(), 2);
   a.num_threads = 2;
   DeHealthConfig b = JobConfig(dir_b.path(), 30);
@@ -272,7 +262,7 @@ TEST_F(JobTest, ShardSizeAndThreadCountDoNotChangeAnswers) {
 }
 
 TEST_F(JobTest, RawOutParamCarriesUnfilteredCandidates) {
-  TempDir dir("dehealth_job_raw");
+  const ScopedTempDir dir;
   DeHealthConfig config = JobConfig(dir.path());
   config.enable_filtering = true;
   auto job = AttackJob::Open(*anon_, *aux_, config);
@@ -319,9 +309,8 @@ TEST_F(JobTest, ResumesAfterInjectedFailureAtEveryPhase) {
       "job.shard_write:enospc:4",  "job.phase2:fail:2",
       "file.write_atomic:enospc:3",
   };
-  int index = 0;
   for (const char* spec : kill_specs) {
-    TempDir dir("dehealth_job_resume_" + std::to_string(index++));
+    const ScopedTempDir dir;
     ASSERT_TRUE(FaultInjector::Global().Configure(spec).ok());
     auto wounded =
         RunDeHealthAttackJob(*anon_, *aux_, JobConfig(dir.path()));
@@ -339,7 +328,7 @@ TEST_F(JobTest, ResumesAfterInjectedFailureAtEveryPhase) {
 }
 
 TEST_F(JobTest, FilteringJobResumesAcrossFilterFault) {
-  TempDir dir("dehealth_job_filter_resume");
+  const ScopedTempDir dir;
   DeHealthConfig config = JobConfig(dir.path());
   config.enable_filtering = true;
   ASSERT_TRUE(FaultInjector::Global().Configure("job.filter:fail:1").ok());
@@ -355,7 +344,7 @@ TEST_F(JobTest, FilteringJobResumesAcrossFilterFault) {
 }
 
 TEST_F(JobTest, CorruptShardIsQuarantinedAndRecomputed) {
-  TempDir dir("dehealth_job_quarantine");
+  const ScopedTempDir dir;
   ASSERT_TRUE(
       RunDeHealthAttackJob(*anon_, *aux_, JobConfig(dir.path())).ok());
   const std::string victim = dir.File("topk-00000003-00000006.dhsh");
@@ -378,7 +367,7 @@ TEST_F(JobTest, CorruptShardIsQuarantinedAndRecomputed) {
 }
 
 TEST_F(JobTest, CorruptManifestIsQuarantinedAndRewritten) {
-  TempDir dir("dehealth_job_bad_manifest");
+  const ScopedTempDir dir;
   ASSERT_TRUE(
       RunDeHealthAttackJob(*anon_, *aux_, JobConfig(dir.path())).ok());
   const std::string manifest = dir.File("MANIFEST.dhjb");
@@ -391,7 +380,7 @@ TEST_F(JobTest, CorruptManifestIsQuarantinedAndRewritten) {
 }
 
 TEST_F(JobTest, ManifestMismatchFailsClosed) {
-  TempDir dir("dehealth_job_mismatch");
+  const ScopedTempDir dir;
   ASSERT_TRUE(
       RunDeHealthAttackJob(*anon_, *aux_, JobConfig(dir.path())).ok());
   DeHealthConfig other = JobConfig(dir.path());
@@ -410,7 +399,7 @@ TEST_F(JobTest, ManifestMismatchFailsClosed) {
 }
 
 TEST_F(JobTest, ShutdownRequestReturnsCancelledAndResumes) {
-  TempDir dir("dehealth_job_shutdown");
+  const ScopedTempDir dir;
   RequestProcessShutdown();
   auto interrupted =
       RunDeHealthAttackJob(*anon_, *aux_, JobConfig(dir.path()));
@@ -428,7 +417,7 @@ TEST_F(JobTest, RejectsInvalidJobSetups) {
   DeHealthConfig no_dir = JobConfig("");
   EXPECT_EQ(AttackJob::Open(*anon_, *aux_, no_dir).status().code(),
             StatusCode::kInvalidArgument);
-  TempDir dir("dehealth_job_invalid");
+  const ScopedTempDir dir;
   DeHealthConfig zero_shard = JobConfig(dir.path(), 0);
   EXPECT_EQ(AttackJob::Open(*anon_, *aux_, zero_shard).status().code(),
             StatusCode::kInvalidArgument);
@@ -449,7 +438,7 @@ TEST_F(JobDeathTest, KilledJobResumesBitwiseIdentical) {
   // The injected crash is a real _exit(86) mid-job — no destructors, no
   // flushing — exactly like SIGKILL at that instruction. The durable state
   // is whatever WriteStringToFileAtomic committed before the kill.
-  TempDir dir("dehealth_job_crash");
+  const ScopedTempDir dir;
   EXPECT_EXIT(
       {
         Status configured = FaultInjector::Global().Configure(
@@ -476,7 +465,7 @@ TEST_F(JobDeathTest, KilledJobResumesBitwiseIdentical) {
 }
 
 TEST_F(JobDeathTest, CrashDuringAtomicWriteLeavesNoTornShard) {
-  TempDir dir("dehealth_job_torn");
+  const ScopedTempDir dir;
   EXPECT_EXIT(
       {
         Status configured = FaultInjector::Global().Configure(

@@ -14,6 +14,7 @@
 #include "index/pipeline.h"
 #include "serve/client.h"
 #include "serve/engine.h"
+#include "testing/scoped_temp_dir.h"
 
 namespace dehealth {
 namespace {
@@ -159,10 +160,9 @@ TEST_F(ServeEngineTest, OutOfRangeUserIsInvalidArgument) {
 }
 
 TEST_F(ServeEngineTest, JobDirWarmStartIsDurable) {
-  const std::string job_dir = "/tmp/dehealth_serve_job_warm";
-  std::filesystem::remove_all(job_dir);
+  const ScopedTempDir job_dir;
   DeHealthConfig config = FastConfig();
-  config.job_dir = job_dir;
+  config.job_dir = job_dir.path();
   config.job_shard_size = 7;
   auto golden = RunDeHealthAttack(*anon_, *aux_, FastConfig());
   ASSERT_TRUE(golden.ok());
@@ -173,9 +173,7 @@ TEST_F(ServeEngineTest, JobDirWarmStartIsDurable) {
   auto top_k = (*cold)->TopK(users, 0);
   ASSERT_TRUE(top_k.ok());
   EXPECT_EQ(top_k->candidates, golden->candidates);
-  ASSERT_TRUE(
-      std::filesystem::exists(std::filesystem::path(job_dir) /
-                              "MANIFEST.dhjb"));
+  ASSERT_TRUE(std::filesystem::exists(job_dir.File("MANIFEST.dhjb")));
 
   // Restarting the engine answers phase 1 from the durable shards: even
   // with every recompute path rigged to fail, warm start succeeds.
@@ -190,7 +188,6 @@ TEST_F(ServeEngineTest, JobDirWarmStartIsDurable) {
   auto refined = (*warm)->Refine(users);
   ASSERT_TRUE(refined.ok());
   EXPECT_EQ(refined->predictions, golden->refined.predictions);
-  std::filesystem::remove_all(job_dir);
 }
 
 /// Full client/server loop against the same golden answers.

@@ -22,21 +22,10 @@
 #include "serve/engine.h"
 #include "serve/server.h"
 #include "shard/router.h"
+#include "testing/scoped_temp_dir.h"
 
 namespace dehealth {
 namespace {
-
-class TempFile {
- public:
-  explicit TempFile(const std::string& name) : path_("/tmp/" + name) {
-    std::remove(path_.c_str());
-  }
-  ~TempFile() { std::remove(path_.c_str()); }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
 
 /// One --ingest slice backend: an EpochHandler over shard g of n booted on
 /// the base log, with a QueryServer in front.
@@ -145,13 +134,14 @@ ForumDataset* RolloutTest::full_ = nullptr;
 std::vector<Post>* RolloutTest::tail_ = nullptr;
 
 TEST_F(RolloutTest, RollingSealConvergesTheWholeFleet) {
-  TempFile segment_file("rollout_converge.dhsg");
-  CutTailSegment(segment_file.path());
+  const ScopedTempDir tmp;
+  const std::string segment_file = tmp.File("rollout_converge.dhsg");
+  CutTailSegment(segment_file);
   auto fleet = StartFleet(2, 2);
   ASSERT_TRUE(fleet.ok()) << fleet.status().ToString();
 
   RolloutOptions options;
-  options.segments = {segment_file.path()};
+  options.segments = {segment_file};
   auto report = RunRollout(GroupAddresses(*fleet), options);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   ASSERT_EQ(report->groups.size(), 2u);
@@ -203,15 +193,16 @@ TEST_F(RolloutTest, RollingSealConvergesTheWholeFleet) {
 }
 
 TEST_F(RolloutTest, StageOnlyThenSealOnlyRollout) {
-  TempFile segment_file("rollout_no_seal.dhsg");
-  CutTailSegment(segment_file.path());
+  const ScopedTempDir tmp;
+  const std::string segment_file = tmp.File("rollout_no_seal.dhsg");
+  CutTailSegment(segment_file);
   auto fleet = StartFleet(1, 2);
   ASSERT_TRUE(fleet.ok()) << fleet.status().ToString();
 
   // Pass 1 (--no-seal): everything staged, nothing sealed, answers
   // untouched.
   RolloutOptions stage_only;
-  stage_only.segments = {segment_file.path()};
+  stage_only.segments = {segment_file};
   stage_only.seal = false;
   auto staged = RunRollout(GroupAddresses(*fleet), stage_only);
   ASSERT_TRUE(staged.ok()) << staged.status().ToString();
@@ -236,8 +227,9 @@ TEST_F(RolloutTest, StageOnlyThenSealOnlyRollout) {
 }
 
 TEST_F(RolloutTest, DivergedReplicaFailsTheRolloutClosed) {
-  TempFile segment_file("rollout_diverged.dhsg");
-  CutTailSegment(segment_file.path());
+  const ScopedTempDir tmp;
+  const std::string segment_file = tmp.File("rollout_diverged.dhsg");
+  CutTailSegment(segment_file);
   auto fleet = StartFleet(1, 2);
   ASSERT_TRUE(fleet.ok()) << fleet.status().ToString();
 
@@ -245,11 +237,11 @@ TEST_F(RolloutTest, DivergedReplicaFailsTheRolloutClosed) {
   // rollout's push hits its parent-fingerprint check and fails closed,
   // naming the backend, without --allow-epoch-skew ever entering into it.
   ASSERT_TRUE(
-      (*fleet)[0][1].handler->LoadSegment(segment_file.path()).ok());
+      (*fleet)[0][1].handler->LoadSegment(segment_file).ok());
   ASSERT_TRUE((*fleet)[0][1].handler->SealEpoch().ok());
 
   RolloutOptions options;
-  options.segments = {segment_file.path()};
+  options.segments = {segment_file};
   auto report = RunRollout(GroupAddresses(*fleet), options);
   ASSERT_FALSE(report.ok());
   EXPECT_EQ(report.status().code(), StatusCode::kFailedPrecondition);
@@ -260,8 +252,9 @@ TEST_F(RolloutTest, DivergedReplicaFailsTheRolloutClosed) {
 }
 
 TEST_F(RolloutTest, MisGroupedFleetRefusedBeforeMutation) {
-  TempFile segment_file("rollout_mis_grouped.dhsg");
-  CutTailSegment(segment_file.path());
+  const ScopedTempDir tmp;
+  const std::string segment_file = tmp.File("rollout_mis_grouped.dhsg");
+  CutTailSegment(segment_file);
   // Two different slices "grouped" as replicas of one shard.
   auto a = StartIngestSlice(0, 2);
   auto b = StartIngestSlice(1, 2);
@@ -271,7 +264,7 @@ TEST_F(RolloutTest, MisGroupedFleetRefusedBeforeMutation) {
       {{"127.0.0.1", a->port()}, {"127.0.0.1", b->port()}}};
 
   RolloutOptions options;
-  options.segments = {segment_file.path()};
+  options.segments = {segment_file};
   auto report = RunRollout(mis_grouped, options);
   ASSERT_FALSE(report.ok());
   EXPECT_EQ(report.status().code(), StatusCode::kFailedPrecondition);

@@ -1,6 +1,7 @@
-#include "shard/sharded_source.h"
+// In-process sharding: IndexedCandidateSource over N contiguous index
+// slices (BuildShardIndexes) must answer bitwise what the single index
+// answers, for every shard and thread count.
 
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -14,6 +15,7 @@
 #include "index/pipeline.h"
 #include "shard/partition.h"
 #include "shard/shard_index.h"
+#include "testing/scoped_temp_dir.h"
 
 namespace dehealth {
 namespace {
@@ -39,14 +41,14 @@ class ShardedSourceTest : public ::testing::Test {
     auto index = CandidateIndex::Build(*aux_, SimConfig());
     ASSERT_TRUE(index.ok()) << index.status().ToString();
     full_ = new CandidateIndex(std::move(index).value());
-    reference_ = new IndexedCandidateSource(*anon_, *full_);
+    reference_ = new IndexedCandidateSource(*anon_, {*full_});
   }
 
-  static StatusOr<ShardedCandidateSource> MakeSharded(int num_shards,
+  static StatusOr<IndexedCandidateSource> MakeSharded(int num_shards,
                                                       int num_threads = 0) {
     auto shards = BuildShardIndexes("", *aux_, SimConfig(), num_shards);
     if (!shards.ok()) return shards.status();
-    return ShardedCandidateSource(*anon_, std::move(shards).value(),
+    return IndexedCandidateSource(*anon_, std::move(shards).value(),
                                   num_threads);
   }
 
@@ -65,7 +67,7 @@ TEST_F(ShardedSourceTest, ScoreAndRowMatchSingleIndexForEveryShardCount) {
   for (int n : {1, 2, 3, 8}) {
     auto sharded = MakeSharded(n);
     ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
-    ASSERT_EQ(sharded->num_shards(), n);
+    ASSERT_EQ(sharded->num_slices(), n);
     EXPECT_EQ(sharded->num_anonymized(), reference_->num_anonymized());
     EXPECT_EQ(sharded->num_auxiliary(), reference_->num_auxiliary());
     std::vector<double> scratch_a, scratch_b;
@@ -159,12 +161,8 @@ TEST_F(ShardedSourceTest, LoadOrBuildShardIndexMatchesSlicing) {
 }
 
 TEST_F(ShardedSourceTest, ShardSnapshotsRoundTripAndQuarantine) {
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "dehealth_shard_snap_test")
-          .string();
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  const std::string base = dir + "/aux.dhix";
+  const ScopedTempDir dir;
+  const std::string base = dir.File("aux.dhix");
 
   auto built = BuildShardIndexes(base, *aux_, SimConfig(), 3);
   ASSERT_TRUE(built.ok()) << built.status().ToString();
@@ -193,13 +191,12 @@ TEST_F(ShardedSourceTest, ShardSnapshotsRoundTripAndQuarantine) {
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   EXPECT_TRUE(std::filesystem::exists(victim + ".quarantined"));
   EXPECT_TRUE(std::filesystem::exists(victim));  // rewritten after rebuild
-  ShardedCandidateSource source(*anon_, std::move(recovered).value());
+  IndexedCandidateSource source(*anon_, std::move(recovered).value());
   auto golden = reference_->TopK(5, 1);
   auto got = source.TopK(5, 1);
   ASSERT_TRUE(golden.ok());
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(*got, *golden);
-  std::filesystem::remove_all(dir);
 }
 
 TEST_F(ShardedSourceTest, AttackWithShardsMatchesDenseAttack) {
