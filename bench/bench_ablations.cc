@@ -33,7 +33,8 @@ Prepared Prepare(int users, uint64_t seed, double diversity = 1.0) {
   config.style.profile_diversity = diversity;
   auto forum = GenerateForum(config);
   auto scenario = MakeClosedWorldScenario(forum->dataset, 0.5, 7);
-  Prepared p{std::move(scenario).value(), {}, {}};
+  Prepared p;
+  p.scenario = std::move(scenario).value();
   p.anon = BuildUdaGraph(p.scenario.anonymized);
   p.aux = BuildUdaGraph(p.scenario.auxiliary);
   return p;

@@ -129,9 +129,7 @@ int RunCell(int n2, const std::string& mode) {
       return 1;
     }
     start = std::chrono::steady_clock::now();
-    std::vector<CandidateIndex> slices;
-    slices.push_back(std::move(index).value());
-    const IndexedCandidateSource source(anon, std::move(slices));
+    const IndexedCandidateSource source(anon, std::move(index).value());
     auto sets = source.TopK(kTopK, /*num_threads=*/0);
     topk_ms = MsSince(start);
     if (!sets.ok()) {
@@ -160,7 +158,7 @@ int RunCell(int n2, const std::string& mode) {
 /// what a fleet backend answers: a row scan of the slice ranked by
 /// TopKForRow. `row` is scratch of slice.num_auxiliary() doubles.
 std::vector<ScoredUser> SliceTopK(const CandidateIndex& slice,
-                                  const IndexedUserFeatures& query,
+                                  const UserFeatures& query,
                                   std::vector<double>* row) {
   slice.ExactRowTo(query, row->data());
   const int begin = static_cast<int>(slice.data().shard_begin);
@@ -170,7 +168,8 @@ std::vector<ScoredUser> SliceTopK(const CandidateIndex& slice,
   return scored;
 }
 
-/// Generates the dataset once, writes the N shard snapshots plus a
+/// Generates the dataset once, builds the full index once and writes its N
+/// slices (SliceIndexData, exactly what a fleet backend persists) plus a
 /// "queries" snapshot (the anonymized users' precomputed features smuggled
 /// through the DHIX format), so the per-shard cells below can run WITHOUT
 /// the forum generator or graphs resident — their peak RSS is the shard's.
@@ -195,18 +194,26 @@ int RunShardPrep(int n2, int shards, const std::string& dir) {
   const UdaGraph aux = BuildUdaGraph(scenario->auxiliary);
 
   std::filesystem::create_directories(dir);
-  const SimilarityConfig config;
-  auto built = BuildShardIndexes(dir + "/aux.dhix", aux, config, shards);
-  if (!built.ok()) {
-    std::fprintf(stderr, "shards: %s\n", built.status().ToString().c_str());
+  auto full = CandidateIndex::Build(aux, SimilarityConfig{});
+  if (!full.ok()) {
+    std::fprintf(stderr, "build: %s\n", full.status().ToString().c_str());
     return 1;
   }
-  // Any shard can compute query features: the idf table is GLOBAL.
-  CandidateIndexData queries = (*built)[0].data();
-  queries.users = (*built)[0].ComputeQueryFeatures(anon);
-  queries.shard_index = 0;
-  queries.shard_count = 1;
-  queries.shard_begin = 0;
+  const std::vector<ShardRange> ranges =
+      ComputeShardRanges(full->num_auxiliary(), shards);
+  for (int i = 0; i < shards; ++i) {
+    auto shard = CandidateIndex::FromData(SliceIndexData(
+        full->data(), ranges[static_cast<size_t>(i)], i, shards));
+    const std::string path = ShardSnapshotPath(dir + "/aux.dhix", i, shards);
+    const Status saved =
+        shard.ok() ? SaveIndexSnapshot(*shard, path) : shard.status();
+    if (!saved.ok()) {
+      std::fprintf(stderr, "shard %d: %s\n", i, saved.ToString().c_str());
+      return 1;
+    }
+  }
+  CandidateIndexData queries = full->data();
+  queries.users = full->ComputeQueryFeatures(anon);
   queries.shard_total = static_cast<uint32_t>(queries.users.size());
   auto query_index = CandidateIndex::FromData(std::move(queries));
   if (!query_index.ok()) {
@@ -241,7 +248,7 @@ int RunShardSlice(int shards, int shard_index, const std::string& dir) {
   start = std::chrono::steady_clock::now();
   uint64_t checksum = 1469598103934665603ULL;
   std::vector<double> row(static_cast<size_t>(shard->num_auxiliary()));
-  for (const IndexedUserFeatures& query : queries->data().users)
+  for (const UserFeatures& query : queries->data().users)
     for (const ScoredUser& c : SliceTopK(*shard, query, &row))
       checksum = (checksum ^ static_cast<uint64_t>(c.user)) * 1099511628211ULL;
   const double topk_ms = MsSince(start);
@@ -290,7 +297,7 @@ int RunShardedMerged(int shards, const std::string& dir) {
   std::vector<std::vector<ScoredUser>> per_shard(
       static_cast<size_t>(shards));
   std::vector<double> row;
-  for (const IndexedUserFeatures& query : queries->data().users) {
+  for (const UserFeatures& query : queries->data().users) {
     for (int i = 0; i < shards; ++i) {
       const CandidateIndex& slice = slices[static_cast<size_t>(i)];
       row.resize(static_cast<size_t>(slice.num_auxiliary()));
@@ -328,7 +335,8 @@ int RunChild(const std::string& args, std::string* line) {
     return 1;
   }
   exe[len] = '\0';
-  const std::string command = "'" + std::string(exe) + "' " + args;
+  std::string command = "'";
+  command.append(exe).append("' ").append(args);
   FILE* pipe = popen(command.c_str(), "r");
   if (pipe == nullptr) {
     std::fprintf(stderr, "popen failed\n");

@@ -1,14 +1,15 @@
 // dehealth_cli: drive the library from the command line over JSONL forum
 // datasets — the adoption path for running De-Health on your own data.
 //
-//   dehealth_cli generate --preset webmd --users 300 --seed 7 --out d.jsonl
+//   dehealth_cli generate --preset webmd|hb --users 300 --seed 7
+//                         --out d.jsonl
 //   dehealth_cli split    --dataset d.jsonl --aux-fraction 0.5 --seed 3
 //                         --anon-out anon.jsonl --aux-out aux.jsonl
 //                         --truth-out truth.csv
 //   dehealth_cli attack   --anonymized anon.jsonl --auxiliary aux.jsonl
 //                         --k 10 --engine structural --learner smo
 //                         --threads 0 [--idf]
-//                         [--index] [--index-path idx.dhix] [--shards N]
+//                         [--index] [--index-path idx.dhix]
 //                         [--job-dir dir] [--shard-size N]
 //                         [--truth truth.csv] [--out predictions.csv]
 //                         [--trace-out trace.json] [--metrics-out m.prom]
@@ -26,9 +27,11 @@
 // threads, the default); results are identical for any value.
 // --index answers phase 1 from the auxiliary-side candidate index instead
 // of the dense similarity matrix (same results, see DESIGN.md);
-// --index-path persists the index as a snapshot reused across runs, and
-// --shards N splits it into N in-process slices (same results again).
-// Unknown flags exit 1 (see docs/OPERATIONS.md for the catalog).
+// --index-path persists the index as a snapshot reused across runs.
+// Splitting the auxiliary universe across processes is the fleet's job
+// (dehealth_serve --shard-count behind dehealth_router).
+// Unknown flags, and values of --preset, --engine, --learner or --simd
+// outside their lists, exit 1 (see docs/OPERATIONS.md for the catalog).
 // --job-dir runs the attack through the crash-safe job runner: completed
 // work is committed in checksummed shards, SIGTERM/SIGINT checkpoints and
 // exits cleanly (exit 0), and re-running the same command resumes from the
@@ -95,6 +98,8 @@ int CmdGenerate(const Args& args) {
   const std::string out = args.Get("out");
   if (out.empty()) return Fail("generate requires --out");
 
+  if (preset != "webmd" && preset != "hb")
+    return Fail("--preset must be webmd or hb (got '" + preset + "')");
   const ForumConfig config = preset == "hb"
                                  ? HealthBoardsLikeConfig(users, seed)
                                  : WebMdLikeConfig(users, seed);
@@ -292,9 +297,9 @@ int CmdEvaluate(const Args& args) {
   auto config_or = ParseAttackFlags(args);
   if (!config_or.ok()) return Fail(config_or.status().ToString());
   DeHealthConfig config = *config_or;
-  if (config.use_index || config.num_shards > 1)
+  if (config.use_index)
     return Fail("evaluate compares engines on dense full rankings; "
-                "--index/--index-path/--shards do not apply");
+                "--index/--index-path do not apply");
   if (config.shard_count > 1)
     return Fail("evaluate needs the full auxiliary universe; "
                 "--shard-count does not apply");

@@ -122,13 +122,9 @@ const std::vector<FlagDoc>& FlagCatalog() {
        "(default 0)"},
       {"shard-size", "cli attack, serve", false,
        "Users per checkpoint shard under --job-dir (default 64)"},
-      {"shards", "cli attack, serve", false,
-       "Partition the auxiliary universe into this many in-process "
-       "candidate-index slices with bitwise-identical answers (structural "
-       "engine only; default 1)"},
       {"simd", "cli attack, serve", false,
        "Score-kernel instruction set: auto (default; DEHEALTH_SIMD env, "
-       "then cpuid), avx2, sse2, or scalar — all tiers score identically"},
+       "then cpuid), avx2, or scalar — all tiers score identically"},
       {"stats-period", "router, serve", false,
        "Seconds between periodic stats lines on stderr (0 = off)"},
       {"tail", "ingest", false,

@@ -59,24 +59,14 @@ struct DeHealthConfig {
   /// matches the auxiliary side + config (and rebuilt + saved otherwise).
   std::string index_snapshot_path;
 
-  /// In-process horizontal sharding (src/shard/): when > 1, the auxiliary
-  /// universe is partitioned into this many contiguous-id-range candidate
-  /// index slices behind one IndexedCandidateSource. Results are
-  /// bitwise-identical to num_shards == 1 (every slice runs the same exact
-  /// kernel; see DESIGN.md "Sharding"), so this knob is NOT part of the
-  /// job fingerprint — checkpoints interchange across shard counts. With
-  /// index_snapshot_path set, each shard persists its own
-  /// `<path>.shard-<i>-of-<n>.dhix` snapshot. Structural engine only.
-  int num_shards = 1;
   /// Shard-slice mode for distributed serving (dehealth_router + N
   /// backends): this process owns only shard `shard_index` of
   /// `shard_count` — its score source covers the auxiliary id range
   /// [begin, end) of that shard, with LOCAL auxiliary ids 0..end-begin.
-  /// Unlike num_shards this DOES change this process's results (it sees a
-  /// sliced universe), so both fields are part of the job fingerprint.
-  /// shard_count == 1 (the default) disables slice mode. Mutually
-  /// exclusive with num_shards > 1 and with enable_filtering (filter
-  /// thresholds are global).
+  /// This changes this process's results (it sees a sliced universe), so
+  /// both fields are part of the job fingerprint. shard_count == 1 (the
+  /// default) disables slice mode. Mutually exclusive with
+  /// enable_filtering (filter thresholds are global).
   int shard_index = 0;
   int shard_count = 1;
 

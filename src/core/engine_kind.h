@@ -15,8 +15,7 @@ namespace dehealth {
 ///
 /// Every engine honors the same contract, spelled out in docs/ENGINES.md:
 /// deterministic given the config, bitwise-identical results for any
-/// thread count, unchanged under checkpoint resume, and --shards N merges
-/// bitwise-identical to N = 1.
+/// thread count, and unchanged under checkpoint resume.
 enum class EngineKind {
   /// The paper's structural-similarity attack (degree + landmark distance
   /// + stylometric attributes through the PR-6 kernel) — the default, and

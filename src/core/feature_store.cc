@@ -76,18 +76,18 @@ void ScoreBlockScalar(const BlockKernelArgs& a, double out[kScoreBlockWidth]) {
 
 }  // namespace internal
 
-FeatureStore FeatureStore::Build(const std::vector<UserFeatureView>& users) {
+FeatureStore FeatureStore::Build(const std::vector<UserFeatures>& users) {
   FeatureStore store;
   const int n = static_cast<int>(users.size());
   store.num_users_ = n;
   store.num_blocks_ = (n + kBlockWidth - 1) / kBlockWidth;
   const size_t padded = static_cast<size_t>(store.num_blocks_) * kBlockWidth;
 
-  for (const UserFeatureView& u : users) {
+  for (const UserFeatures& u : users) {
     store.hop_stride_ =
-        std::max(store.hop_stride_, static_cast<int>(u.hop->size()));
+        std::max(store.hop_stride_, static_cast<int>(u.hop.size()));
     store.whop_stride_ =
-        std::max(store.whop_stride_, static_cast<int>(u.weighted_hop->size()));
+        std::max(store.whop_stride_, static_cast<int>(u.weighted_hop.size()));
   }
 
   store.degree_.assign(padded, 0.0);
@@ -103,7 +103,7 @@ FeatureStore FeatureStore::Build(const std::vector<UserFeatureView>& users) {
   store.attr_total_.assign(static_cast<size_t>(n), 0.0);
 
   size_t total_attrs = 0;
-  for (const UserFeatureView& u : users) total_attrs += u.attributes->size();
+  for (const UserFeatures& u : users) total_attrs += u.attributes.size();
   store.attr_id_.reserve(total_attrs);
   store.attr_weight_.reserve(total_attrs);
 
@@ -116,7 +116,7 @@ FeatureStore FeatureStore::Build(const std::vector<UserFeatureView>& users) {
       if (v < n)
         stride = std::max(stride,
                           static_cast<int>(users[static_cast<size_t>(v)]
-                                               .ncs->size()));
+                                               .ncs.size()));
     }
     store.ncs_offset_[static_cast<size_t>(b)] = ncs_total;
     store.ncs_stride_[static_cast<size_t>(b)] = stride;
@@ -125,7 +125,7 @@ FeatureStore FeatureStore::Build(const std::vector<UserFeatureView>& users) {
   store.ncs_.assign(ncs_total, 0.0);
 
   for (int v = 0; v < n; ++v) {
-    const UserFeatureView& u = users[static_cast<size_t>(v)];
+    const UserFeatures& u = users[static_cast<size_t>(v)];
     const int b = v / kBlockWidth;
     const int lane = v % kBlockWidth;
     store.degree_[static_cast<size_t>(v)] = u.degree;
@@ -134,25 +134,25 @@ FeatureStore FeatureStore::Build(const std::vector<UserFeatureView>& users) {
     double* hop_base = store.hop_.data() +
                        static_cast<size_t>(b) * kBlockWidth *
                            static_cast<size_t>(store.hop_stride_);
-    for (size_t i = 0; i < u.hop->size(); ++i)
-      hop_base[i * kScoreBlockWidth + static_cast<size_t>(lane)] = (*u.hop)[i];
+    for (size_t i = 0; i < u.hop.size(); ++i)
+      hop_base[i * kScoreBlockWidth + static_cast<size_t>(lane)] = u.hop[i];
     double* whop_base = store.whop_.data() +
                         static_cast<size_t>(b) * kBlockWidth *
                             static_cast<size_t>(store.whop_stride_);
-    for (size_t i = 0; i < u.weighted_hop->size(); ++i)
+    for (size_t i = 0; i < u.weighted_hop.size(); ++i)
       whop_base[i * kScoreBlockWidth + static_cast<size_t>(lane)] =
-          (*u.weighted_hop)[i];
+          u.weighted_hop[i];
     double* ncs_base =
         store.ncs_.data() + store.ncs_offset_[static_cast<size_t>(b)];
-    for (size_t i = 0; i < u.ncs->size(); ++i)
-      ncs_base[i * kScoreBlockWidth + static_cast<size_t>(lane)] = (*u.ncs)[i];
+    for (size_t i = 0; i < u.ncs.size(); ++i)
+      ncs_base[i * kScoreBlockWidth + static_cast<size_t>(lane)] = u.ncs[i];
 
-    store.hop_norm_[static_cast<size_t>(v)] = VectorNorm(*u.hop);
-    store.whop_norm_[static_cast<size_t>(v)] = VectorNorm(*u.weighted_hop);
-    store.ncs_norm_[static_cast<size_t>(v)] = VectorNorm(*u.ncs);
+    store.hop_norm_[static_cast<size_t>(v)] = VectorNorm(u.hop);
+    store.whop_norm_[static_cast<size_t>(v)] = VectorNorm(u.weighted_hop);
+    store.ncs_norm_[static_cast<size_t>(v)] = VectorNorm(u.ncs);
 
     double total = 0.0;
-    for (const auto& [id, weight] : *u.attributes) {
+    for (const auto& [id, weight] : u.attributes) {
       store.attr_id_.push_back(id);
       store.attr_weight_.push_back(weight);
       store.max_attr_id_ = std::max(store.max_attr_id_, id);
@@ -168,21 +168,16 @@ FeatureStore FeatureStore::Build(const std::vector<UserFeatureView>& users) {
   return store;
 }
 
-ScoreQuery FeatureStore::MakeQuery(const UserFeatureView& query) const {
+ScoreQuery FeatureStore::MakeQuery(const UserFeatures& query) const {
   ScoreQuery q;
-  q.degree = query.degree;
-  q.weighted_degree = query.weighted_degree;
-  q.ncs = query.ncs;
-  q.hop = query.hop;
-  q.weighted_hop = query.weighted_hop;
-  q.attributes = query.attributes;
-  q.ncs_norm = VectorNorm(*query.ncs);
-  q.hop_norm = VectorNorm(*query.hop);
-  q.whop_norm = VectorNorm(*query.weighted_hop);
+  q.user = &query;
+  q.ncs_norm = VectorNorm(query.ncs);
+  q.hop_norm = VectorNorm(query.hop);
+  q.whop_norm = VectorNorm(query.weighted_hop);
 
   q.attrs_exact = attrs_exact_;
   double total = 0.0;
-  for (const auto& [id, weight] : *query.attributes) {
+  for (const auto& [id, weight] : query.attributes) {
     total += weight;
     if (!WeightIsExactInteger(weight)) q.attrs_exact = false;
   }
@@ -191,7 +186,7 @@ ScoreQuery FeatureStore::MakeQuery(const UserFeatureView& query) const {
   if (q.attrs_exact && max_attr_id_ >= 0) {
     q.attr_weight.assign(static_cast<size_t>(max_attr_id_) + 1, 0.0);
     q.attr_present.assign(static_cast<size_t>(max_attr_id_) + 1, 0);
-    for (const auto& [id, weight] : *query.attributes) {
+    for (const auto& [id, weight] : query.attributes) {
       if (id < 0 || id > max_attr_id_) continue;  // can't match any stored id
       q.attr_weight[static_cast<size_t>(id)] = weight;
       q.attr_present[static_cast<size_t>(id)] = 1;
@@ -204,7 +199,7 @@ double FeatureStore::AttrSimilarity(const ScoreQuery& q, int v) const {
   const size_t begin = attr_offset_[static_cast<size_t>(v)];
   const size_t end = attr_offset_[static_cast<size_t>(v) + 1];
   const size_t b_len = end - begin;
-  const auto& a = *q.attributes;
+  const auto& a = q.user->attributes;
   if (a.empty() && b_len == 0) return 0.0;
 
   if (q.attrs_exact && !q.attr_present.empty()) {
@@ -270,20 +265,13 @@ double FeatureStore::AttrSimilarity(const ScoreQuery& q, int v) const {
 
 namespace {
 
-/// Picks the widest available kernel at or below the resolved tier (a
-/// translation unit built without its -m flag contributes nullptr).
-/// Returns the tier that will actually run.
+/// The kernel of the resolved tier: AVX2 when requested and compiled in
+/// (a translation unit built without -mavx2 contributes nullptr), else the
+/// scalar golden kernel. Reports the tier that will actually run.
 BlockKernelFn SelectKernel(SimdMode resolved, SimdMode* actual) {
   if (resolved == SimdMode::kAvx2) {
     if (BlockKernelFn fn = internal::Avx2BlockKernel()) {
       *actual = SimdMode::kAvx2;
-      return fn;
-    }
-    resolved = SimdMode::kSse2;
-  }
-  if (resolved == SimdMode::kSse2) {
-    if (BlockKernelFn fn = internal::Sse2BlockKernel()) {
-      *actual = SimdMode::kSse2;
       return fn;
     }
   }
@@ -302,17 +290,18 @@ void FeatureStore::ScoreRow(const SimilarityConfig& config,
   obs::CoreMetrics& metrics = obs::GetCoreMetrics();
   metrics.simd_kernel->Set(static_cast<int64_t>(actual));
 
+  const UserFeatures& user = *q.user;
   BlockKernelArgs args;
-  args.q_degree = q.degree;
-  args.q_weighted_degree = q.weighted_degree;
-  args.q_ncs = q.ncs->data();
-  args.q_ncs_len = static_cast<int>(q.ncs->size());
+  args.q_degree = user.degree;
+  args.q_weighted_degree = user.weighted_degree;
+  args.q_ncs = user.ncs.data();
+  args.q_ncs_len = static_cast<int>(user.ncs.size());
   args.q_ncs_norm = q.ncs_norm;
-  args.q_hop = q.hop->data();
-  args.q_hop_len = static_cast<int>(q.hop->size());
+  args.q_hop = user.hop.data();
+  args.q_hop_len = static_cast<int>(user.hop.size());
   args.q_hop_norm = q.hop_norm;
-  args.q_whop = q.weighted_hop->data();
-  args.q_whop_len = static_cast<int>(q.weighted_hop->size());
+  args.q_whop = user.weighted_hop.data();
+  args.q_whop_len = static_cast<int>(user.weighted_hop.size());
   args.q_whop_norm = q.whop_norm;
   args.hop_stride = hop_stride_;
   args.whop_stride = whop_stride_;

@@ -16,15 +16,10 @@ namespace dehealth {
 /// scalar path computes per pair, once instead of once per candidate) and,
 /// when the attribute weights on both sides are exact small integers, a
 /// dense weight-by-id lookup table that turns the O(|A_u|+|A_v|) branchy
-/// merge into an O(|A_v|) scan. Borrows the query's feature vectors — they
-/// must outlive the ScoreQuery.
+/// merge into an O(|A_v|) scan. Borrows the query's features — they must
+/// outlive the ScoreQuery.
 struct ScoreQuery {
-  double degree = 0.0;
-  double weighted_degree = 0.0;
-  const std::vector<double>* ncs = nullptr;
-  const std::vector<double>* hop = nullptr;
-  const std::vector<double>* weighted_hop = nullptr;
-  const std::vector<std::pair<int, double>>* attributes = nullptr;
+  const UserFeatures* user = nullptr;
   double ncs_norm = 0.0;
   double hop_norm = 0.0;
   double whop_norm = 0.0;
@@ -64,8 +59,8 @@ class FeatureStore {
   FeatureStore() = default;
 
   /// Packs one side's features (typically the auxiliary side). Copies all
-  /// vector/attribute data; `users` views may be discarded afterwards.
-  static FeatureStore Build(const std::vector<UserFeatureView>& users);
+  /// vector/attribute data; `users` may be discarded afterwards.
+  static FeatureStore Build(const std::vector<UserFeatures>& users);
 
   int num_users() const { return num_users_; }
   int num_blocks() const { return num_blocks_; }
@@ -77,9 +72,9 @@ class FeatureStore {
   bool attrs_exact() const { return attrs_exact_; }
   int max_attribute_id() const { return max_attr_id_; }
 
-  /// Precomputes the per-query state for ScoreRow. `query`'s
-  /// vectors must outlive the returned ScoreQuery.
-  ScoreQuery MakeQuery(const UserFeatureView& query) const;
+  /// Precomputes the per-query state for ScoreRow. `query` must outlive
+  /// the returned ScoreQuery.
+  ScoreQuery MakeQuery(const UserFeatures& query) const;
 
   /// Scores `query` against every stored user into out[0..num_users()),
   /// running the block kernel of ResolveSimdMode(config.simd). Updates the

@@ -1,7 +1,7 @@
 // AVX2 block kernel. This translation unit is the only one compiled with
 // -mavx2 (see src/core/CMakeLists.txt); when the toolchain can't target
 // AVX2 the fallback stub below keeps the link whole and dispatch falls
-// through to SSE2/scalar.
+// through to the scalar kernel.
 //
 // Bitwise-identity rules (see feature_store_kernels.h): vectorize across
 // candidate lanes only, sequential ascending-order accumulation per lane,

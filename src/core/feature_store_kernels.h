@@ -2,9 +2,8 @@
 #define DEHEALTH_CORE_FEATURE_STORE_KERNELS_H_
 
 // Private contract between the FeatureStore driver (feature_store.cc) and
-// the per-ISA block kernels (feature_store.cc scalar,
-// feature_store_sse2.cc, feature_store_avx2.cc — the latter two built as
-// separate translation units so only they carry -m flags).
+// the per-ISA block kernels (feature_store.cc scalar, feature_store_avx2.cc
+// AVX2 — built as a separate translation unit so only it carries -mavx2).
 //
 // Every kernel scores ONE query against ONE block of
 // FeatureStore::kBlockWidth candidates and must be bitwise-identical to
@@ -62,9 +61,8 @@ using BlockKernelFn = void (*)(const BlockKernelArgs& args,
 void ScoreBlockScalar(const BlockKernelArgs& args,
                       double out[kScoreBlockWidth]);
 
-/// SSE2 / AVX2 kernels, or nullptr when the translation unit was built
-/// without the corresponding instruction set.
-BlockKernelFn Sse2BlockKernel();
+/// The AVX2 kernel, or nullptr when its translation unit was built without
+/// -mavx2.
 BlockKernelFn Avx2BlockKernel();
 
 }  // namespace dehealth::internal

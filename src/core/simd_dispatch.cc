@@ -11,8 +11,6 @@ const char* SimdModeName(SimdMode mode) {
       return "auto";
     case SimdMode::kScalar:
       return "scalar";
-    case SimdMode::kSse2:
-      return "sse2";
     case SimdMode::kAvx2:
       return "avx2";
   }
@@ -22,22 +20,17 @@ const char* SimdModeName(SimdMode mode) {
 StatusOr<SimdMode> ParseSimdMode(const std::string& value) {
   if (value == "auto") return SimdMode::kAuto;
   if (value == "scalar") return SimdMode::kScalar;
-  if (value == "sse2") return SimdMode::kSse2;
   if (value == "avx2") return SimdMode::kAvx2;
   return Status::InvalidArgument(
-      "simd mode must be auto, scalar, sse2, or avx2 (got '" + value + "')");
+      "simd mode must be auto, scalar, or avx2 (got '" + value + "')");
 }
 
 SimdMode DetectCpuSimd() {
-#if defined(__x86_64__) || defined(_M_X64)
-#if defined(__GNUC__) || defined(__clang__)
+#if (defined(__x86_64__) || defined(_M_X64)) && \
+    (defined(__GNUC__) || defined(__clang__))
   if (__builtin_cpu_supports("avx2")) return SimdMode::kAvx2;
 #endif
-  // SSE2 is part of the x86-64 baseline.
-  return SimdMode::kSse2;
-#else
   return SimdMode::kScalar;
-#endif
 }
 
 namespace {

@@ -13,26 +13,25 @@ namespace dehealth {
 enum class SimdMode {
   kAuto = 0,    // --simd/env/cpuid resolution (never a resolved value)
   kScalar = 1,  // portable golden path, one candidate lane at a time
-  kSse2 = 2,    // 2-wide doubles, x86-64 baseline
-  kAvx2 = 3,    // 4-wide doubles
+  kAvx2 = 3,    // 4-wide doubles (2 was the retired SSE2 tier)
 };
 
-/// Canonical lowercase name ("auto", "scalar", "sse2", "avx2").
+/// Canonical lowercase name ("auto", "scalar", "avx2").
 const char* SimdModeName(SimdMode mode);
 
 /// Parses a --simd flag value; InvalidArgument on anything but
-/// auto|scalar|sse2|avx2.
+/// auto|scalar|avx2.
 StatusOr<SimdMode> ParseSimdMode(const std::string& value);
 
-/// The widest tier the running CPU supports (kAvx2, kSse2, or kScalar).
+/// The widest tier the running CPU supports (kAvx2 or kScalar).
 SimdMode DetectCpuSimd();
 
 /// Resolves a requested mode to the tier that will actually run — never
 /// kAuto. Precedence: an explicit request wins; kAuto consults the
 /// DEHEALTH_SIMD environment variable (same spelling as --simd; read once
 /// per process) and then falls back to CPU detection. Requests wider than
-/// the CPU supports clamp down (e.g. kAvx2 on an SSE2-only machine runs
-/// kSse2); an unparseable DEHEALTH_SIMD is ignored with a one-time warning.
+/// the CPU supports clamp down (kAvx2 on a CPU without AVX2 runs kScalar);
+/// an unparseable DEHEALTH_SIMD is ignored with a one-time warning.
 SimdMode ResolveSimdMode(SimdMode requested);
 
 }  // namespace dehealth

@@ -59,6 +59,17 @@ double FlattenedAttributeSimilarityImpl(
   return sim;
 }
 
+/// The IDF of attribute `id` in `table` (default_weight when unseen).
+double IdfOf(const IdfTable& table, int id) {
+  const auto it = std::lower_bound(
+      table.weights.begin(), table.weights.end(), id,
+      [](const std::pair<int, double>& entry, int key) {
+        return entry.first < key;
+      });
+  return it != table.weights.end() && it->first == id ? it->second
+                                                      : table.default_weight;
+}
+
 }  // namespace
 
 double FlattenedAttributeSimilarity(
@@ -73,107 +84,96 @@ double FlattenedAttributeSimilarity(
   return FlattenedAttributeSimilarityImpl(a, b);
 }
 
+IdfTable ComputeIdfTable(const UdaGraph& auxiliary) {
+  std::unordered_map<int, int> document_frequency;
+  for (const UserProfile& profile : auxiliary.profiles)
+    for (const auto& [id, weight] : profile.attributes())
+      ++document_frequency[id];
+  const double n2 = static_cast<double>(auxiliary.num_users());
+  IdfTable table;
+  table.weights.reserve(document_frequency.size());
+  for (const auto& [id, df] : document_frequency)
+    table.weights.emplace_back(
+        id, std::log((1.0 + n2) / (1.0 + static_cast<double>(df))));
+  std::sort(table.weights.begin(), table.weights.end());
+  table.default_weight = std::log((1.0 + n2) / (1.0 + 0.0));
+  return table;
+}
+
+std::vector<UserFeatures> ComputeUserFeatures(const UdaGraph& side,
+                                              int num_landmarks,
+                                              int num_threads,
+                                              const IdfTable* idf) {
+  const int n = side.num_users();
+  const LandmarkIndex landmarks(side.graph, num_landmarks, num_threads);
+  std::vector<UserFeatures> users(static_cast<size_t>(n));
+  for (NodeId u = 0; u < n; ++u) {
+    UserFeatures& f = users[static_cast<size_t>(u)];
+    f.degree = side.graph.Degree(u);
+    f.weighted_degree = side.graph.WeightedDegree(u);
+    f.ncs = side.graph.NcsVector(u);
+    f.hop = landmarks.HopVector(u);
+    f.weighted_hop = landmarks.WeightedVector(u);
+    const auto& attributes = side.profiles[static_cast<size_t>(u)].attributes();
+    f.attributes.reserve(attributes.size());
+    for (const auto& [id, weight] : attributes)
+      f.attributes.emplace_back(
+          id, idf == nullptr ? weight : weight * IdfOf(*idf, id));
+  }
+  return users;
+}
+
 StructuralSimilarity::StructuralSimilarity(const UdaGraph& anonymized,
                                            const UdaGraph& auxiliary,
                                            SimilarityConfig config)
-    : anonymized_(anonymized), auxiliary_(auxiliary), config_(config) {
-  // Attribute document frequencies over the auxiliary side (IDF mode).
-  std::unordered_map<int, int> document_frequency;
-  if (config_.idf_weight_attributes) {
-    for (const UserProfile& profile : auxiliary_.profiles)
-      for (const auto& [id, weight] : profile.attributes())
-        ++document_frequency[id];
-  }
-  const double n2 = static_cast<double>(auxiliary_.num_users());
-  auto idf = [&](int id) {
-    if (!config_.idf_weight_attributes) return 1.0;
-    auto it = document_frequency.find(id);
-    const double df = it == document_frequency.end() ? 0.0 : it->second;
-    return std::log((1.0 + n2) / (1.0 + df));
-  };
-
-  const UdaGraph* sides[2] = {&anonymized_, &auxiliary_};
-  for (int s = 0; s < 2; ++s) {
-    const UdaGraph& side = *sides[s];
-    const int n = side.num_users();
-    const LandmarkIndex landmarks(side.graph, config_.num_landmarks,
-                                  config_.num_threads);
-    hop_vectors_[s].reserve(static_cast<size_t>(n));
-    weighted_vectors_[s].reserve(static_cast<size_t>(n));
-    ncs_vectors_[s].reserve(static_cast<size_t>(n));
-    attributes_[s].reserve(static_cast<size_t>(n));
-    for (NodeId u = 0; u < n; ++u) {
-      hop_vectors_[s].push_back(landmarks.HopVector(u));
-      weighted_vectors_[s].push_back(landmarks.WeightedVector(u));
-      ncs_vectors_[s].push_back(side.graph.NcsVector(u));
-      std::vector<std::pair<int, double>> scaled;
-      for (const auto& [id, weight] :
-           side.profiles[static_cast<size_t>(u)].attributes())
-        scaled.emplace_back(id, weight * idf(id));
-      attributes_[s].push_back(std::move(scaled));
-    }
-  }
-}
-
-int StructuralSimilarity::num_anonymized() const {
-  return anonymized_.num_users();
-}
-int StructuralSimilarity::num_auxiliary() const {
-  return auxiliary_.num_users();
+    : config_(config) {
+  // Both sides scale by the auxiliary side's document frequencies.
+  IdfTable idf;
+  if (config_.idf_weight_attributes) idf = ComputeIdfTable(auxiliary);
+  const IdfTable* scale = config_.idf_weight_attributes ? &idf : nullptr;
+  users_[0] = ComputeUserFeatures(anonymized, config_.num_landmarks,
+                                  config_.num_threads, scale);
+  users_[1] = ComputeUserFeatures(auxiliary, config_.num_landmarks,
+                                  config_.num_threads, scale);
 }
 
 double StructuralSimilarity::DegreeSimilarity(NodeId u, NodeId v) const {
-  const double du = anonymized_.graph.Degree(u);
-  const double dv = auxiliary_.graph.Degree(v);
-  const double wdu = anonymized_.graph.WeightedDegree(u);
-  const double wdv = auxiliary_.graph.WeightedDegree(v);
-  return MinMaxRatio(du, dv) + MinMaxRatio(wdu, wdv) +
-         CosineSimilarity(ncs_vectors_[0][static_cast<size_t>(u)],
-                          ncs_vectors_[1][static_cast<size_t>(v)]);
+  const UserFeatures& a = users_[0][static_cast<size_t>(u)];
+  const UserFeatures& b = users_[1][static_cast<size_t>(v)];
+  return MinMaxRatio(a.degree, b.degree) +
+         MinMaxRatio(a.weighted_degree, b.weighted_degree) +
+         CosineSimilarity(a.ncs, b.ncs);
 }
 
 double StructuralSimilarity::DistanceSimilarity(NodeId u, NodeId v) const {
-  return CosineSimilarity(hop_vectors_[0][static_cast<size_t>(u)],
-                          hop_vectors_[1][static_cast<size_t>(v)]) +
-         CosineSimilarity(weighted_vectors_[0][static_cast<size_t>(u)],
-                          weighted_vectors_[1][static_cast<size_t>(v)]);
+  const UserFeatures& a = users_[0][static_cast<size_t>(u)];
+  const UserFeatures& b = users_[1][static_cast<size_t>(v)];
+  return CosineSimilarity(a.hop, b.hop) +
+         CosineSimilarity(a.weighted_hop, b.weighted_hop);
 }
 
 double StructuralSimilarity::AttrSimilarity(NodeId u, NodeId v) const {
-  return FlattenedAttributeSimilarity(attributes_[0][static_cast<size_t>(u)],
-                                      attributes_[1][static_cast<size_t>(v)]);
+  return FlattenedAttributeSimilarity(
+      users_[0][static_cast<size_t>(u)].attributes,
+      users_[1][static_cast<size_t>(v)].attributes);
 }
 
 double CombinedStructuralScore(const SimilarityConfig& config,
-                               const UserFeatureView& u,
-                               const UserFeatureView& v) {
+                               const UserFeatures& u, const UserFeatures& v) {
   const double degree_sim = MinMaxRatio(u.degree, v.degree) +
                             MinMaxRatio(u.weighted_degree, v.weighted_degree) +
-                            CosineSimilarity(*u.ncs, *v.ncs);
-  const double distance_sim = CosineSimilarity(*u.hop, *v.hop) +
-                              CosineSimilarity(*u.weighted_hop, *v.weighted_hop);
-  const double attr_sim =
-      FlattenedAttributeSimilarity(*u.attributes, *v.attributes);
+                            CosineSimilarity(u.ncs, v.ncs);
+  const double distance_sim = CosineSimilarity(u.hop, v.hop) +
+                              CosineSimilarity(u.weighted_hop, v.weighted_hop);
+  const double attr_sim = FlattenedAttributeSimilarity(u.attributes,
+                                                       v.attributes);
   return config.c1 * degree_sim + config.c2 * distance_sim +
          config.c3 * attr_sim;
 }
 
 double StructuralSimilarity::Combined(NodeId u, NodeId v) const {
-  UserFeatureView view_u;
-  view_u.degree = anonymized_.graph.Degree(u);
-  view_u.weighted_degree = anonymized_.graph.WeightedDegree(u);
-  view_u.ncs = &ncs_vectors_[0][static_cast<size_t>(u)];
-  view_u.hop = &hop_vectors_[0][static_cast<size_t>(u)];
-  view_u.weighted_hop = &weighted_vectors_[0][static_cast<size_t>(u)];
-  view_u.attributes = &attributes_[0][static_cast<size_t>(u)];
-  UserFeatureView view_v;
-  view_v.degree = auxiliary_.graph.Degree(v);
-  view_v.weighted_degree = auxiliary_.graph.WeightedDegree(v);
-  view_v.ncs = &ncs_vectors_[1][static_cast<size_t>(v)];
-  view_v.hop = &hop_vectors_[1][static_cast<size_t>(v)];
-  view_v.weighted_hop = &weighted_vectors_[1][static_cast<size_t>(v)];
-  view_v.attributes = &attributes_[1][static_cast<size_t>(v)];
-  return CombinedStructuralScore(config_, view_u, view_v);
+  return CombinedStructuralScore(config_, users_[0][static_cast<size_t>(u)],
+                                 users_[1][static_cast<size_t>(v)]);
 }
 
 std::vector<std::vector<double>> StructuralSimilarity::ComputeMatrix() const {
@@ -190,34 +190,16 @@ std::vector<std::vector<double>> StructuralSimilarity::ComputeMatrix() const {
   // Pack the auxiliary side into the blocked SoA store once, then score
   // whole rows through the batched kernel — bitwise-identical to calling
   // Combined() per pair (tests/core/feature_store_test.cc pins this).
-  std::vector<UserFeatureView> aux_views(static_cast<size_t>(n2));
-  for (NodeId v = 0; v < n2; ++v) {
-    UserFeatureView& view = aux_views[static_cast<size_t>(v)];
-    view.degree = auxiliary_.graph.Degree(v);
-    view.weighted_degree = auxiliary_.graph.WeightedDegree(v);
-    view.ncs = &ncs_vectors_[1][static_cast<size_t>(v)];
-    view.hop = &hop_vectors_[1][static_cast<size_t>(v)];
-    view.weighted_hop = &weighted_vectors_[1][static_cast<size_t>(v)];
-    view.attributes = &attributes_[1][static_cast<size_t>(v)];
-  }
-  const FeatureStore store = FeatureStore::Build(aux_views);
+  const FeatureStore store = FeatureStore::Build(users_[1]);
 
   // Row-parallel: each task owns exactly one preallocated row, so the
   // result is bitwise-identical for any thread count.
   ParallelFor(
       0, n1,
       [&](int64_t u) {
-        UserFeatureView view_u;
         const auto su = static_cast<size_t>(u);
-        view_u.degree = anonymized_.graph.Degree(static_cast<NodeId>(u));
-        view_u.weighted_degree =
-            anonymized_.graph.WeightedDegree(static_cast<NodeId>(u));
-        view_u.ncs = &ncs_vectors_[0][su];
-        view_u.hop = &hop_vectors_[0][su];
-        view_u.weighted_hop = &weighted_vectors_[0][su];
-        view_u.attributes = &attributes_[0][su];
-        const ScoreQuery query = store.MakeQuery(view_u);
-        store.ScoreRow(config_, query, matrix[su].data());
+        store.ScoreRow(config_, store.MakeQuery(users_[0][su]),
+                       matrix[su].data());
       },
       config_.num_threads);
   return matrix;

@@ -39,16 +39,41 @@ struct SimilarityConfig {
   SimdMode simd = SimdMode::kAuto;
 };
 
-/// Borrowed view of one user's precomputed similarity features — the exact
-/// inputs of the pair-scoring kernel. All pointers must be non-null.
-struct UserFeatureView {
+/// One user's precomputed similarity features — the exact inputs of the
+/// pair-scoring kernel, and the one per-user record every scoring path
+/// keeps: StructuralSimilarity's two sides, the candidate index's
+/// auxiliary users and its anonymized queries, and the DHIX snapshot.
+/// `attributes` is sorted by id and IDF-scaled when IDF is on.
+struct UserFeatures {
   double degree = 0.0;
   double weighted_degree = 0.0;
-  const std::vector<double>* ncs = nullptr;
-  const std::vector<double>* hop = nullptr;
-  const std::vector<double>* weighted_hop = nullptr;
-  const std::vector<std::pair<int, double>>* attributes = nullptr;
+  std::vector<double> ncs;
+  std::vector<double> hop;
+  std::vector<double> weighted_hop;
+  std::vector<std::pair<int, double>> attributes;
 };
+
+/// Attribute IDF weights idf = log((1+n2)/(1+df)), with df counted over
+/// the n2 auxiliary users. Both sides scale by the auxiliary table, so the
+/// candidate index persists it and reuses it verbatim for its queries.
+struct IdfTable {
+  /// (attribute id, idf), sorted by id.
+  std::vector<std::pair<int, double>> weights;
+  /// IDF of an attribute never seen on the auxiliary side (df = 0).
+  double default_weight = 1.0;
+};
+
+/// The IDF table of `auxiliary`.
+IdfTable ComputeIdfTable(const UdaGraph& auxiliary);
+
+/// Every user's features on one side: degrees, NCS vectors, the vectors to
+/// the side's `num_landmarks` top-degree landmarks (precomputed across
+/// `num_threads` threads; results identical for any value), and the
+/// attribute list, each weight scaled by `idf` when it is non-null.
+std::vector<UserFeatures> ComputeUserFeatures(const UdaGraph& side,
+                                              int num_landmarks,
+                                              int num_threads,
+                                              const IdfTable* idf);
 
 /// The pair-scoring kernel s_uv = c1·s^d + c2·s^s + c3·s^a. Both the dense
 /// path (StructuralSimilarity::Combined) and the candidate index
@@ -56,16 +81,15 @@ struct UserFeatureView {
 /// bitwise-identical by construction — the determinism contract in
 /// DESIGN.md "Candidate index" depends on it.
 double CombinedStructuralScore(const SimilarityConfig& config,
-                               const UserFeatureView& u,
-                               const UserFeatureView& v);
+                               const UserFeatures& u, const UserFeatures& v);
 
-/// Precomputes everything needed to score anonymized-vs-auxiliary user
-/// pairs: landmark proximity vectors on both UDA graphs, NCS vectors, and
-/// flattened attribute lists. The three components are exposed separately
-/// (the theory benches and the ablation bench sweep them independently).
+/// Precomputes every anonymized and auxiliary user's features (landmark
+/// proximity vectors, NCS vectors, attribute lists) and scores pairs of
+/// them. The three components are exposed separately (the theory benches
+/// and the ablation bench sweep them independently).
 class StructuralSimilarity {
  public:
-  /// `anonymized` and `auxiliary` must outlive this object.
+  /// Copies what it needs: the graphs may be discarded afterwards.
   StructuralSimilarity(const UdaGraph& anonymized, const UdaGraph& auxiliary,
                        SimilarityConfig config = {});
 
@@ -90,21 +114,13 @@ class StructuralSimilarity {
   std::vector<std::vector<double>> ComputeMatrix() const;
 
   const SimilarityConfig& config() const { return config_; }
-  int num_anonymized() const;
-  int num_auxiliary() const;
+  int num_anonymized() const { return static_cast<int>(users_[0].size()); }
+  int num_auxiliary() const { return static_cast<int>(users_[1].size()); }
 
  private:
-  const UdaGraph& anonymized_;
-  const UdaGraph& auxiliary_;
   SimilarityConfig config_;
-
-  // Per-user precomputed vectors (index 0 = anonymized side, 1 = auxiliary).
-  std::vector<std::vector<double>> hop_vectors_[2];
-  std::vector<std::vector<double>> weighted_vectors_[2];
-  std::vector<std::vector<double>> ncs_vectors_[2];
-  // Flattened (attribute id, weight) lists for fast merge joins; weights
-  // are IDF-scaled when config_.idf_weight_attributes is set.
-  std::vector<std::vector<std::pair<int, double>>> attributes_[2];
+  // Per-user features (index 0 = anonymized side, 1 = auxiliary).
+  std::vector<UserFeatures> users_[2];
 };
 
 /// Standalone weighted-Jaccard attribute similarity over flattened

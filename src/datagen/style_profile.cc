@@ -206,7 +206,7 @@ std::string GeneratePost(const StyleProfile& profile,
 
       // Case habits.
       if (word == "i") {
-        if (!rng.NextBool(profile.lowercase_i_prob)) word = "I";
+        if (!rng.NextBool(profile.lowercase_i_prob)) word.assign(1, 'I');
       } else if (rng.NextBool(profile.allcaps_word_prob)) {
         word = ToAllUpper(word);
       }

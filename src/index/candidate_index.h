@@ -2,8 +2,6 @@
 #define DEHEALTH_INDEX_CANDIDATE_INDEX_H_
 
 #include <cstdint>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -12,19 +10,6 @@
 #include "core/uda_graph.h"
 
 namespace dehealth {
-
-/// One user's precomputed similarity features — exactly the per-side values
-/// the dense StructuralSimilarity precomputes, so the index can feed the
-/// shared CombinedStructuralScore kernel and reproduce dense scores
-/// bitwise. `attributes` is sorted by id and IDF-scaled (when enabled).
-struct IndexedUserFeatures {
-  double degree = 0.0;
-  double weighted_degree = 0.0;
-  std::vector<double> ncs;
-  std::vector<double> hop;
-  std::vector<double> weighted_hop;
-  std::vector<std::pair<int, double>> attributes;
-};
 
 /// Everything a candidate-index snapshot persists: the score-shaping config
 /// fields, a fingerprint of the auxiliary side the index was built from,
@@ -51,11 +36,10 @@ struct CandidateIndexData {
   uint32_t shard_count = 1;
   uint32_t shard_begin = 0;
   uint32_t shard_total = 0;
-  std::vector<IndexedUserFeatures> users;
-  /// (attribute id, idf weight), sorted by id; empty when IDF is off.
-  std::vector<std::pair<int, double>> idf_table;
-  /// IDF of an attribute never seen on the auxiliary side (df = 0).
-  double default_idf = 1.0;
+  std::vector<UserFeatures> users;
+  /// The auxiliary side's IDF table; empty weights (and default 1.0) when
+  /// IDF is off.
+  IdfTable idf;
 };
 
 /// Fingerprint of the auxiliary side used to detect stale snapshots:
@@ -64,7 +48,7 @@ struct CandidateIndexData {
 uint64_t FingerprintForIndex(const UdaGraph& side);
 
 /// A persistent auxiliary-side score index: the auxiliary users' similarity
-/// features (landmark vectors, NCS vectors, IDF-scaled attributes), packed
+/// features (ComputeUserFeatures, the builder the dense path uses), packed
 /// into a FeatureStore for the batched score kernel and persisted as a DHIX
 /// snapshot so a warm start skips the landmark precomputation. It answers
 /// exact per-anonymized-user scores WITHOUT forming the dense |Δ1|×|Δ2|
@@ -78,9 +62,8 @@ class CandidateIndex {
   static StatusOr<CandidateIndex> Build(const UdaGraph& auxiliary,
                                         const SimilarityConfig& config);
 
-  /// Wraps deserialized snapshot data, rebuilding the derived structures
-  /// (feature store, IDF lookup). InvalidArgument when the data is
-  /// internally inconsistent.
+  /// Wraps deserialized snapshot data, rebuilding the derived feature
+  /// store. InvalidArgument when the data is internally inconsistent.
   static StatusOr<CandidateIndex> FromData(CandidateIndexData data);
 
   int num_auxiliary() const { return static_cast<int>(data_.users.size()); }
@@ -97,24 +80,20 @@ class CandidateIndex {
   SimdMode simd_mode() const { return simd_mode_; }
   void set_simd_mode(SimdMode mode) { simd_mode_ = mode; }
 
-  /// IDF weight of an attribute id (1.0 when IDF scaling is off;
-  /// default_idf for ids unseen on the auxiliary side).
-  double IdfWeight(int attribute_id) const;
-
-  /// Query-side feature computation: landmark vectors on the anonymized
-  /// graph plus attributes scaled with the index's stored IDF table —
-  /// exactly what StructuralSimilarity precomputes for side 0.
-  std::vector<IndexedUserFeatures> ComputeQueryFeatures(
-      const UdaGraph& anonymized, int num_threads = 0) const;
+  /// Query-side features: ComputeUserFeatures on the anonymized graph with
+  /// the index's stored IDF table — exactly what StructuralSimilarity
+  /// precomputes for side 0.
+  std::vector<UserFeatures> ComputeQueryFeatures(const UdaGraph& anonymized,
+                                                 int num_threads = 0) const;
 
   /// Exact s_uv of a query against auxiliary user v (bitwise equal to the
   /// dense StructuralSimilarity::Combined).
-  double ExactScore(const IndexedUserFeatures& query, NodeId v) const;
+  double ExactScore(const UserFeatures& query, NodeId v) const;
 
   /// Exact scores of a query against every auxiliary user, in id order,
   /// into out[0..num_auxiliary()): one batched FeatureStore row scan,
   /// bitwise equal to per-pair ExactScore calls.
-  void ExactRowTo(const IndexedUserFeatures& query, double* out) const;
+  void ExactRowTo(const UserFeatures& query, double* out) const;
 
  private:
   explicit CandidateIndex(CandidateIndexData data);
@@ -124,7 +103,6 @@ class CandidateIndex {
   /// Blocked SoA mirror of data_.users for batched exact scoring (rebuilt
   /// by FromData; never persisted).
   FeatureStore store_;
-  std::unordered_map<int, double> idf_lookup_;
 };
 
 }  // namespace dehealth

@@ -36,19 +36,18 @@ struct AttackScoreSource {
 };
 
 /// Builds the score source the config asks for: the dense similarity
-/// matrix, or an IndexedCandidateSource over candidate-index slices — the
+/// matrix, or an IndexedCandidateSource over one candidate index — the
 /// whole index (config.use_index; loaded from config.index_snapshot_path
-/// when the snapshot matches, rebuilt + saved otherwise), N in-process
-/// shards (config.num_shards > 1), or one fleet slice
-/// (config.shard_count > 1 — local auxiliary ids over that shard's range).
-/// Every mode answers bitwise what the dense matrix answers. Matrix-backed
-/// engines (--engine=blind|community) are dense-only: they reject the
-/// index knobs and num_shards > 1, and slice mode keeps their shard's
-/// columns. Graceful degradation: an index that cannot be
-/// loaded/built/persisted falls back to the dense path with a warning
-/// (see `degraded_to_dense`) — an unusable snapshot file never takes the
-/// attack down with it. Defined in src/shard/attack_pipeline.cc (the
-/// sharded modes pull in src/shard/, which layers above src/index/).
+/// when the snapshot matches, rebuilt + saved otherwise), or one fleet
+/// slice (config.shard_count > 1 — local auxiliary ids over that shard's
+/// range). Every mode answers bitwise what the dense matrix answers.
+/// Matrix-backed engines (--engine=blind|community) are dense-only: they
+/// reject the index knobs, and slice mode keeps their shard's columns.
+/// Graceful degradation: an index that cannot be loaded/built/persisted
+/// falls back to the dense path with a warning (see `degraded_to_dense`)
+/// — an unusable snapshot file never takes the attack down with it.
+/// Defined in src/shard/attack_pipeline.cc (slice mode pulls in
+/// src/shard/, which layers above src/index/).
 StatusOr<std::unique_ptr<AttackScoreSource>> BuildAttackScoreSource(
     const UdaGraph& anonymized, const UdaGraph& auxiliary,
     const DeHealthConfig& config);

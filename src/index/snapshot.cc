@@ -123,15 +123,15 @@ std::string EncodeIndexSnapshot(const CandidateIndex& index) {
   Append(out, data.shard_begin);
   Append(out, data.shard_total);
 
-  Append(out, static_cast<uint32_t>(data.idf_table.size()));
-  for (const auto& [id, w] : data.idf_table) {
+  Append(out, static_cast<uint32_t>(data.idf.weights.size()));
+  for (const auto& [id, w] : data.idf.weights) {
     Append(out, static_cast<int32_t>(id));
     Append(out, w);
   }
-  Append(out, data.default_idf);
+  Append(out, data.idf.default_weight);
 
   Append(out, static_cast<uint32_t>(data.users.size()));
-  for (const IndexedUserFeatures& f : data.users) {
+  for (const UserFeatures& f : data.users) {
     Append(out, f.degree);
     Append(out, f.weighted_degree);
     AppendDoubleVector(out, f.ncs);
@@ -202,15 +202,15 @@ StatusOr<CandidateIndex> DecodeIndexSnapshot(const std::string& bytes,
   DEHEALTH_RETURN_IF_ERROR(reader.Read(&idf_count));
   if (!reader.CanHold(idf_count, sizeof(int32_t) + sizeof(double)))
     return reader.Fail("idf table length exceeds payload");
-  data.idf_table.reserve(idf_count);
+  data.idf.weights.reserve(idf_count);
   for (uint32_t i = 0; i < idf_count; ++i) {
     int32_t id = 0;
     double w = 0.0;
     DEHEALTH_RETURN_IF_ERROR(reader.Read(&id));
     DEHEALTH_RETURN_IF_ERROR(reader.Read(&w));
-    data.idf_table.emplace_back(id, w);
+    data.idf.weights.emplace_back(id, w);
   }
-  DEHEALTH_RETURN_IF_ERROR(reader.Read(&data.default_idf));
+  DEHEALTH_RETURN_IF_ERROR(reader.Read(&data.idf.default_weight));
 
   uint32_t num_users = 0;
   DEHEALTH_RETURN_IF_ERROR(reader.Read(&num_users));
@@ -219,7 +219,7 @@ StatusOr<CandidateIndex> DecodeIndexSnapshot(const std::string& bytes,
     return reader.Fail("user count exceeds payload");
   data.users.resize(num_users);
   for (uint32_t u = 0; u < num_users; ++u) {
-    IndexedUserFeatures& f = data.users[u];
+    UserFeatures& f = data.users[u];
     DEHEALTH_RETURN_IF_ERROR(reader.Read(&f.degree));
     DEHEALTH_RETURN_IF_ERROR(reader.Read(&f.weighted_degree));
     DEHEALTH_RETURN_IF_ERROR(reader.ReadDoubleVector(&f.ncs));

@@ -9,7 +9,7 @@
 namespace dehealth {
 
 /// Binary snapshot of a CandidateIndex (the persistent part of the index;
-/// inverted index and degree buckets are derived and rebuilt on load).
+/// the feature store is derived and rebuilt on load).
 ///
 /// Layout (little-endian):
 ///   magic "DHIX" | u32 version | payload | u64 FNV-1a checksum of payload

@@ -174,9 +174,7 @@ uint64_t JobConfigFingerprint(const DeHealthConfig& config) {
 
   // Slice identity: a job computed over shard i of N holds candidates for
   // a DIFFERENT id space than shard j (or the whole universe), so slices
-  // never interchange checkpoints. num_shards (in-process sharding) is
-  // deliberately excluded — merged results are bitwise-identical to an
-  // unsharded run, so those checkpoints DO interchange.
+  // never interchange checkpoints.
   Append(buf, static_cast<int32_t>(config.shard_index));
   Append(buf, static_cast<int32_t>(config.shard_count));
 

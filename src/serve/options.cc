@@ -42,19 +42,16 @@ StatusOr<DeHealthConfig> ParseAttackFlags(const FlagParser& flags) {
   if (shard_size < 1)
     return Status::InvalidArgument("--shard-size must be >= 1");
   config.job_shard_size = shard_size;
-  // Sharding (src/shard/): --shards partitions in-process; --shard-index /
-  // --shard-count make this process ONE slice of a router-fronted fleet.
-  OPTIONS_ASSIGN_OR_RETURN(shards, flags.GetInt("shards", 1));
+  // --shard-index / --shard-count make this process ONE slice of a
+  // router-fronted fleet (src/shard/).
   OPTIONS_ASSIGN_OR_RETURN(shard_index, flags.GetInt("shard-index", 0));
   OPTIONS_ASSIGN_OR_RETURN(shard_count, flags.GetInt("shard-count", 1));
-  if (shards < 1) return Status::InvalidArgument("--shards must be >= 1");
-  // The candidate index is a structural-kernel artifact, and in-process
-  // shards are index slices; the matrix-backed engines have nothing to
-  // load or slice, so combining them is a config error, not a degradation.
-  if (config.engine != EngineKind::kStructural &&
-      (config.use_index || shards > 1))
+  // The candidate index is a structural-kernel artifact; the matrix-backed
+  // engines have nothing to load, so combining them is a config error,
+  // not a degradation.
+  if (config.engine != EngineKind::kStructural && config.use_index)
     return Status::InvalidArgument(
-        std::string("--index/--index-path/--shards only apply to "
+        std::string("--index/--index-path only apply to "
                     "--engine=structural, not --engine=") +
         EngineKindName(config.engine));
   if (shard_count < 1)
@@ -62,26 +59,26 @@ StatusOr<DeHealthConfig> ParseAttackFlags(const FlagParser& flags) {
   if (shard_index < 0 || shard_index >= shard_count)
     return Status::InvalidArgument(
         "--shard-index must be in [0, --shard-count)");
-  if (shards > 1 && shard_count > 1)
-    return Status::InvalidArgument(
-        "--shards (in-process) and --shard-count (one slice of a fleet) "
-        "are mutually exclusive");
   if (shard_count > 1 && config.enable_filtering)
     return Status::InvalidArgument(
         "--filter needs universe-global thresholds and cannot run on a "
-        "shard slice (--shard-count > 1); filter behind the router instead");
-  config.num_shards = shards;
+        "shard slice (--shard-count > 1); filter in one unsharded process "
+        "instead");
   config.shard_index = shard_index;
   config.shard_count = shard_count;
   const std::string learner = flags.Get("learner", "smo");
-  if (learner == "knn") {
+  if (learner == "smo") {
+    config.refined.learner = LearnerKind::kSmoSvm;
+  } else if (learner == "knn") {
     config.refined.learner = LearnerKind::kKnn;
   } else if (learner == "rlsc") {
     config.refined.learner = LearnerKind::kRlsc;
   } else if (learner == "centroid") {
     config.refined.learner = LearnerKind::kNearestCentroid;
   } else {
-    config.refined.learner = LearnerKind::kSmoSvm;
+    return Status::InvalidArgument(
+        "--learner must be smo, knn, rlsc, or centroid (got '" + learner +
+        "')");
   }
   return config;
 }

@@ -11,7 +11,7 @@ namespace dehealth {
 /// Single source of truth for the attack-shaping command-line flags shared
 /// by dehealth_cli and dehealth_serve (--k, --engine, --learner,
 /// --threads, --idf, --simd, --index, --index-path, --filter, --job-dir,
-/// --shard-size, --shards, --shard-index, --shard-count).
+/// --shard-size, --shard-index, --shard-count).
 /// Keeping one mapping is what lets the smoke test compare
 /// the two binaries bit for bit: a flag both accept must configure both
 /// identically — including the checkpoint store, so a serve warm start can

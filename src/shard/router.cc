@@ -91,7 +91,7 @@ obs::Gauge* BackendGauge(obs::Registry& registry, const std::string& tag,
 /// upgrade.
 std::string BackendTag(size_t group, size_t replica, size_t group_size) {
   std::string tag = std::to_string(group);
-  if (group_size > 1) tag += "_" + std::to_string(replica);
+  if (group_size > 1) tag.append("_").append(std::to_string(replica));
   return tag;
 }
 
@@ -728,7 +728,7 @@ std::string RouterHandler::ForwardedMetrics() const {
     for (size_t r = 0; r < groups_[g].size(); ++r) {
       const Backend& backend = groups_[g][r];
       std::string label = std::to_string(g);
-      if (groups_[g].size() > 1) label += "." + std::to_string(r);
+      if (groups_[g].size() > 1) label.append(".").append(std::to_string(r));
       const std::string where = backend.address.host + ":" +
                                 std::to_string(backend.address.port);
       // Fresh fail-fast connection per scrape: the scatter client belongs

@@ -1,8 +1,6 @@
 #include "shard/shard_index.h"
 
 #include <cstdio>
-#include <optional>
-#include <utility>
 
 #include "index/snapshot.h"
 #include "obs/standard_metrics.h"
@@ -45,53 +43,6 @@ void QuarantineShardSnapshot(const std::string& path) {
                path.c_str(), quarantined.c_str());
 }
 
-/// Tries to satisfy shard (shard_index of shard_count) from its snapshot
-/// file. Returns the index on a fresh match; nullopt when the shard must
-/// be rebuilt (missing, stale, or corrupt-and-quarantined file).
-std::optional<CandidateIndex> TryLoadShard(const std::string& snapshot_path,
-                                           const SimilarityConfig& config,
-                                           uint64_t universe_fingerprint,
-                                           ShardRange range, int shard_index,
-                                           int shard_count,
-                                           int universe_size) {
-  if (snapshot_path.empty()) return std::nullopt;
-  const std::string path =
-      ShardSnapshotPath(snapshot_path, shard_index, shard_count);
-  StatusOr<CandidateIndex> loaded = LoadIndexSnapshot(path);
-  if (!loaded.ok()) {
-    // A missing file is the normal first run; anything else on disk is a
-    // damaged snapshot (bad magic/checksum/bounds) — quarantine it so only
-    // THIS shard pays the rebuild.
-    if (loaded.status().code() != StatusCode::kNotFound)
-      QuarantineShardSnapshot(path);
-    return std::nullopt;
-  }
-  if (!ShardSnapshotMatches(loaded->data(), config, universe_fingerprint,
-                            range, shard_index, shard_count, universe_size))
-    return std::nullopt;
-  loaded->set_simd_mode(config.simd);
-  obs::GetIndexMetrics().snapshot_loads->Increment();
-  return std::move(loaded).value();
-}
-
-/// The shared rebuild path: slice `full` (built once by the caller) into
-/// shard `shard_index` and persist it when a snapshot path is configured.
-StatusOr<CandidateIndex> SliceAndSave(const CandidateIndex& full,
-                                      const std::string& snapshot_path,
-                                      const SimilarityConfig& config,
-                                      ShardRange range, int shard_index,
-                                      int shard_count) {
-  StatusOr<CandidateIndex> shard = CandidateIndex::FromData(
-      SliceIndexData(full.data(), range, shard_index, shard_count));
-  if (!shard.ok()) return shard.status();
-  shard->set_simd_mode(config.simd);
-  obs::GetIndexMetrics().snapshot_rebuilds->Increment();
-  if (!snapshot_path.empty())
-    DEHEALTH_RETURN_IF_ERROR(SaveIndexSnapshot(
-        *shard, ShardSnapshotPath(snapshot_path, shard_index, shard_count)));
-  return shard;
-}
-
 }  // namespace
 
 CandidateIndexData SliceIndexData(const CandidateIndexData& full,
@@ -112,50 +63,8 @@ CandidateIndexData SliceIndexData(const CandidateIndexData& full,
                      full.users.begin() + range.end);
   // The GLOBAL idf table, verbatim: shard-local document frequencies would
   // change attribute weights and break bitwise identity with N = 1.
-  slice.idf_table = full.idf_table;
-  slice.default_idf = full.default_idf;
+  slice.idf = full.idf;
   return slice;
-}
-
-StatusOr<std::vector<CandidateIndex>> BuildShardIndexes(
-    const std::string& snapshot_path, const UdaGraph& auxiliary,
-    const SimilarityConfig& config, int num_shards) {
-  if (num_shards < 1)
-    return Status::InvalidArgument("BuildShardIndexes: num_shards must be >= 1");
-  obs::Span span("shard", "build_shard_indexes");
-  span.SetArg("shards", static_cast<int64_t>(num_shards));
-  const int universe_size = auxiliary.num_users();
-  const std::vector<ShardRange> ranges =
-      ComputeShardRanges(universe_size, num_shards);
-  const uint64_t universe_fingerprint = FingerprintForIndex(auxiliary);
-
-  std::vector<CandidateIndex> shards;
-  shards.reserve(static_cast<size_t>(num_shards));
-  // The full build is the expensive part (landmark BFS over the whole
-  // graph); do it at most once, and only if some shard misses its
-  // snapshot.
-  std::optional<CandidateIndex> full;
-  for (int i = 0; i < num_shards; ++i) {
-    const ShardRange range = ranges[static_cast<size_t>(i)];
-    std::optional<CandidateIndex> loaded =
-        TryLoadShard(snapshot_path, config, universe_fingerprint, range, i,
-                     num_shards, universe_size);
-    if (loaded.has_value()) {
-      shards.push_back(std::move(*loaded));
-      continue;
-    }
-    if (!full.has_value()) {
-      StatusOr<CandidateIndex> built =
-          CandidateIndex::Build(auxiliary, config);
-      if (!built.ok()) return built.status();
-      full = std::move(built).value();
-    }
-    StatusOr<CandidateIndex> shard =
-        SliceAndSave(*full, snapshot_path, config, range, i, num_shards);
-    if (!shard.ok()) return shard.status();
-    shards.push_back(std::move(shard).value());
-  }
-  return shards;
 }
 
 StatusOr<CandidateIndex> LoadOrBuildShardIndex(
@@ -167,16 +76,37 @@ StatusOr<CandidateIndex> LoadOrBuildShardIndex(
   const int universe_size = auxiliary.num_users();
   const ShardRange range = ComputeShardRanges(
       universe_size, shard_count)[static_cast<size_t>(shard_index)];
-  const uint64_t universe_fingerprint = FingerprintForIndex(auxiliary);
-  std::optional<CandidateIndex> loaded =
-      TryLoadShard(snapshot_path, config, universe_fingerprint, range,
-                   shard_index, shard_count, universe_size);
-  if (loaded.has_value()) return std::move(*loaded);
+  const std::string path =
+      snapshot_path.empty()
+          ? ""
+          : ShardSnapshotPath(snapshot_path, shard_index, shard_count);
+  if (!path.empty()) {
+    StatusOr<CandidateIndex> loaded = LoadIndexSnapshot(path);
+    if (loaded.ok() &&
+        ShardSnapshotMatches(loaded->data(), config,
+                             FingerprintForIndex(auxiliary), range,
+                             shard_index, shard_count, universe_size)) {
+      loaded->set_simd_mode(config.simd);
+      obs::GetIndexMetrics().snapshot_loads->Increment();
+      return loaded;
+    }
+    // A missing file is the normal first run and a stale one is simply
+    // rebuilt; anything else on disk is a damaged snapshot (bad
+    // magic/checksum/bounds) — quarantine it so only THIS shard pays the
+    // rebuild.
+    if (!loaded.ok() && loaded.status().code() != StatusCode::kNotFound)
+      QuarantineShardSnapshot(path);
+  }
   obs::Span span("shard", "shard_index_rebuild");
   StatusOr<CandidateIndex> full = CandidateIndex::Build(auxiliary, config);
   if (!full.ok()) return full.status();
-  return SliceAndSave(*full, snapshot_path, config, range, shard_index,
-                      shard_count);
+  StatusOr<CandidateIndex> shard = CandidateIndex::FromData(
+      SliceIndexData(full->data(), range, shard_index, shard_count));
+  if (!shard.ok()) return shard.status();
+  shard->set_simd_mode(config.simd);
+  obs::GetIndexMetrics().snapshot_rebuilds->Increment();
+  if (!path.empty()) DEHEALTH_RETURN_IF_ERROR(SaveIndexSnapshot(*shard, path));
+  return shard;
 }
 
 }  // namespace dehealth

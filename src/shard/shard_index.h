@@ -2,7 +2,6 @@
 #define DEHEALTH_SHARD_SHARD_INDEX_H_
 
 #include <string>
-#include <vector>
 
 #include "common/status.h"
 #include "core/similarity.h"
@@ -21,25 +20,18 @@ CandidateIndexData SliceIndexData(const CandidateIndexData& full,
                                   ShardRange range, int shard_index,
                                   int shard_count);
 
-/// The N per-shard candidate indexes for an in-process sharded run,
-/// partitioning `auxiliary` via ComputeShardRanges. With a non-empty
-/// `snapshot_path` each shard persists/loads its own
-/// ShardSnapshotPath(snapshot_path, i, n) file; fresh shard snapshots
-/// (config + universe fingerprint + shard identity all matching) are
-/// reused, stale or missing ones are rebuilt by slicing ONE full
-/// in-memory build (done lazily, at most once), and corrupt ones are
-/// quarantined (renamed to `<file>.quarantined`, counted by
-/// dehealth_shard_snapshot_quarantines_total) before the rebuild — a bad
-/// file never takes the run down, a failing save does (the caller asked
-/// for persistence).
-StatusOr<std::vector<CandidateIndex>> BuildShardIndexes(
-    const std::string& snapshot_path, const UdaGraph& auxiliary,
-    const SimilarityConfig& config, int num_shards);
-
 /// One shard's index for a slice-mode backend process (dehealth_serve
-/// --shard-index=i --shard-count=n): same load / quarantine / rebuild
-/// policy as BuildShardIndexes but touches only shard i, so N backends can
-/// each build their own slice from the shared auxiliary dataset.
+/// --shard-index=i --shard-count=n), partitioning `auxiliary` via
+/// ComputeShardRanges. With a non-empty `snapshot_path` the shard
+/// persists/loads its own ShardSnapshotPath(snapshot_path, i, n) file: a
+/// fresh snapshot (config + universe fingerprint + shard identity all
+/// matching) is reused, a stale or missing one is rebuilt by slicing one
+/// full in-memory build, and a corrupt one is quarantined (renamed to
+/// `<file>.quarantined`, counted by
+/// dehealth_shard_snapshot_quarantines_total) before the rebuild — a bad
+/// file never takes the backend down, a failing save does (the caller
+/// asked for persistence). N backends can each build their own slice from
+/// the shared auxiliary dataset.
 StatusOr<CandidateIndex> LoadOrBuildShardIndex(
     const std::string& snapshot_path, const UdaGraph& auxiliary,
     const SimilarityConfig& config, int shard_index, int shard_count);

@@ -105,11 +105,38 @@ run_cli(1 attack --anonymized "${WORK_DIR}/anon.jsonl"
 if(NOT RUN_ERR MATCHES "unknown flag")
   message(FATAL_ERROR "retired --max-candidates error unclear: ${RUN_ERR}")
 endif()
-# Matrix-backed engines have no index to slice: --shards is a config error.
+# In-process sharding is retired: splitting the universe is the fleet's
+# job (--shard-count behind the router).
 run_cli(1 attack --anonymized "${WORK_DIR}/anon.jsonl"
-        --auxiliary "${WORK_DIR}/aux.jsonl" --engine blind --shards 2)
-if(NOT RUN_ERR MATCHES "--shards only apply to --engine=structural")
-  message(FATAL_ERROR "--engine blind --shards error unclear: ${RUN_ERR}")
+        --auxiliary "${WORK_DIR}/aux.jsonl" --shards 2)
+if(NOT RUN_ERR MATCHES "unknown flag --shards")
+  message(FATAL_ERROR "retired --shards error unclear: ${RUN_ERR}")
+endif()
+# Matrix-backed engines have no index: --index is a config error.
+run_cli(1 attack --anonymized "${WORK_DIR}/anon.jsonl"
+        --auxiliary "${WORK_DIR}/aux.jsonl" --engine blind --index)
+if(NOT RUN_ERR MATCHES "--index/--index-path only apply to --engine=structural")
+  message(FATAL_ERROR "--engine blind --index error unclear: ${RUN_ERR}")
+endif()
+# Enumerated flags reject values outside their lists instead of falling
+# back to a default.
+run_cli(1 attack --anonymized "${WORK_DIR}/anon.jsonl"
+        --auxiliary "${WORK_DIR}/aux.jsonl" --learner centriod)
+if(NOT RUN_ERR MATCHES "--learner must be smo, knn, rlsc, or centroid")
+  message(FATAL_ERROR "misspelled --learner error unclear: ${RUN_ERR}")
+endif()
+run_cli(1 attack --anonymized "${WORK_DIR}/anon.jsonl"
+        --auxiliary "${WORK_DIR}/aux.jsonl" --simd sse2)
+if(NOT RUN_ERR MATCHES "simd mode must be auto, scalar, or avx2")
+  message(FATAL_ERROR "retired --simd sse2 error unclear: ${RUN_ERR}")
+endif()
+run_cli(1 generate --preset healthboards --users 10
+        --out "${WORK_DIR}/never.jsonl")
+if(NOT RUN_ERR MATCHES "--preset must be webmd or hb")
+  message(FATAL_ERROR "unknown --preset error unclear: ${RUN_ERR}")
+endif()
+if(EXISTS "${WORK_DIR}/never.jsonl")
+  message(FATAL_ERROR "rejected --preset must not write a dataset")
 endif()
 # Graceful degradation: an unusable index snapshot path must not take the
 # attack down — it warns and falls back to the dense similarity path, and

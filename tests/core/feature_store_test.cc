@@ -1,5 +1,5 @@
 // Equivalence suite for the blocked SoA feature store and its batched
-// score kernel: every SIMD tier (scalar, SSE2, AVX2, auto) must be
+// score kernel: every SIMD tier (scalar, AVX2, auto) must be
 // BITWISE-identical to the golden per-pair CombinedStructuralScore — on
 // synthetic edge-case features (empty/odd/non-multiple-of-8 vector
 // lengths, mismatched hop lengths, all-zero norms, empty attribute lists,
@@ -24,30 +24,8 @@
 namespace dehealth {
 namespace {
 
-const SimdMode kAllModes[] = {SimdMode::kScalar, SimdMode::kSse2,
-                              SimdMode::kAvx2, SimdMode::kAuto};
-
-/// Owns one synthetic user's feature vectors (UserFeatureView only
-/// borrows).
-struct FakeUser {
-  double degree = 0.0;
-  double weighted_degree = 0.0;
-  std::vector<double> ncs;
-  std::vector<double> hop;
-  std::vector<double> weighted_hop;
-  std::vector<std::pair<int, double>> attributes;
-};
-
-UserFeatureView ViewOf(const FakeUser& u) {
-  UserFeatureView view;
-  view.degree = u.degree;
-  view.weighted_degree = u.weighted_degree;
-  view.ncs = &u.ncs;
-  view.hop = &u.hop;
-  view.weighted_hop = &u.weighted_hop;
-  view.attributes = &u.attributes;
-  return view;
-}
+const SimdMode kAllModes[] = {SimdMode::kScalar, SimdMode::kAvx2,
+                              SimdMode::kAuto};
 
 ::testing::AssertionResult BitsEqual(double expected, double actual) {
   if (std::bit_cast<uint64_t>(expected) == std::bit_cast<uint64_t>(actual))
@@ -60,24 +38,20 @@ UserFeatureView ViewOf(const FakeUser& u) {
 
 /// Asserts ScoreRow reproduces the golden kernel bitwise for every SIMD
 /// tier.
-void ExpectStoreMatchesGolden(const std::vector<FakeUser>& queries,
-                              const std::vector<FakeUser>& candidates,
+void ExpectStoreMatchesGolden(const std::vector<UserFeatures>& queries,
+                              const std::vector<UserFeatures>& candidates,
                               const SimilarityConfig& base_config) {
-  std::vector<UserFeatureView> views;
-  views.reserve(candidates.size());
-  for (const FakeUser& c : candidates) views.push_back(ViewOf(c));
-  const FeatureStore store = FeatureStore::Build(views);
+  const FeatureStore store = FeatureStore::Build(candidates);
   ASSERT_EQ(store.num_users(), static_cast<int>(candidates.size()));
 
   for (size_t qi = 0; qi < queries.size(); ++qi) {
     SCOPED_TRACE("query=" + std::to_string(qi));
-    const UserFeatureView query_view = ViewOf(queries[qi]);
     std::vector<double> golden(candidates.size());
     for (size_t v = 0; v < candidates.size(); ++v)
       golden[v] =
-          CombinedStructuralScore(base_config, query_view, views[v]);
+          CombinedStructuralScore(base_config, queries[qi], candidates[v]);
 
-    const ScoreQuery q = store.MakeQuery(query_view);
+    const ScoreQuery q = store.MakeQuery(queries[qi]);
     for (const SimdMode mode : kAllModes) {
       SCOPED_TRACE(std::string("simd=") + SimdModeName(mode));
       SimilarityConfig config = base_config;
@@ -93,8 +67,8 @@ void ExpectStoreMatchesGolden(const std::vector<FakeUser>& queries,
 TEST(SimdDispatchTest, ParseAndNames) {
   EXPECT_EQ(*ParseSimdMode("auto"), SimdMode::kAuto);
   EXPECT_EQ(*ParseSimdMode("scalar"), SimdMode::kScalar);
-  EXPECT_EQ(*ParseSimdMode("sse2"), SimdMode::kSse2);
   EXPECT_EQ(*ParseSimdMode("avx2"), SimdMode::kAvx2);
+  EXPECT_FALSE(ParseSimdMode("sse2").ok());  // retired tier
   EXPECT_FALSE(ParseSimdMode("avx512").ok());
   EXPECT_FALSE(ParseSimdMode("").ok());
   for (const SimdMode mode : kAllModes)
@@ -114,7 +88,7 @@ TEST(SimdDispatchTest, ResolveNeverReturnsAutoAndHonorsScalar) {
 TEST(FeatureStoreTest, EdgeCaseShapesMatchGoldenBitwise) {
   // Candidate counts around the block width: this set has 13 users, so the
   // store runs one full 8-lane block plus a 5-lane remainder.
-  std::vector<FakeUser> candidates;
+  std::vector<UserFeatures> candidates;
   // 0: everything empty (all-zero norms, no attributes).
   candidates.push_back({});
   // 1: degree-only user.
@@ -138,7 +112,7 @@ TEST(FeatureStoreTest, EdgeCaseShapesMatchGoldenBitwise) {
        {{1, 0.69314718055994531}, {5, 2.3025850929940457}}});
   // 7-12: fill past one block with varying shapes.
   for (int i = 0; i < 6; ++i) {
-    FakeUser u;
+    UserFeatures u;
     u.degree = static_cast<double>(i);
     u.weighted_degree = 0.5 * static_cast<double>(i);
     for (int j = 0; j <= i; ++j) {
@@ -150,7 +124,7 @@ TEST(FeatureStoreTest, EdgeCaseShapesMatchGoldenBitwise) {
     candidates.push_back(std::move(u));
   }
 
-  std::vector<FakeUser> queries;
+  std::vector<UserFeatures> queries;
   // Empty query; degree-only; typical; all-zero vectors; hop length
   // mismatching the store stride in both directions.
   queries.push_back({});
@@ -171,9 +145,9 @@ TEST(FeatureStoreTest, CandidateCountsAroundBlockWidth) {
   // exact blocks, and non-multiple-of-8 remainders.
   for (const int n : {0, 1, 7, 8, 9, 16, 19}) {
     SCOPED_TRACE("candidates=" + std::to_string(n));
-    std::vector<FakeUser> candidates;
+    std::vector<UserFeatures> candidates;
     for (int i = 0; i < n; ++i) {
-      FakeUser u;
+      UserFeatures u;
       u.degree = static_cast<double>(i % 5);
       u.weighted_degree = 1.5 * static_cast<double>(i % 3);
       for (int j = 0; j < i % 4; ++j) u.ncs.push_back(1.0 + j);
@@ -183,7 +157,7 @@ TEST(FeatureStoreTest, CandidateCountsAroundBlockWidth) {
       if (i % 2 == 0) u.attributes = {{i % 6, 1.0}, {10 + i, 3.0}};
       candidates.push_back(std::move(u));
     }
-    std::vector<FakeUser> queries;
+    std::vector<UserFeatures> queries;
     queries.push_back({2.0, 3.0, {1.0, 2.0}, {1.0, 1.0, 2.0},
                        {0.25, 0.5, 0.25}, {{2, 1.0}, {12, 2.0}}});
     ExpectStoreMatchesGolden(queries, candidates, SimilarityConfig{});

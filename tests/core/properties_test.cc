@@ -88,7 +88,9 @@ TEST_P(TopKPropertyTest, SuccessCurveMonotone) {
   int overlapping = 0;
   for (int t : truth)
     if (t >= 0) ++overlapping;
-  if (overlapping > 0) EXPECT_EQ(curve.back(), 1.0);
+  if (overlapping > 0) {
+    EXPECT_EQ(curve.back(), 1.0);
+  }
 }
 
 TEST_P(TopKPropertyTest, GraphMatchingSetsAreSubsetsOfUniverse) {

@@ -95,7 +95,9 @@ TEST(ApplyDefenseTest, SubsamplingKeepsAtLeastOnePostPerUser) {
   const auto counts = defended->PostCounts();
   const auto original_counts = forum->dataset.PostCounts();
   for (size_t u = 0; u < counts.size(); ++u) {
-    if (original_counts[u] > 0) EXPECT_GE(counts[u], 1) << u;
+    if (original_counts[u] > 0) {
+      EXPECT_GE(counts[u], 1) << u;
+    }
     EXPECT_LE(counts[u], original_counts[u]);
   }
 }

@@ -2,8 +2,8 @@
 // blind, and community alike, all through BuildAttackScoreSource (the one
 // place every score-source mode meets):
 //   - bitwise-identical scores and candidate sets for 1/4/8 threads;
-//   - structural --shards {2,3} answers bitwise-equal to unsharded, and
-//     the matrix-backed engines rejecting --shards;
+//   - structural --index answers bitwise-equal to the dense matrix, and
+//     the matrix-backed engines rejecting --index;
 //   - checkpointed job runs (fresh AND resumed-from-complete) equal to
 //     the one-shot pipeline;
 //   - a job directory written under one engine fails closed under
@@ -26,12 +26,12 @@ namespace dehealth {
 namespace {
 
 DeHealthConfig EngineConfig(EngineKind engine, int num_threads = 1,
-                            int num_shards = 1) {
+                            bool use_index = false) {
   DeHealthConfig config;
   config.engine = engine;
   config.top_k = 5;
   config.num_threads = num_threads;
-  config.num_shards = num_shards;
+  config.use_index = use_index;
   config.refined.learner = LearnerKind::kNearestCentroid;
   return config;
 }
@@ -93,34 +93,35 @@ TEST_P(EngineConformanceTest, TopKIdenticalAcrossThreadCounts) {
 }
 
 TEST_P(EngineConformanceTest, ShardedAnswersEqualUnsharded) {
+  // Fleet slices are checked against the whole index in
+  // tests/shard/sharded_source_test.cc; here the whole index (--index)
+  // must answer bitwise what the dense matrix answers.
   if (GetParam() != EngineKind::kStructural) {
-    // In-process shards are candidate-index slices, and the matrix-backed
-    // engines have no index: --shards is a config error, as --index is.
-    auto sharded = BuildAttackScoreSource(*anon_, *aux_,
-                                          EngineConfig(GetParam(), 2, 2));
-    ASSERT_FALSE(sharded.ok());
-    EXPECT_EQ(sharded.status().code(), StatusCode::kInvalidArgument);
+    // The matrix-backed engines have no index: --index is a config error.
+    auto indexed = BuildAttackScoreSource(*anon_, *aux_,
+                                          EngineConfig(GetParam(), 2, true));
+    ASSERT_FALSE(indexed.ok());
+    EXPECT_EQ(indexed.status().code(), StatusCode::kInvalidArgument);
     return;
   }
-  auto whole = BuildAttackScoreSource(*anon_, *aux_,
-                                      EngineConfig(GetParam(), 2, 1));
-  ASSERT_TRUE(whole.ok());
-  auto golden = (*whole)->source->TopK(5, 2);
+  auto dense = BuildAttackScoreSource(*anon_, *aux_,
+                                      EngineConfig(GetParam(), 2));
+  ASSERT_TRUE(dense.ok());
+  auto golden = (*dense)->source->TopK(5, 2);
   ASSERT_TRUE(golden.ok());
   const std::vector<int> probe = {0, 3, anon_->num_users() - 1};
-  auto golden_probe = (*whole)->source->TopKForUsers(probe, 5, 2);
+  auto golden_probe = (*dense)->source->TopKForUsers(probe, 5, 2);
   ASSERT_TRUE(golden_probe.ok());
-  for (const int shards : {2, 3}) {
-    auto sharded = BuildAttackScoreSource(
-        *anon_, *aux_, EngineConfig(GetParam(), 2, shards));
-    ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
-    auto merged = (*sharded)->source->TopK(5, 2);
-    ASSERT_TRUE(merged.ok());
-    EXPECT_EQ(*golden, *merged) << shards << " shards";
-    auto merged_probe = (*sharded)->source->TopKForUsers(probe, 5, 2);
-    ASSERT_TRUE(merged_probe.ok());
-    EXPECT_EQ(*golden_probe, *merged_probe) << shards << " shards";
-  }
+  auto indexed = BuildAttackScoreSource(*anon_, *aux_,
+                                        EngineConfig(GetParam(), 2, true));
+  ASSERT_TRUE(indexed.ok()) << indexed.status().ToString();
+  EXPECT_TRUE((*indexed)->similarity.empty());  // the matrix is never formed
+  auto got = (*indexed)->source->TopK(5, 2);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(*golden, *got);
+  auto got_probe = (*indexed)->source->TopKForUsers(probe, 5, 2);
+  ASSERT_TRUE(got_probe.ok());
+  EXPECT_EQ(*golden_probe, *got_probe);
 }
 
 TEST_P(EngineConformanceTest, FullAttackIdenticalAcrossThreadCounts) {

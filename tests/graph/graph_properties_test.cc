@@ -112,8 +112,11 @@ TEST_P(GraphPropertyTest, FilterByDegreeMonotone) {
     EXPECT_LE(filtered.num_edges(), prev_edges);
     prev_edges = filtered.num_edges();
     // Surviving edges never touch a low-degree endpoint.
-    for (int u = 0; u < filtered.num_nodes(); ++u)
-      if (filtered.Degree(u) > 0) EXPECT_GE(g.Degree(u), cutoff);
+    for (int u = 0; u < filtered.num_nodes(); ++u) {
+      if (filtered.Degree(u) > 0) {
+        EXPECT_GE(g.Degree(u), cutoff);
+      }
+    }
   }
 }
 

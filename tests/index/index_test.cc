@@ -52,7 +52,7 @@ TEST(IndexEquivalenceTest, TopKMatchesDenseAcrossSizesAndThreads) {
       const auto matrix = DenseMatrix(s, sim);
       auto index = CandidateIndex::Build(s.auxiliary, sim);
       ASSERT_TRUE(index.ok()) << index.status().ToString();
-      const IndexedCandidateSource source(s.anonymized, {*index});
+      const IndexedCandidateSource source(s.anonymized, *index);
       for (const int k : {1, 5, 17}) {
         SCOPED_TRACE("k=" + std::to_string(k));
         auto dense = SelectTopKCandidates(matrix, k);
@@ -74,7 +74,7 @@ TEST(IndexEquivalenceTest, ScoreAndRowAreBitwiseIdenticalToDense) {
   const auto matrix = DenseMatrix(s, sim);
   auto index = CandidateIndex::Build(s.auxiliary, sim);
   ASSERT_TRUE(index.ok());
-  const IndexedCandidateSource source(s.anonymized, {*index});
+  const IndexedCandidateSource source(s.anonymized, *index);
   ASSERT_EQ(source.num_anonymized(), static_cast<int>(matrix.size()));
   std::vector<double> scratch;
   for (size_t u = 0; u < matrix.size(); ++u) {
@@ -95,7 +95,7 @@ TEST(IndexEquivalenceTest, KLargerThanAuxiliarySideMatchesDense) {
   const int n2 = s.auxiliary.num_users();
   auto index = CandidateIndex::Build(s.auxiliary, sim);
   ASSERT_TRUE(index.ok());
-  const IndexedCandidateSource source(s.anonymized, {*index});
+  const IndexedCandidateSource source(s.anonymized, *index);
   auto dense = SelectTopKCandidates(matrix, n2 + 50);
   auto indexed = source.TopK(n2 + 50, 1);
   ASSERT_TRUE(dense.ok());
@@ -107,7 +107,7 @@ TEST(IndexEquivalenceTest, RejectsInvalidK) {
   const Scenario s = MakeScenario(16, 9);
   auto index = CandidateIndex::Build(s.auxiliary, SimilarityConfig{});
   ASSERT_TRUE(index.ok());
-  const IndexedCandidateSource source(s.anonymized, {*index});
+  const IndexedCandidateSource source(s.anonymized, *index);
   auto result = source.TopK(0, 1);
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);

@@ -3,8 +3,11 @@
 // Unimplemented), never a crash, and a loaded index must answer queries
 // byte-identically to the index it was saved from.
 
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -62,8 +65,8 @@ TEST(IndexSnapshotTest, RoundTripPreservesDataAndAnswers) {
   EXPECT_EQ(a.num_landmarks, b.num_landmarks);
   EXPECT_EQ(a.idf_weight_attributes, b.idf_weight_attributes);
   EXPECT_EQ(a.auxiliary_fingerprint, b.auxiliary_fingerprint);
-  EXPECT_EQ(a.idf_table, b.idf_table);
-  EXPECT_EQ(a.default_idf, b.default_idf);
+  EXPECT_EQ(a.idf.weights, b.idf.weights);
+  EXPECT_EQ(a.idf.default_weight, b.idf.default_weight);
   ASSERT_EQ(a.users.size(), b.users.size());
   for (size_t v = 0; v < a.users.size(); ++v) {
     EXPECT_EQ(a.users[v].degree, b.users[v].degree);
@@ -74,13 +77,54 @@ TEST(IndexSnapshotTest, RoundTripPreservesDataAndAnswers) {
     EXPECT_EQ(a.users[v].attributes, b.users[v].attributes);
   }
 
-  const IndexedCandidateSource from_original(s.anonymized, {original});
-  const IndexedCandidateSource from_loaded(s.anonymized, {*loaded});
+  const IndexedCandidateSource from_original(s.anonymized, original);
+  const IndexedCandidateSource from_loaded(s.anonymized, *loaded);
   auto sets_original = from_original.TopK(5, 1);
   auto sets_loaded = from_loaded.TopK(5, 1);
   ASSERT_TRUE(sets_original.ok());
   ASSERT_TRUE(sets_loaded.ok());
   EXPECT_EQ(*sets_original, *sets_loaded);
+}
+
+/// FNV-1a over raw bytes, continuing from `h`.
+uint64_t Fnv1a(const void* data, size_t n,
+               uint64_t h = 1469598103934665603ULL) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (size_t i = 0; i < n; ++i) h = (h ^ p[i]) * 1099511628211ULL;
+  return h;
+}
+
+TEST(IndexSnapshotTest, FeatureBytesMatchPinnedValues) {
+  // The dense matrix and the index share one feature builder, so their
+  // equivalence tests cannot notice the features themselves changing.
+  // These literals (computed by the build that still had two builders)
+  // pin both: a change strands the DHIX files already on disk and splits
+  // mixed-version fleets.
+  const Scenario s = MakeScenario(60, 29);
+  struct Pinned {
+    bool idf;
+    uint64_t snapshot;
+    uint64_t matrix;
+  };
+  for (const Pinned& pinned :
+       {Pinned{false, 0x13d2c92f8a3a365aULL, 0x2886b33153869029ULL},
+        Pinned{true, 0x67e428dbe45fb3d3ULL, 0x3757d636f238734eULL}}) {
+    SCOPED_TRACE(pinned.idf ? "idf=on" : "idf=off");
+    const std::string bytes = EncodeIndexSnapshot(BuildIndex(s, pinned.idf));
+    EXPECT_EQ(Fnv1a(bytes.data(), bytes.size()), pinned.snapshot);
+
+    SimilarityConfig sim;
+    sim.idf_weight_attributes = pinned.idf;
+    sim.num_threads = 2;
+    uint64_t matrix_hash = Fnv1a(nullptr, 0);
+    for (const std::vector<double>& row :
+         StructuralSimilarity(s.anonymized, s.auxiliary, sim).ComputeMatrix())
+      for (const double score : row) {
+        const uint64_t bits = std::bit_cast<uint64_t>(score);
+        matrix_hash = Fnv1a(&bits, sizeof(bits), matrix_hash);
+      }
+    EXPECT_EQ(matrix_hash, pinned.matrix);
+  }
 }
 
 TEST(IndexSnapshotTest, MissingFileIsNotFound) {

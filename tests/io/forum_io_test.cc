@@ -238,9 +238,10 @@ TEST(ForumFileIoTest, InjectedCorruptionFailsCleanly) {
     ASSERT_TRUE(FaultInjector::Global().Configure(spec).ok());
     auto r = LoadForumDataset(path);
     FaultInjector::Global().Reset();
-    if (!r.ok())
+    if (!r.ok()) {
       EXPECT_NE(r.status().message().find(path), std::string::npos)
           << spec << ": " << r.status().ToString();
+    }
   }
   // Disarmed, the same file loads fine: the faults were injected, not real.
   EXPECT_TRUE(LoadForumDataset(path).ok());

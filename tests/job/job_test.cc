@@ -186,7 +186,6 @@ TEST_F(JobTest, ConfigFingerprintCoversOnlySemanticFields) {
   operational.job_shard_size = 3;
   operational.index_snapshot_path = "x.dhix";
   operational.use_index = true;  // index == dense, bitwise
-  operational.num_shards = 4;    // index slices == one index, bitwise
   EXPECT_EQ(JobConfigFingerprint(base), JobConfigFingerprint(operational));
 
   DeHealthConfig other_k = base;

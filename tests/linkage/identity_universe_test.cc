@@ -101,10 +101,12 @@ TEST(BuildIdentityUniverseTest, SelfPhotoReuseSharesPhotoId) {
   c.p_has_avatar = 1.0;
   auto u = BuildIdentityUniverse(c);
   ASSERT_TRUE(u.ok());
-  for (const Account& a : u->accounts)
-    if (a.avatar_kind == AvatarKind::kHumanSelf)
+  for (const Account& a : u->accounts) {
+    if (a.avatar_kind == AvatarKind::kHumanSelf) {
       EXPECT_EQ(a.avatar_id,
                 u->persons[static_cast<size_t>(a.person_id)].photo_id);
+    }
+  }
 }
 
 TEST(BuildIdentityUniverseTest, Deterministic) {

@@ -93,11 +93,12 @@ TEST(DocsTest, EngineDocCoversEveryEngineAndItsFlags) {
   // and the CandidateSource interface it documents.
   const std::string doc = ReadDoc("docs/ENGINES.md");
   ASSERT_FALSE(doc.empty());
-  for (const EngineKind kind : AllEngineKinds())
-    EXPECT_NE(doc.find("`" + std::string(EngineKindName(kind)) + "`"),
-              std::string::npos)
-        << "engine `" << EngineKindName(kind)
-        << "` is not documented in docs/ENGINES.md";
+  for (const EngineKind kind : AllEngineKinds()) {
+    std::string quoted = "`";
+    quoted.append(EngineKindName(kind)).append("`");
+    EXPECT_NE(doc.find(quoted), std::string::npos)
+        << "engine " << quoted << " is not documented in docs/ENGINES.md";
+  }
   for (const char* required :
        {"--engine", "--engines", "--ks", "CandidateSource",
         "BuildAttackScoreSource", "engine_seed"})

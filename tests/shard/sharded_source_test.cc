@@ -1,18 +1,26 @@
-// In-process sharding: IndexedCandidateSource over N contiguous index
-// slices (BuildShardIndexes) must answer bitwise what the single index
-// answers, for every shard and thread count.
+// Fleet slices: each backend's IndexedCandidateSource over its one
+// candidate-index slice (LoadOrBuildShardIndex) must answer bitwise the
+// segment of what the whole index answers, and the slices' local Top-K
+// lists must merge (MergeScoredTopK, the router's kernel) into the whole
+// index's Top-K — for every shard and thread count.
 
+#include <bit>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/top_k.h"
 #include "datagen/forum_generator.h"
 #include "datagen/split.h"
 #include "index/indexed_source.h"
 #include "index/pipeline.h"
+#include "index/snapshot.h"
 #include "shard/partition.h"
 #include "shard/shard_index.h"
 #include "testing/scoped_temp_dir.h"
@@ -27,8 +35,7 @@ SimilarityConfig SimConfig() {
 }
 
 /// One closed-world scenario shared by every golden-equivalence test; the
-/// single-index source is THE reference every sharded layout must match
-/// bitwise.
+/// whole-index source is THE reference every slice must match bitwise.
 class ShardedSourceTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -41,15 +48,46 @@ class ShardedSourceTest : public ::testing::Test {
     auto index = CandidateIndex::Build(*aux_, SimConfig());
     ASSERT_TRUE(index.ok()) << index.status().ToString();
     full_ = new CandidateIndex(std::move(index).value());
-    reference_ = new IndexedCandidateSource(*anon_, {*full_});
+    reference_ = new IndexedCandidateSource(*anon_, *full_);
   }
 
-  static StatusOr<IndexedCandidateSource> MakeSharded(int num_shards,
-                                                      int num_threads = 0) {
-    auto shards = BuildShardIndexes("", *aux_, SimConfig(), num_shards);
-    if (!shards.ok()) return shards.status();
-    return IndexedCandidateSource(*anon_, std::move(shards).value(),
+  /// Slice `i` of `n` as a fleet backend builds it: local auxiliary ids
+  /// over ComputeShardRanges' i-th range.
+  static StatusOr<IndexedCandidateSource> MakeSlice(int i, int n,
+                                                    int num_threads = 0) {
+    auto shard = LoadOrBuildShardIndex("", *aux_, SimConfig(), i, n);
+    if (!shard.ok()) return shard.status();
+    return IndexedCandidateSource(*anon_, std::move(shard).value(),
                                   num_threads);
+  }
+
+  /// What a router answers for `users` over an n-slice fleet: each slice's
+  /// local Top-K with exact scores under GLOBAL ids (as
+  /// QueryEngine::TopKScored returns them), merged by MergeScoredTopK.
+  static CandidateSets MergedTopK(int n, const std::vector<int>& users, int k,
+                                  int num_threads) {
+    const std::vector<ShardRange> ranges =
+        ComputeShardRanges(reference_->num_auxiliary(), n);
+    std::vector<std::vector<std::vector<ScoredUser>>> per_user(
+        users.size(), std::vector<std::vector<ScoredUser>>(ranges.size()));
+    for (int i = 0; i < n; ++i) {
+      auto slice = MakeSlice(i, n, num_threads);
+      EXPECT_TRUE(slice.ok()) << slice.status().ToString();
+      if (!slice.ok()) return {};
+      auto local = slice->TopKForUsers(users, k, num_threads);
+      EXPECT_TRUE(local.ok()) << local.status().ToString();
+      if (!local.ok()) return {};
+      for (size_t q = 0; q < users.size(); ++q)
+        for (const int v : (*local)[q])
+          per_user[q][static_cast<size_t>(i)].push_back(
+              ScoredUser{slice->Score(users[q], v),
+                         v + ranges[static_cast<size_t>(i)].begin});
+    }
+    CandidateSets merged(users.size());
+    for (size_t q = 0; q < users.size(); ++q)
+      for (const ScoredUser& c : MergeScoredTopK(per_user[q], k))
+        merged[q].push_back(c.user);
+    return merged;
   }
 
   static UdaGraph* anon_;
@@ -64,24 +102,34 @@ CandidateIndex* ShardedSourceTest::full_ = nullptr;
 IndexedCandidateSource* ShardedSourceTest::reference_ = nullptr;
 
 TEST_F(ShardedSourceTest, ScoreAndRowMatchSingleIndexForEveryShardCount) {
+  std::vector<double> scratch_a, scratch_b;
   for (int n : {1, 2, 3, 8}) {
-    auto sharded = MakeSharded(n);
-    ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
-    ASSERT_EQ(sharded->num_slices(), n);
-    EXPECT_EQ(sharded->num_anonymized(), reference_->num_anonymized());
-    EXPECT_EQ(sharded->num_auxiliary(), reference_->num_auxiliary());
-    std::vector<double> scratch_a, scratch_b;
-    for (int u = 0; u < sharded->num_anonymized(); ++u) {
-      const std::vector<double>& row = sharded->Row(u, &scratch_a);
-      const std::vector<double>& want = reference_->Row(u, &scratch_b);
-      ASSERT_EQ(row.size(), want.size());
-      for (size_t v = 0; v < row.size(); ++v) {
-        // Bitwise, not approximate: the sharded kernel IS the dense
-        // kernel on a slice.
-        ASSERT_EQ(row[v], want[v]) << "n=" << n << " u=" << u << " v=" << v;
+    const std::vector<ShardRange> ranges =
+        ComputeShardRanges(reference_->num_auxiliary(), n);
+    for (int i = 0; i < n; ++i) {
+      const ShardRange range = ranges[static_cast<size_t>(i)];
+      for (int threads : {1, 2, 0}) {
+        auto slice = MakeSlice(i, n, threads);
+        ASSERT_TRUE(slice.ok()) << slice.status().ToString();
+        EXPECT_EQ(slice->num_anonymized(), reference_->num_anonymized());
+        ASSERT_EQ(slice->num_auxiliary(), range.size());
+        for (int u = 0; u < slice->num_anonymized(); ++u) {
+          const std::vector<double>& row = slice->Row(u, &scratch_a);
+          const std::vector<double>& whole = reference_->Row(u, &scratch_b);
+          ASSERT_EQ(row.size(), static_cast<size_t>(range.size()));
+          // Bitwise, not approximate: a slice row IS the [begin, end)
+          // segment of the whole index's row.
+          for (size_t l = 0; l < row.size(); ++l)
+            ASSERT_EQ(std::bit_cast<uint64_t>(row[l]),
+                      std::bit_cast<uint64_t>(
+                          whole[static_cast<size_t>(range.begin) + l]))
+                << "n=" << n << " i=" << i << " threads=" << threads
+                << " u=" << u << " local=" << l;
+          for (int local = 0; local < range.size(); local += 7)
+            ASSERT_EQ(slice->Score(u, local),
+                      reference_->Score(u, range.begin + local));
+        }
       }
-      for (int v = 0; v < sharded->num_auxiliary(); v += 7)
-        ASSERT_EQ(sharded->Score(u, v), reference_->Score(u, v));
     }
   }
 }
@@ -89,37 +137,28 @@ TEST_F(ShardedSourceTest, ScoreAndRowMatchSingleIndexForEveryShardCount) {
 TEST_F(ShardedSourceTest, TopKBitwiseIdenticalAcrossShardAndThreadCounts) {
   auto golden = reference_->TopK(5, 1);
   ASSERT_TRUE(golden.ok());
-  for (int n : {1, 2, 3, 8}) {
-    for (int threads : {1, 2, 0}) {
-      auto sharded = MakeSharded(n, threads);
-      ASSERT_TRUE(sharded.ok());
-      auto got = sharded->TopK(5, threads);
-      ASSERT_TRUE(got.ok()) << got.status().ToString();
-      EXPECT_EQ(*got, *golden) << "n=" << n << " threads=" << threads;
-    }
-  }
+  std::vector<int> all(static_cast<size_t>(reference_->num_anonymized()));
+  std::iota(all.begin(), all.end(), 0);
+  for (int n : {1, 2, 3, 8})
+    for (int threads : {1, 2, 0})
+      EXPECT_EQ(MergedTopK(n, all, 5, threads), *golden)
+          << "n=" << n << " threads=" << threads;
 }
 
 TEST_F(ShardedSourceTest, TopKForUsersMatchesSingleIndex) {
   const std::vector<int> users = {0, 3, 9, 14, 14, 1};
   auto golden = reference_->TopKForUsers(users, 4, 1);
   ASSERT_TRUE(golden.ok());
-  for (int n : {2, 3, 8}) {
-    auto sharded = MakeSharded(n);
-    ASSERT_TRUE(sharded.ok());
-    auto got = sharded->TopKForUsers(users, 4, 2);
-    ASSERT_TRUE(got.ok());
-    EXPECT_EQ(*got, *golden) << "n=" << n;
-  }
+  for (int n : {2, 3, 8})
+    EXPECT_EQ(MergedTopK(n, users, 4, 2), *golden) << "n=" << n;
 }
 
 TEST_F(ShardedSourceTest, RejectsBadArguments) {
-  auto sharded = MakeSharded(3);
-  ASSERT_TRUE(sharded.ok());
-  EXPECT_FALSE(sharded->TopK(0, 1).ok());
-  EXPECT_FALSE(sharded->TopKForUsers({-1}, 3, 1).ok());
-  EXPECT_FALSE(
-      sharded->TopKForUsers({sharded->num_anonymized()}, 3, 1).ok());
+  auto slice = MakeSlice(1, 3);
+  ASSERT_TRUE(slice.ok());
+  EXPECT_FALSE(slice->TopK(0, 1).ok());
+  EXPECT_FALSE(slice->TopKForUsers({-1}, 3, 1).ok());
+  EXPECT_FALSE(slice->TopKForUsers({slice->num_anonymized()}, 3, 1).ok());
 }
 
 TEST_F(ShardedSourceTest, SliceIndexDataKeepsGlobalState) {
@@ -140,7 +179,8 @@ TEST_F(ShardedSourceTest, SliceIndexDataKeepsGlobalState) {
     // that is what makes per-shard scores bitwise-equal to the full run.
     EXPECT_EQ(slice.auxiliary_fingerprint,
               full_->data().auxiliary_fingerprint);
-    EXPECT_EQ(slice.idf_table, full_->data().idf_table);
+    EXPECT_EQ(slice.idf.weights, full_->data().idf.weights);
+    EXPECT_EQ(slice.idf.default_weight, full_->data().idf.default_weight);
   }
 }
 
@@ -150,7 +190,7 @@ TEST_F(ShardedSourceTest, LoadOrBuildShardIndexMatchesSlicing) {
   const std::vector<ShardRange> ranges =
       ComputeShardRanges(full_->num_auxiliary(), 3);
   EXPECT_EQ(shard->num_auxiliary(), ranges[1].size());
-  const std::vector<IndexedUserFeatures> queries =
+  const std::vector<UserFeatures> queries =
       shard->ComputeQueryFeatures(*anon_);
   for (int u = 0; u < 3; ++u)
     for (int local = 0; local < shard->num_auxiliary(); ++local)
@@ -163,21 +203,29 @@ TEST_F(ShardedSourceTest, LoadOrBuildShardIndexMatchesSlicing) {
 TEST_F(ShardedSourceTest, ShardSnapshotsRoundTripAndQuarantine) {
   const ScopedTempDir dir;
   const std::string base = dir.File("aux.dhix");
+  auto build_all = [&] {
+    std::vector<CandidateIndex> shards;
+    for (int i = 0; i < 3; ++i) {
+      auto shard = LoadOrBuildShardIndex(base, *aux_, SimConfig(), i, 3);
+      EXPECT_TRUE(shard.ok()) << shard.status().ToString();
+      if (shard.ok()) shards.push_back(std::move(shard).value());
+    }
+    return shards;
+  };
 
-  auto built = BuildShardIndexes(base, *aux_, SimConfig(), 3);
-  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const std::vector<CandidateIndex> built = build_all();
+  ASSERT_EQ(built.size(), 3u);
   for (int i = 0; i < 3; ++i)
     EXPECT_TRUE(std::filesystem::exists(ShardSnapshotPath(base, i, 3)));
 
-  // Warm start: loads the snapshots and answers identically.
-  auto reloaded = BuildShardIndexes(base, *aux_, SimConfig(), 3);
-  ASSERT_TRUE(reloaded.ok());
+  // Warm start: loads the snapshots, byte for byte what was built.
+  const std::vector<CandidateIndex> reloaded = build_all();
+  ASSERT_EQ(reloaded.size(), 3u);
   for (size_t i = 0; i < 3; ++i)
-    EXPECT_EQ((*reloaded)[i].data().users.size(),
-              (*built)[i].data().users.size());
+    EXPECT_EQ(EncodeIndexSnapshot(reloaded[i]), EncodeIndexSnapshot(built[i]));
 
-  // Corrupt ONE shard file: that shard is quarantined and rebuilt; the
-  // other two still load from disk. The run never fails.
+  // Corrupt ONE shard file: that shard is quarantined and rebuilt — the
+  // backend never fails — and the rebuild equals the original.
   const std::string victim = ShardSnapshotPath(base, 1, 3);
   {
     std::fstream f(victim,
@@ -187,57 +235,14 @@ TEST_F(ShardedSourceTest, ShardSnapshotsRoundTripAndQuarantine) {
     const char garbage[8] = {'X', 'X', 'X', 'X', 'X', 'X', 'X', 'X'};
     f.write(garbage, sizeof(garbage));
   }
-  auto recovered = BuildShardIndexes(base, *aux_, SimConfig(), 3);
+  auto recovered = LoadOrBuildShardIndex(base, *aux_, SimConfig(), 1, 3);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   EXPECT_TRUE(std::filesystem::exists(victim + ".quarantined"));
   EXPECT_TRUE(std::filesystem::exists(victim));  // rewritten after rebuild
-  IndexedCandidateSource source(*anon_, std::move(recovered).value());
-  auto golden = reference_->TopK(5, 1);
-  auto got = source.TopK(5, 1);
-  ASSERT_TRUE(golden.ok());
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(*got, *golden);
-}
-
-TEST_F(ShardedSourceTest, AttackWithShardsMatchesDenseAttack) {
-  DeHealthConfig dense;
-  dense.top_k = 5;
-  dense.refined.learner = LearnerKind::kNearestCentroid;
-  dense.num_threads = 2;
-  auto golden = RunDeHealthAttack(*anon_, *aux_, dense);
-  ASSERT_TRUE(golden.ok()) << golden.status().ToString();
-  for (int n : {2, 3, 8}) {
-    DeHealthConfig sharded = dense;
-    sharded.num_shards = n;
-    auto got = RunDeHealthAttack(*anon_, *aux_, sharded);
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
-    EXPECT_EQ(got->candidates, golden->candidates) << "n=" << n;
-    EXPECT_EQ(got->refined.predictions, golden->refined.predictions)
-        << "n=" << n;
-  }
-}
-
-TEST_F(ShardedSourceTest, AttackWithShardsAndFilteringMatchesDense) {
-  DeHealthConfig dense;
-  dense.top_k = 5;
-  dense.enable_filtering = true;
-  dense.refined.learner = LearnerKind::kNearestCentroid;
-  auto golden = RunDeHealthAttack(*anon_, *aux_, dense);
-  ASSERT_TRUE(golden.ok()) << golden.status().ToString();
-  DeHealthConfig sharded = dense;
-  sharded.num_shards = 3;
-  auto got = RunDeHealthAttack(*anon_, *aux_, sharded);
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  EXPECT_EQ(got->candidates, golden->candidates);
-  EXPECT_EQ(got->rejected, golden->rejected);
+  EXPECT_EQ(EncodeIndexSnapshot(*recovered), EncodeIndexSnapshot(built[1]));
 }
 
 TEST_F(ShardedSourceTest, InvalidShardConfigsAreRejected) {
-  DeHealthConfig config;
-  config.top_k = 5;
-  config.num_shards = 2;
-  config.shard_count = 2;  // in-process and slice mode are exclusive
-  EXPECT_FALSE(BuildAttackScoreSource(*anon_, *aux_, config).ok());
   DeHealthConfig filtered_slice;
   filtered_slice.top_k = 5;
   filtered_slice.shard_count = 2;

@@ -78,8 +78,9 @@ TEST(AsymptoticConditionsTest, FullSetStricterThanPair) {
     DaParameters p = WellSeparated();
     p.lambda_incorrect = p.lambda_correct + gap;
     for (int n : {10, 100, 1000}) {
-      if (FullSetAsymptoticCondition(p, n))
+      if (FullSetAsymptoticCondition(p, n)) {
         EXPECT_TRUE(PairAsymptoticCondition(p, n));
+      }
     }
   }
 }
@@ -147,8 +148,9 @@ TEST(GroupTopKBoundTest, ConditionMonotoneInN) {
   DaParameters p = WellSeparated();
   p.lambda_incorrect = 1.4;
   // If it holds for larger n it must hold for smaller n.
-  if (GroupTopKAsymptoticCondition(p, 0.5, 1000, 1000, 10, 1000))
+  if (GroupTopKAsymptoticCondition(p, 0.5, 1000, 1000, 10, 1000)) {
     EXPECT_TRUE(GroupTopKAsymptoticCondition(p, 0.5, 1000, 1000, 10, 10));
+  }
 }
 
 TEST(RequiredGapTest, InvertsPairBound) {
