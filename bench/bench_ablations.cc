@@ -157,8 +157,8 @@ void AblateVerification() {
     RefinedDaConfig refined;
     refined.learner = LearnerKind::kNearestCentroid;
     refined.verification = s.scheme;
-    auto result =
-        RunRefinedDa(anon, aux, *candidates, nullptr, matrix, refined);
+    auto result = RunRefinedDa(anon, aux, *candidates, nullptr,
+                               DenseCandidateSource(matrix), refined);
     const auto counts = EvaluateRefinedDa(*result, scenario->truth);
     std::printf("  %-20s accuracy=%.3f  FP=%.3f\n", s.name,
                 counts.Accuracy(), counts.FalsePositiveRate());

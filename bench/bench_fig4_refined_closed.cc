@@ -93,8 +93,8 @@ void RunSetting(const Setting& setting) {
     for (int k : {5, 10, 15, 20}) {
       auto candidates = SelectTopKCandidates(matrix, k);
       if (!candidates.ok()) continue;
-      auto result = RunRefinedDa(anon, aux, *candidates, nullptr, matrix,
-                                 refined);
+      auto result = RunRefinedDa(anon, aux, *candidates, nullptr,
+                                 DenseCandidateSource(matrix), refined);
       row.push_back(
           result.ok()
               ? EvaluateRefinedDa(*result, scenario->truth).Accuracy()
@@ -135,8 +135,8 @@ void BM_RefinedDaPerUser(benchmark::State& state) {
   RefinedDaConfig config = MakeRefinedConfig(LearnerKind::kSmoSvm);
   config.num_threads = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    auto result =
-        RunRefinedDa(anon, aux, *candidates, nullptr, matrix, config);
+    auto result = RunRefinedDa(anon, aux, *candidates, nullptr,
+                               DenseCandidateSource(matrix), config);
     benchmark::DoNotOptimize(result);
   }
   state.SetItemsProcessed(state.iterations() * anon.num_users());

@@ -88,8 +88,8 @@ void Reproduce() {
       for (int k : {5, 10, 15, 20}) {
         auto candidates = SelectTopKCandidates(matrix, k);
         if (!candidates.ok()) continue;
-        auto result = RunRefinedDa(anon, aux, *candidates, nullptr, matrix,
-                                   refined);
+        auto result = RunRefinedDa(anon, aux, *candidates, nullptr,
+                                   DenseCandidateSource(matrix), refined);
         OpenWorldCounts counts;
         if (result.ok())
           counts = EvaluateRefinedDa(*result, scenario->truth);
@@ -120,8 +120,8 @@ void BM_MeanVerification(benchmark::State& state) {
       MakeRefinedConfig(LearnerKind::kNearestCentroid, /*verify=*/true);
   config.num_threads = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    auto result =
-        RunRefinedDa(anon, aux, *candidates, nullptr, matrix, config);
+    auto result = RunRefinedDa(anon, aux, *candidates, nullptr,
+                               DenseCandidateSource(matrix), config);
     benchmark::DoNotOptimize(result);
   }
 }

@@ -71,7 +71,7 @@ void BM_RunRefinedDaScaling(benchmark::State& state) {
   config.num_threads = static_cast<int>(state.range(0));
   for (auto _ : state) {
     auto result = RunRefinedDa(f.anon, f.aux, f.candidates, nullptr,
-                               f.matrix, config);
+                               DenseCandidateSource(f.matrix), config);
     benchmark::DoNotOptimize(result);
   }
   state.SetItemsProcessed(state.iterations() * f.anon.num_users());

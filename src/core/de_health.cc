@@ -115,8 +115,8 @@ StatusOr<RefinedDaResult> RunStylometryBaseline(
   std::iota(all.begin(), all.end(), 0);
   const CandidateSets candidates(
       static_cast<size_t>(anonymized.num_users()), all);
-  return RunRefinedDaShared(anonymized, auxiliary, candidates, similarity,
-                            config);
+  return RunRefinedDaShared(anonymized, auxiliary, candidates,
+                            DenseCandidateSource(similarity), config);
 }
 
 }  // namespace dehealth

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <numeric>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -108,6 +109,19 @@ struct UserOutcome {
   int prediction = kNotPresent;
   bool rejected = false;
 };
+
+/// Result entry i is outcomes[i].
+RefinedDaResult FoldOutcomes(const std::vector<UserOutcome>& outcomes) {
+  RefinedDaResult result;
+  result.predictions.reserve(outcomes.size());
+  result.rejected.reserve(outcomes.size());
+  for (const UserOutcome& outcome : outcomes) {
+    result.predictions.push_back(outcome.prediction);
+    result.rejected.push_back(outcome.rejected);
+    if (outcome.rejected) ++result.num_rejected;
+  }
+  return result;
+}
 
 /// The per-user refined-DA problem: assemble labels (+ decoys), train the
 /// per-user classifier, classify u's posts, verify. Pure function of its
@@ -231,6 +245,35 @@ Status RefineOneUser(const UdaGraph& anonymized, const UdaGraph& auxiliary,
   return Status();
 }
 
+/// Refines users[i] (an absolute id) into result entry i: the one per-user
+/// loop behind the full run and the batch entry point. Each task writes
+/// only its own slot, so answers are identical for any thread count, and
+/// the lowest-slot error wins, as a serial loop would report it.
+StatusOr<RefinedDaResult> RefineEachUser(
+    const UdaGraph& anonymized, const UdaGraph& auxiliary,
+    const std::vector<int>& users, const CandidateSets& candidates,
+    const std::vector<bool>* rejected, const CandidateSource& scores,
+    const RefinedDaConfig& config) {
+  std::vector<UserOutcome> outcomes(users.size());
+  std::vector<Status> statuses(users.size());
+  ParallelFor(
+      0, static_cast<int64_t>(users.size()),
+      [&](int64_t i) {
+        const NodeId u = static_cast<NodeId>(users[static_cast<size_t>(i)]);
+        if (rejected != nullptr && (*rejected)[static_cast<size_t>(u)]) {
+          outcomes[static_cast<size_t>(i)].rejected = true;
+          return;  // filtering already concluded u → ⊥
+        }
+        statuses[static_cast<size_t>(i)] =
+            RefineOneUser(anonymized, auxiliary, candidates, scores, config,
+                          u, outcomes[static_cast<size_t>(i)]);
+      },
+      config.num_threads);
+  for (const Status& st : statuses)
+    if (!st.ok()) return st;
+  return FoldOutcomes(outcomes);
+}
+
 }  // namespace
 
 StatusOr<RefinedDaResult> RunRefinedDa(const UdaGraph& anonymized,
@@ -249,48 +292,10 @@ StatusOr<RefinedDaResult> RunRefinedDa(const UdaGraph& anonymized,
   obs::Span span("core", "refined_da");
   span.SetArg("users", n1);
   obs::GetCoreMetrics().refined_users->Increment(static_cast<uint64_t>(n1));
-
-  // One independent training problem per anonymized user; each task writes
-  // only its own outcome/status slot, so predictions are identical for any
-  // thread count.
-  std::vector<UserOutcome> outcomes(static_cast<size_t>(n1));
-  std::vector<Status> statuses(static_cast<size_t>(n1));
-  ParallelFor(
-      0, n1,
-      [&](int64_t ui) {
-        const NodeId u = static_cast<NodeId>(ui);
-        if (rejected != nullptr && (*rejected)[static_cast<size_t>(u)]) {
-          outcomes[static_cast<size_t>(u)].rejected = true;
-          return;  // filtering already concluded u → ⊥
-        }
-        statuses[static_cast<size_t>(u)] =
-            RefineOneUser(anonymized, auxiliary, candidates, scores,
-                          config, u, outcomes[static_cast<size_t>(u)]);
-      },
-      config.num_threads);
-  // Surface the first (lowest-u) error, matching the old serial behavior.
-  for (const Status& st : statuses)
-    if (!st.ok()) return st;
-
-  RefinedDaResult result;
-  result.predictions.assign(static_cast<size_t>(n1), kNotPresent);
-  result.rejected.assign(static_cast<size_t>(n1), false);
-  for (size_t u = 0; u < outcomes.size(); ++u) {
-    result.predictions[u] = outcomes[u].prediction;
-    result.rejected[u] = outcomes[u].rejected;
-    if (outcomes[u].rejected) ++result.num_rejected;
-  }
-  return result;
-}
-
-StatusOr<RefinedDaResult> RunRefinedDa(
-    const UdaGraph& anonymized, const UdaGraph& auxiliary,
-    const CandidateSets& candidates, const std::vector<bool>* rejected,
-    const std::vector<std::vector<double>>& similarity,
-    const RefinedDaConfig& config) {
-  const DenseCandidateSource source(similarity);
-  return RunRefinedDa(anonymized, auxiliary, candidates, rejected, source,
-                      config);
+  std::vector<int> users(static_cast<size_t>(n1));
+  std::iota(users.begin(), users.end(), 0);
+  return RefineEachUser(anonymized, auxiliary, users, candidates, rejected,
+                        scores, config);
 }
 
 StatusOr<RefinedDaResult> RunRefinedDaForUsers(
@@ -313,36 +318,8 @@ StatusOr<RefinedDaResult> RunRefinedDaForUsers(
   obs::Span span("core", "refined_da_for_users");
   span.SetArg("users", static_cast<int64_t>(users.size()));
   obs::GetCoreMetrics().refined_users->Increment(users.size());
-
-  // Same per-user problems as the full run, just over a subset; each task
-  // writes only its own batch slot.
-  std::vector<UserOutcome> outcomes(users.size());
-  std::vector<Status> statuses(users.size());
-  ParallelFor(
-      0, static_cast<int64_t>(users.size()),
-      [&](int64_t i) {
-        const NodeId u = static_cast<NodeId>(users[static_cast<size_t>(i)]);
-        if (rejected != nullptr && (*rejected)[static_cast<size_t>(u)]) {
-          outcomes[static_cast<size_t>(i)].rejected = true;
-          return;  // filtering already concluded u → ⊥
-        }
-        statuses[static_cast<size_t>(i)] =
-            RefineOneUser(anonymized, auxiliary, candidates, scores, config,
-                          u, outcomes[static_cast<size_t>(i)]);
-      },
-      config.num_threads);
-  for (const Status& st : statuses)
-    if (!st.ok()) return st;
-
-  RefinedDaResult result;
-  result.predictions.assign(users.size(), kNotPresent);
-  result.rejected.assign(users.size(), false);
-  for (size_t i = 0; i < outcomes.size(); ++i) {
-    result.predictions[i] = outcomes[i].prediction;
-    result.rejected[i] = outcomes[i].rejected;
-    if (outcomes[i].rejected) ++result.num_rejected;
-  }
-  return result;
+  return RefineEachUser(anonymized, auxiliary, users, candidates, rejected,
+                        scores, config);
 }
 
 StatusOr<RefinedDaResult> RunRefinedDaShared(const UdaGraph& anonymized,
@@ -464,22 +441,7 @@ StatusOr<RefinedDaResult> RunRefinedDaShared(const UdaGraph& anonymized,
         outcomes[static_cast<size_t>(u)].prediction = predicted;
       },
       config.num_threads);
-  for (size_t u = 0; u < outcomes.size(); ++u) {
-    result.predictions[u] = outcomes[u].prediction;
-    result.rejected[u] = outcomes[u].rejected;
-    if (outcomes[u].rejected) ++result.num_rejected;
-  }
-  return result;
-}
-
-StatusOr<RefinedDaResult> RunRefinedDaShared(
-    const UdaGraph& anonymized, const UdaGraph& auxiliary,
-    const CandidateSets& candidates,
-    const std::vector<std::vector<double>>& similarity,
-    const RefinedDaConfig& config) {
-  const DenseCandidateSource source(similarity);
-  return RunRefinedDaShared(anonymized, auxiliary, candidates, source,
-                            config);
+  return FoldOutcomes(outcomes);
 }
 
 }  // namespace dehealth

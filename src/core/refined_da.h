@@ -92,17 +92,11 @@ struct RefinedDaResult {
 /// the posts of the users in C_u (labels = auxiliary ids), classifies u's
 /// anonymized posts, aggregates per-post decision scores, and applies the
 /// configured verification scheme. `rejected` (from filtering) may be null;
-/// users rejected there map to ⊥ directly. `similarity` must be the matrix
-/// the candidates were selected from (used by mean-verification).
-StatusOr<RefinedDaResult> RunRefinedDa(
-    const UdaGraph& anonymized, const UdaGraph& auxiliary,
-    const CandidateSets& candidates, const std::vector<bool>* rejected,
-    const std::vector<std::vector<double>>& similarity,
-    const RefinedDaConfig& config);
-
-/// CandidateSource variant: identical predictions. Similarity rows are only
-/// pulled (one O(n2) row per user) when mean-verification needs them, so
-/// the indexed path never materializes the matrix.
+/// users rejected there map to ⊥ directly. `scores` must be the source the
+/// candidates were selected from; its rows are only pulled (one O(n2) row
+/// per user) when mean-verification needs them, so the indexed path never
+/// materializes the matrix. A dense matrix goes in as
+/// `DenseCandidateSource(matrix)`.
 StatusOr<RefinedDaResult> RunRefinedDa(const UdaGraph& anonymized,
                                        const UdaGraph& auxiliary,
                                        const CandidateSets& candidates,
@@ -129,13 +123,6 @@ StatusOr<RefinedDaResult> RunRefinedDaForUsers(
 /// |V1| identical ones. Fails if candidate sets differ. False-addition is
 /// meaningless here (every user is already a candidate) and is treated as
 /// kNone; mean-verification applies per user as usual.
-StatusOr<RefinedDaResult> RunRefinedDaShared(
-    const UdaGraph& anonymized, const UdaGraph& auxiliary,
-    const CandidateSets& candidates,
-    const std::vector<std::vector<double>>& similarity,
-    const RefinedDaConfig& config);
-
-/// CandidateSource variant of RunRefinedDaShared (see RunRefinedDa).
 StatusOr<RefinedDaResult> RunRefinedDaShared(const UdaGraph& anonymized,
                                              const UdaGraph& auxiliary,
                                              const CandidateSets& candidates,

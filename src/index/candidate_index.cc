@@ -2,25 +2,11 @@
 
 #include <algorithm>
 
+#include "io/byte_codec.h"
+
 namespace dehealth {
 
 namespace {
-
-constexpr uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
-
-void FnvMix(uint64_t& h, const void* bytes, size_t n) {
-  const unsigned char* p = static_cast<const unsigned char*>(bytes);
-  for (size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= kFnvPrime;
-  }
-}
-
-template <typename T>
-void FnvMixValue(uint64_t& h, T value) {
-  FnvMix(h, &value, sizeof(value));
-}
 
 /// The IDF table a side's attributes are scaled by, or null when IDF is off.
 const IdfTable* IdfOrNull(const CandidateIndexData& data) {
@@ -30,18 +16,17 @@ const IdfTable* IdfOrNull(const CandidateIndexData& data) {
 }  // namespace
 
 uint64_t FingerprintForIndex(const UdaGraph& side) {
-  uint64_t h = kFnvOffset;
   const int n = side.num_users();
-  FnvMixValue(h, n);
+  uint64_t h = Fnv1aValue(kFnv1aBasis, n);
   for (NodeId u = 0; u < n; ++u) {
-    FnvMixValue(h, side.graph.Degree(u));
-    FnvMixValue(h, side.graph.WeightedDegree(u));
+    h = Fnv1aValue(h, side.graph.Degree(u));
+    h = Fnv1aValue(h, side.graph.WeightedDegree(u));
     const UserProfile& profile = side.profiles[static_cast<size_t>(u)];
-    FnvMixValue(h, profile.num_posts());
-    FnvMixValue(h, static_cast<int>(profile.attributes().size()));
+    h = Fnv1aValue(h, profile.num_posts());
+    h = Fnv1aValue(h, static_cast<int>(profile.attributes().size()));
     for (const auto& [id, weight] : profile.attributes()) {
-      FnvMixValue(h, id);
-      FnvMixValue(h, weight);
+      h = Fnv1aValue(h, id);
+      h = Fnv1aValue(h, weight);
     }
   }
   return h;

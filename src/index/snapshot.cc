@@ -1,10 +1,7 @@
 #include "index/snapshot.h"
 
-#include <cstring>
-#include <limits>
-#include <type_traits>
-
 #include "common/fault_injection.h"
+#include "io/byte_codec.h"
 #include "io/file_util.h"
 #include "obs/standard_metrics.h"
 #include "obs/trace.h"
@@ -14,168 +11,88 @@ namespace dehealth {
 namespace {
 
 constexpr char kMagic[4] = {'D', 'H', 'I', 'X'};
-/// v2 adds the shard-identity quad (index, count, begin, total) after the
-/// auxiliary fingerprint; v1 snapshots decode as shard 0 of 1.
+/// v2 added the shard-identity quad (index, count, begin, total) after the
+/// auxiliary fingerprint; a v1 file is refused and rebuilt like any
+/// snapshot that does not decode.
 constexpr uint32_t kVersion = 2;
 
-uint64_t Fnv1a(const char* bytes, size_t n) {
-  uint64_t h = 1469598103934665603ull;
-  for (size_t i = 0; i < n; ++i) {
-    h ^= static_cast<unsigned char>(bytes[i]);
-    h *= 1099511628211ull;
-  }
-  return h;
+void PutDoubleVector(std::string& out, const std::vector<double>& v) {
+  Put(out, static_cast<uint32_t>(v.size()));
+  for (double x : v) Put(out, x);
 }
 
-template <typename T>
-void Append(std::string& out, T value) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  char buf[sizeof(T)];
-  std::memcpy(buf, &value, sizeof(T));
-  out.append(buf, sizeof(T));
+Status ReadDoubleVector(ByteReader& reader, std::vector<double>* v) {
+  uint32_t count = 0;
+  DEHEALTH_RETURN_IF_ERROR(reader.ReadCount(sizeof(double), &count));
+  v->resize(count);
+  for (double& x : *v) DEHEALTH_RETURN_IF_ERROR(reader.Read(&x));
+  return Status::OK();
 }
 
-void AppendDoubleVector(std::string& out, const std::vector<double>& v) {
-  Append(out, static_cast<uint32_t>(v.size()));
-  for (double x : v) Append(out, x);
+/// A u32-counted list of (i32 id, f64 weight) pairs: the IDF table and
+/// each user's attributes.
+void PutWeightedIds(std::string& out,
+                    const std::vector<std::pair<int, double>>& pairs) {
+  Put(out, static_cast<uint32_t>(pairs.size()));
+  for (const auto& [id, w] : pairs) {
+    Put(out, static_cast<int32_t>(id));
+    Put(out, w);
+  }
 }
 
-/// "index snapshot 'path' (byte N): what" — every decode failure names the
-/// file it came from (when known) and the byte offset where parsing
-/// stopped, so a corrupt snapshot in a directory of many is identifiable
-/// from the error alone.
-Status DecodeError(const std::string& path, size_t offset,
-                   const std::string& what,
-                   StatusCode code = StatusCode::kInvalidArgument) {
-  std::string message = "index snapshot ";
-  if (!path.empty()) message += "'" + path + "' ";
-  message += "(byte " + std::to_string(offset) + "): " + what;
-  return Status(code, std::move(message));
+Status ReadWeightedIds(ByteReader& reader,
+                       std::vector<std::pair<int, double>>* out) {
+  uint32_t count = 0;
+  DEHEALTH_RETURN_IF_ERROR(
+      reader.ReadCount(sizeof(int32_t) + sizeof(double), &count));
+  out->reserve(count);
+  for (uint32_t i = 0; i < count; ++i) {
+    int32_t id = 0;
+    double w = 0.0;
+    DEHEALTH_RETURN_IF_ERROR(reader.Read(&id));
+    DEHEALTH_RETURN_IF_ERROR(reader.Read(&w));
+    out->emplace_back(id, w);
+  }
+  return Status::OK();
 }
-
-/// Bounds-checked sequential reader over the payload span. `pos()` is the
-/// absolute byte offset into the snapshot, used for error context.
-class Reader {
- public:
-  Reader(const std::string& bytes, size_t begin, size_t end,
-         const std::string& path)
-      : bytes_(bytes), pos_(begin), end_(end), path_(path) {}
-
-  template <typename T>
-  Status Read(T* value) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    if (pos_ + sizeof(T) > end_)
-      return Fail("truncated payload");
-    std::memcpy(value, bytes_.data() + pos_, sizeof(T));
-    pos_ += sizeof(T);
-    return Status::OK();
-  }
-
-  Status ReadDoubleVector(std::vector<double>* v) {
-    uint32_t count = 0;
-    DEHEALTH_RETURN_IF_ERROR(Read(&count));
-    if (static_cast<size_t>(count) > (end_ - pos_) / sizeof(double))
-      return Fail("vector length exceeds payload");
-    v->resize(count);
-    for (uint32_t i = 0; i < count; ++i) DEHEALTH_RETURN_IF_ERROR(Read(&(*v)[i]));
-    return Status::OK();
-  }
-
-  Status Fail(const std::string& what) const {
-    return DecodeError(path_, pos_, what);
-  }
-
-  size_t pos() const { return pos_; }
-
-  /// True when at least `count` elements of `element_size` bytes can still
-  /// be read — rejects absurd counts BEFORE any allocation, so a snapshot
-  /// that passes the checksum but lies about lengths still fails with a
-  /// Status instead of std::bad_alloc.
-  bool CanHold(uint64_t count, size_t element_size) const {
-    return count <= (end_ - pos_) / element_size;
-  }
-
-  bool AtEnd() const { return pos_ == end_; }
-
- private:
-  const std::string& bytes_;
-  size_t pos_;
-  size_t end_;
-  const std::string& path_;
-};
 
 }  // namespace
 
 std::string EncodeIndexSnapshot(const CandidateIndex& index) {
   const CandidateIndexData& data = index.data();
-  std::string out(kMagic, sizeof(kMagic));
-  Append(out, kVersion);
-  const size_t payload_begin = out.size();
+  std::string out = BeginFrame(kMagic, kVersion);
+  Put(out, data.c1);
+  Put(out, data.c2);
+  Put(out, data.c3);
+  Put(out, static_cast<int32_t>(data.num_landmarks));
+  Put(out, static_cast<uint8_t>(data.idf_weight_attributes ? 1 : 0));
+  Put(out, data.auxiliary_fingerprint);
+  Put(out, data.shard_index);
+  Put(out, data.shard_count);
+  Put(out, data.shard_begin);
+  Put(out, data.shard_total);
+  PutWeightedIds(out, data.idf.weights);
+  Put(out, data.idf.default_weight);
 
-  Append(out, data.c1);
-  Append(out, data.c2);
-  Append(out, data.c3);
-  Append(out, static_cast<int32_t>(data.num_landmarks));
-  Append(out, static_cast<uint8_t>(data.idf_weight_attributes ? 1 : 0));
-  Append(out, data.auxiliary_fingerprint);
-  Append(out, data.shard_index);
-  Append(out, data.shard_count);
-  Append(out, data.shard_begin);
-  Append(out, data.shard_total);
-
-  Append(out, static_cast<uint32_t>(data.idf.weights.size()));
-  for (const auto& [id, w] : data.idf.weights) {
-    Append(out, static_cast<int32_t>(id));
-    Append(out, w);
-  }
-  Append(out, data.idf.default_weight);
-
-  Append(out, static_cast<uint32_t>(data.users.size()));
+  Put(out, static_cast<uint32_t>(data.users.size()));
   for (const UserFeatures& f : data.users) {
-    Append(out, f.degree);
-    Append(out, f.weighted_degree);
-    AppendDoubleVector(out, f.ncs);
-    AppendDoubleVector(out, f.hop);
-    AppendDoubleVector(out, f.weighted_hop);
-    Append(out, static_cast<uint32_t>(f.attributes.size()));
-    for (const auto& [id, w] : f.attributes) {
-      Append(out, static_cast<int32_t>(id));
-      Append(out, w);
-    }
+    Put(out, f.degree);
+    Put(out, f.weighted_degree);
+    PutDoubleVector(out, f.ncs);
+    PutDoubleVector(out, f.hop);
+    PutDoubleVector(out, f.weighted_hop);
+    PutWeightedIds(out, f.attributes);
   }
-
-  Append(out, Fnv1a(out.data() + payload_begin, out.size() - payload_begin));
+  EndFrame(out);
   return out;
 }
 
 StatusOr<CandidateIndex> DecodeIndexSnapshot(const std::string& bytes,
                                              const std::string& path) {
-  constexpr size_t kHeaderSize = sizeof(kMagic) + sizeof(uint32_t);
-  constexpr size_t kFooterSize = sizeof(uint64_t);
-  if (bytes.size() < kHeaderSize + kFooterSize)
-    return DecodeError(path, bytes.size(),
-                       "file smaller than header + footer");
-  if (std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0)
-    return DecodeError(path, 0,
-                       "bad magic (not a candidate-index snapshot)");
-  uint32_t version = 0;
-  std::memcpy(&version, bytes.data() + sizeof(kMagic), sizeof(version));
-  if (version < 1 || version > kVersion)
-    return DecodeError(path, sizeof(kMagic),
-                       "unsupported format version " +
-                           std::to_string(version),
-                       StatusCode::kUnimplemented);
-
-  const size_t payload_end = bytes.size() - kFooterSize;
-  uint64_t stored_checksum = 0;
-  std::memcpy(&stored_checksum, bytes.data() + payload_end, kFooterSize);
-  const uint64_t actual_checksum =
-      Fnv1a(bytes.data() + kHeaderSize, payload_end - kHeaderSize);
-  if (stored_checksum != actual_checksum)
-    return DecodeError(path, payload_end,
-                       "checksum mismatch (corrupt snapshot)");
-
-  Reader reader(bytes, kHeaderSize, payload_end, path);
+  StatusOr<ByteReader> frame =
+      OpenFrame(bytes, kMagic, kVersion, "index snapshot", path);
+  if (!frame.ok()) return frame.status();
+  ByteReader& reader = *frame;
   CandidateIndexData data;
   DEHEALTH_RETURN_IF_ERROR(reader.Read(&data.c1));
   DEHEALTH_RETURN_IF_ERROR(reader.Read(&data.c2));
@@ -187,62 +104,30 @@ StatusOr<CandidateIndex> DecodeIndexSnapshot(const std::string& bytes,
   DEHEALTH_RETURN_IF_ERROR(reader.Read(&idf_flag));
   data.idf_weight_attributes = idf_flag != 0;
   DEHEALTH_RETURN_IF_ERROR(reader.Read(&data.auxiliary_fingerprint));
-  if (version >= 2) {
-    DEHEALTH_RETURN_IF_ERROR(reader.Read(&data.shard_index));
-    DEHEALTH_RETURN_IF_ERROR(reader.Read(&data.shard_count));
-    DEHEALTH_RETURN_IF_ERROR(reader.Read(&data.shard_begin));
-    DEHEALTH_RETURN_IF_ERROR(reader.Read(&data.shard_total));
-    if (data.shard_count == 0)
-      return reader.Fail("shard count must be >= 1");
-    if (data.shard_index >= data.shard_count)
-      return reader.Fail("shard index out of range");
-  }
-
-  uint32_t idf_count = 0;
-  DEHEALTH_RETURN_IF_ERROR(reader.Read(&idf_count));
-  if (!reader.CanHold(idf_count, sizeof(int32_t) + sizeof(double)))
-    return reader.Fail("idf table length exceeds payload");
-  data.idf.weights.reserve(idf_count);
-  for (uint32_t i = 0; i < idf_count; ++i) {
-    int32_t id = 0;
-    double w = 0.0;
-    DEHEALTH_RETURN_IF_ERROR(reader.Read(&id));
-    DEHEALTH_RETURN_IF_ERROR(reader.Read(&w));
-    data.idf.weights.emplace_back(id, w);
-  }
+  DEHEALTH_RETURN_IF_ERROR(reader.Read(&data.shard_index));
+  DEHEALTH_RETURN_IF_ERROR(reader.Read(&data.shard_count));
+  DEHEALTH_RETURN_IF_ERROR(reader.Read(&data.shard_begin));
+  DEHEALTH_RETURN_IF_ERROR(reader.Read(&data.shard_total));
+  if (data.shard_count == 0) return reader.Fail("shard count must be >= 1");
+  if (data.shard_index >= data.shard_count)
+    return reader.Fail("shard index out of range");
+  DEHEALTH_RETURN_IF_ERROR(ReadWeightedIds(reader, &data.idf.weights));
   DEHEALTH_RETURN_IF_ERROR(reader.Read(&data.idf.default_weight));
 
   uint32_t num_users = 0;
-  DEHEALTH_RETURN_IF_ERROR(reader.Read(&num_users));
   // 2 doubles + 4 u32 lengths is the smallest possible per-user record.
-  if (!reader.CanHold(num_users, 2 * sizeof(double) + 4 * sizeof(uint32_t)))
-    return reader.Fail("user count exceeds payload");
+  DEHEALTH_RETURN_IF_ERROR(reader.ReadCount(
+      2 * sizeof(double) + 4 * sizeof(uint32_t), &num_users));
   data.users.resize(num_users);
-  for (uint32_t u = 0; u < num_users; ++u) {
-    UserFeatures& f = data.users[u];
+  for (UserFeatures& f : data.users) {
     DEHEALTH_RETURN_IF_ERROR(reader.Read(&f.degree));
     DEHEALTH_RETURN_IF_ERROR(reader.Read(&f.weighted_degree));
-    DEHEALTH_RETURN_IF_ERROR(reader.ReadDoubleVector(&f.ncs));
-    DEHEALTH_RETURN_IF_ERROR(reader.ReadDoubleVector(&f.hop));
-    DEHEALTH_RETURN_IF_ERROR(reader.ReadDoubleVector(&f.weighted_hop));
-    uint32_t attr_count = 0;
-    DEHEALTH_RETURN_IF_ERROR(reader.Read(&attr_count));
-    if (!reader.CanHold(attr_count, sizeof(int32_t) + sizeof(double)))
-      return reader.Fail("attribute list length exceeds payload");
-    f.attributes.reserve(attr_count);
-    for (uint32_t i = 0; i < attr_count; ++i) {
-      int32_t id = 0;
-      double w = 0.0;
-      DEHEALTH_RETURN_IF_ERROR(reader.Read(&id));
-      DEHEALTH_RETURN_IF_ERROR(reader.Read(&w));
-      f.attributes.emplace_back(id, w);
-    }
+    DEHEALTH_RETURN_IF_ERROR(ReadDoubleVector(reader, &f.ncs));
+    DEHEALTH_RETURN_IF_ERROR(ReadDoubleVector(reader, &f.hop));
+    DEHEALTH_RETURN_IF_ERROR(ReadDoubleVector(reader, &f.weighted_hop));
+    DEHEALTH_RETURN_IF_ERROR(ReadWeightedIds(reader, &f.attributes));
   }
-  if (!reader.AtEnd())
-    return reader.Fail("trailing bytes after payload");
-  // A v1 snapshot predates sharding: it is the whole universe by
-  // definition, so its shard_total is its own user count.
-  if (version < 2) data.shard_total = num_users;
+  DEHEALTH_RETURN_IF_ERROR(reader.ExpectEnd());
   if (data.shard_begin > data.shard_total ||
       static_cast<uint64_t>(data.shard_begin) + num_users >
           data.shard_total)
@@ -287,6 +172,10 @@ StatusOr<CandidateIndex> LoadOrBuildIndex(const std::string& path,
         obs::GetIndexMetrics().snapshot_loads->Increment();
         return loaded;
       }
+    } else if (loaded.status().code() != StatusCode::kNotFound) {
+      // Damaged (or unreadable) rather than stale: keep the bytes aside for
+      // a post-mortem; the rebuild below writes a fresh file at `path`.
+      QuarantineFile(path, loaded.status());
     }
   }
   obs::Span span("index", "index_rebuild");

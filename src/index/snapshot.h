@@ -11,13 +11,12 @@ namespace dehealth {
 /// Binary snapshot of a CandidateIndex (the persistent part of the index;
 /// the feature store is derived and rebuilt on load).
 ///
-/// Layout (little-endian):
-///   magic "DHIX" | u32 version | payload | u64 FNV-1a checksum of payload
+/// Layout: the io/byte_codec.h file frame with magic "DHIX", version 2.
 ///
 /// The loader returns Status instead of crashing on every malformed input:
 /// NotFound (missing file), InvalidArgument (bad magic, truncation,
-/// checksum mismatch), Unimplemented (snapshot written by a future format
-/// version).
+/// checksum mismatch, an older format version), Unimplemented (snapshot
+/// written by a future format version).
 
 /// Serializes the index's persistent data to the snapshot byte format.
 std::string EncodeIndexSnapshot(const CandidateIndex& index);
@@ -45,7 +44,8 @@ StatusOr<CandidateIndex> LoadIndexSnapshot(const std::string& path);
 /// index — a shard slice shares the universe fingerprint but covers only
 /// part of it; on any mismatch, missing file, or decode error it rebuilds
 /// from `auxiliary` and overwrites the snapshot (a failing save is
-/// surfaced — the caller asked for persistence).
+/// surfaced — the caller asked for persistence). A file that exists but
+/// does not load is first quarantined to `<path>.quarantined`.
 StatusOr<CandidateIndex> LoadOrBuildIndex(const std::string& path,
                                           const UdaGraph& auxiliary,
                                           const SimilarityConfig& config);

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdio>
 
+#include "io/byte_codec.h"
 #include "obs/standard_metrics.h"
 #include "obs/trace.h"
 
@@ -12,21 +13,11 @@ namespace ingest {
 
 namespace {
 
-/// Renames a corrupt DHSG file to `<path>.quarantined` (PR 4 contract:
-/// keep the evidence, never serve it, never spin a retry loop on it).
+/// Quarantines a corrupt DHSG file (keep the evidence, never serve it,
+/// never spin a retry loop on it); only a completed rename is counted.
 void QuarantineSegmentFile(const std::string& path, const Status& why) {
-  const std::string quarantine = path + ".quarantined";
-  std::remove(quarantine.c_str());
-  if (std::rename(path.c_str(), quarantine.c_str()) == 0) {
+  if (QuarantineFile(path, why))
     obs::GetIngestMetrics().quarantines->Increment();
-    std::fprintf(stderr, "warning: corrupt segment quarantined to %s (%s)\n",
-                 quarantine.c_str(), why.ToString().c_str());
-  } else {
-    std::fprintf(stderr,
-                 "warning: corrupt segment %s could not be quarantined; "
-                 "left in place (%s)\n",
-                 path.c_str(), why.ToString().c_str());
-  }
 }
 
 }  // namespace

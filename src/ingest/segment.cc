@@ -2,9 +2,9 @@
 
 #include <cstdio>
 #include <cstring>
-#include <type_traits>
 
 #include "common/fault_injection.h"
+#include "io/byte_codec.h"
 #include "io/file_util.h"
 #include "obs/standard_metrics.h"
 #include "obs/trace.h"
@@ -20,133 +20,34 @@ constexpr uint32_t kVersion = 1;
 /// ceiling as the JSONL reader's line cap.
 constexpr uint32_t kMaxTextBytes = 16u << 20;
 
-uint64_t Fnv1a(const char* bytes, size_t n) {
-  uint64_t h = 1469598103934665603ull;
-  for (size_t i = 0; i < n; ++i) {
-    h ^= static_cast<unsigned char>(bytes[i]);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-template <typename T>
-void Append(std::string& out, T value) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  char buf[sizeof(T)];
-  std::memcpy(buf, &value, sizeof(T));
-  out.append(buf, sizeof(T));
-}
-
-/// "delta segment 'path' (byte N): what" — like the DHIX decoder, every
-/// failure names the file (when known) and the offset where parsing
-/// stopped.
-Status DecodeError(const std::string& path, size_t offset,
-                   const std::string& what,
-                   StatusCode code = StatusCode::kInvalidArgument) {
-  std::string message = "delta segment ";
-  if (!path.empty()) message += "'" + path + "' ";
-  message += "(byte " + std::to_string(offset) + "): " + what;
-  return Status(code, std::move(message));
-}
-
-class Reader {
- public:
-  Reader(const std::string& bytes, size_t begin, size_t end,
-         const std::string& path)
-      : bytes_(bytes), pos_(begin), end_(end), path_(path) {}
-
-  template <typename T>
-  Status Read(T* value) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    if (pos_ + sizeof(T) > end_) return Fail("truncated payload");
-    std::memcpy(value, bytes_.data() + pos_, sizeof(T));
-    pos_ += sizeof(T);
-    return Status::OK();
-  }
-
-  Status Fail(const std::string& what) const {
-    return DecodeError(path_, pos_, what);
-  }
-
-  size_t pos() const { return pos_; }
-
-  bool CanHold(uint64_t count, size_t element_size) const {
-    return count <= (end_ - pos_) / element_size;
-  }
-
-  bool AtEnd() const { return pos_ == end_; }
-
-  Status ReadString(std::string* out, uint32_t length) {
-    if (pos_ + length > end_) return Fail("truncated text");
-    out->assign(bytes_.data() + pos_, length);
-    pos_ += length;
-    return Status::OK();
-  }
-
- private:
-  const std::string& bytes_;
-  size_t pos_;
-  size_t end_;
-  const std::string& path_;
-};
-
 }  // namespace
 
 std::string EncodeSegment(const DeltaSegment& segment) {
-  std::string out(kMagic, sizeof(kMagic));
-  Append(out, kVersion);
-  const size_t payload_begin = out.size();
-
-  Append(out, segment.parent_fingerprint);
-  Append(out, segment.result_fingerprint);
-  Append(out, segment.shard_index);
-  Append(out, segment.shard_count);
-  Append(out, segment.base_posts);
-  Append(out, segment.num_users_after);
-  Append(out, segment.num_threads_after);
-  Append(out, static_cast<uint32_t>(segment.posts.size()));
+  std::string out = BeginFrame(kMagic, kVersion);
+  Put(out, segment.parent_fingerprint);
+  Put(out, segment.result_fingerprint);
+  Put(out, segment.shard_index);
+  Put(out, segment.shard_count);
+  Put(out, segment.base_posts);
+  Put(out, segment.num_users_after);
+  Put(out, segment.num_threads_after);
+  Put(out, static_cast<uint32_t>(segment.posts.size()));
   for (const Post& post : segment.posts) {
-    Append(out, static_cast<int32_t>(post.user_id));
-    Append(out, static_cast<int32_t>(post.thread_id));
-    Append(out, static_cast<uint32_t>(post.text.size()));
+    Put(out, static_cast<int32_t>(post.user_id));
+    Put(out, static_cast<int32_t>(post.thread_id));
+    Put(out, static_cast<uint32_t>(post.text.size()));
     out += post.text;
   }
-
-  Append(out, Fnv1a(out.data() + payload_begin, out.size() - payload_begin));
+  EndFrame(out);
   return out;
 }
 
 StatusOr<DeltaSegment> DecodeSegment(const std::string& bytes,
                                      const std::string& path) {
-  constexpr size_t kHeaderSize = sizeof(kMagic) + sizeof(uint32_t);
-  if (bytes.size() < kHeaderSize + sizeof(uint64_t))
-    return DecodeError(path, bytes.size(),
-                       "file shorter than header + checksum");
-  if (std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0)
-    return DecodeError(path, 0, "bad magic (not a DHSG delta segment)");
-  uint32_t version = 0;
-  std::memcpy(&version, bytes.data() + sizeof(kMagic), sizeof(version));
-  if (version != kVersion)
-    // Strict equality: a future version is kUnimplemented (upgrade the
-    // build), anything else — including a zeroed byte where the version
-    // lives — is an invalid file, never silently parsed with this layout.
-    return DecodeError(path, sizeof(kMagic),
-                       "segment version " + std::to_string(version) +
-                           " is not the version this build supports (" +
-                           std::to_string(kVersion) + ")",
-                       version > kVersion ? StatusCode::kUnimplemented
-                                          : StatusCode::kInvalidArgument);
-  const size_t payload_end = bytes.size() - sizeof(uint64_t);
-  uint64_t stored_checksum = 0;
-  std::memcpy(&stored_checksum, bytes.data() + payload_end,
-              sizeof(stored_checksum));
-  const uint64_t actual_checksum =
-      Fnv1a(bytes.data() + kHeaderSize, payload_end - kHeaderSize);
-  if (stored_checksum != actual_checksum)
-    return DecodeError(path, payload_end,
-                       "checksum mismatch (file corrupted)");
-
-  Reader reader(bytes, kHeaderSize, payload_end, path);
+  StatusOr<ByteReader> frame =
+      OpenFrame(bytes, kMagic, kVersion, "delta segment", path);
+  if (!frame.ok()) return frame.status();
+  ByteReader& reader = *frame;
   DeltaSegment segment;
   DEHEALTH_RETURN_IF_ERROR(reader.Read(&segment.parent_fingerprint));
   DEHEALTH_RETURN_IF_ERROR(reader.Read(&segment.result_fingerprint));
@@ -162,10 +63,8 @@ StatusOr<DeltaSegment> DecodeSegment(const std::string& bytes,
   if (segment.num_users_after < 0 || segment.num_threads_after < 0)
     return reader.Fail("negative universe bounds");
   uint32_t num_posts = 0;
-  DEHEALTH_RETURN_IF_ERROR(reader.Read(&num_posts));
-  if (!reader.CanHold(num_posts, 12))
-    return reader.Fail("post count " + std::to_string(num_posts) +
-                       " exceeds remaining payload");
+  // i32 user + i32 thread + u32 text length is the smallest post.
+  DEHEALTH_RETURN_IF_ERROR(reader.ReadCount(12, &num_posts));
   segment.posts.reserve(num_posts);
   for (uint32_t i = 0; i < num_posts; ++i) {
     int32_t user = 0;
@@ -189,10 +88,10 @@ StatusOr<DeltaSegment> DecodeSegment(const std::string& bytes,
     Post post;
     post.user_id = user;
     post.thread_id = thread;
-    DEHEALTH_RETURN_IF_ERROR(reader.ReadString(&post.text, text_len));
+    DEHEALTH_RETURN_IF_ERROR(reader.ReadBytes(text_len, &post.text));
     segment.posts.push_back(std::move(post));
   }
-  if (!reader.AtEnd()) return reader.Fail("trailing bytes after posts");
+  DEHEALTH_RETURN_IF_ERROR(reader.ExpectEnd());
   return segment;
 }
 
@@ -245,23 +144,17 @@ Status WriteSegmentVerified(const DeltaSegment& segment,
                            "segment read back with a different result "
                            "fingerprint (storage corrupted a valid frame)")
                      : back.status();
-    // Quarantine the corrupt artifact for post-mortems (PR 4 contract:
-    // never delete evidence, never serve it) and recompute the write. If
-    // the rename fails the corrupt file is still sitting at `path`;
-    // retrying would overwrite the evidence, so give up instead.
-    const std::string quarantine = path + ".quarantined";
-    std::remove(quarantine.c_str());
-    if (std::rename(path.c_str(), quarantine.c_str()) != 0)
+    // Quarantine the corrupt artifact for post-mortems (never delete
+    // evidence, never serve it) and recompute the write. If the rename
+    // fails the corrupt file is still sitting at `path`; retrying would
+    // overwrite the evidence, so give up instead.
+    if (!QuarantineFile(path, last))
       return Status(StatusCode::kInternal,
                     "WriteSegmentVerified: " + path +
                         " failed read-back (" + std::string(last.message()) +
-                        ") and could not be quarantined to " + quarantine +
-                        "; the corrupt file is left in place as evidence");
+                        ") and could not be quarantined; the corrupt file "
+                        "is left in place as evidence");
     obs::GetIngestMetrics().quarantines->Increment();
-    std::fprintf(stderr,
-                 "warning: segment %s failed read-back verification (%s); "
-                 "quarantined to %s, rewriting\n",
-                 path.c_str(), last.message().c_str(), quarantine.c_str());
   }
   return Status(StatusCode::kInternal,
                 "WriteSegmentVerified: " + std::to_string(max_attempts) +

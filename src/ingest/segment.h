@@ -22,9 +22,8 @@ namespace ingest {
 /// bitwise-identical to a from-scratch build on the same logical forum
 /// (the golden test in tests/ingest/delta_test.cc).
 ///
-/// On-disk layout mirrors DHIX/DHJB (little-endian):
-///   magic "DHSG" | u32 version | payload | u64 FNV-1a checksum of payload
-/// payload:
+/// On-disk layout: the file frame of io/byte_codec.h, magic "DHSG"
+/// version 1, whose little-endian payload is:
 ///   u64 parent_fingerprint | u64 result_fingerprint |
 ///   u32 shard_index | u32 shard_count | u64 base_posts |
 ///   i32 num_users_after | i32 num_threads_after |

@@ -1,7 +1,6 @@
 #include "job/manifest.h"
 
-#include <cstring>
-#include <type_traits>
+#include "io/byte_codec.h"
 
 namespace dehealth {
 
@@ -11,121 +10,14 @@ constexpr char kManifestMagic[4] = {'D', 'H', 'J', 'B'};
 constexpr char kShardMagic[4] = {'D', 'H', 'S', 'H'};
 constexpr uint32_t kVersion = 1;
 
-uint64_t Fnv1a(const char* bytes, size_t n,
-               uint64_t h = 1469598103934665603ull) {
-  for (size_t i = 0; i < n; ++i) {
-    h ^= static_cast<unsigned char>(bytes[i]);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-template <typename T>
-uint64_t FnvMixValue(uint64_t h, T value) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  char buf[sizeof(T)];
-  std::memcpy(buf, &value, sizeof(T));
-  return Fnv1a(buf, sizeof(T), h);
-}
-
-template <typename T>
-void Append(std::string& out, T value) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  char buf[sizeof(T)];
-  std::memcpy(buf, &value, sizeof(T));
-  out.append(buf, sizeof(T));
-}
-
-Status DecodeError(const char* what_file, const std::string& path,
-                   size_t offset, const std::string& what,
-                   StatusCode code = StatusCode::kInvalidArgument) {
-  std::string message = what_file;
-  if (!path.empty()) message += " '" + path + "'";
-  message += " (byte " + std::to_string(offset) + "): " + what;
-  return Status(code, std::move(message));
-}
-
-/// Bounds-checked sequential reader over a payload span (same discipline
-/// as the DHIX snapshot decoder: lengths are validated against the
-/// remaining span BEFORE any allocation).
-class Reader {
- public:
-  Reader(const char* what_file, const std::string& bytes, size_t begin,
-         size_t end, const std::string& path)
-      : what_file_(what_file),
-        bytes_(bytes),
-        pos_(begin),
-        end_(end),
-        path_(path) {}
-
-  template <typename T>
-  Status Read(T* value) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    if (pos_ + sizeof(T) > end_) return Fail("truncated payload");
-    std::memcpy(value, bytes_.data() + pos_, sizeof(T));
-    pos_ += sizeof(T);
-    return Status::OK();
-  }
-
-  Status Fail(const std::string& what) const {
-    return DecodeError(what_file_, path_, pos_, what);
-  }
-
-  bool CanHold(uint64_t count, size_t element_size) const {
-    return count <= (end_ - pos_) / element_size;
-  }
-
-  bool AtEnd() const { return pos_ == end_; }
-
- private:
-  const char* what_file_;
-  const std::string& bytes_;
-  size_t pos_;
-  size_t end_;
-  const std::string& path_;
-};
-
-/// magic | u32 version | payload | u64 FNV-1a(payload). Validates the
-/// frame and returns the payload span [*begin, *end).
-Status CheckFrame(const char* what_file, const char magic[4],
-                  const std::string& bytes, const std::string& path,
-                  size_t* begin, size_t* end) {
-  constexpr size_t kHeaderSize = 4 + sizeof(uint32_t);
-  constexpr size_t kFooterSize = sizeof(uint64_t);
-  if (bytes.size() < kHeaderSize + kFooterSize)
-    return DecodeError(what_file, path, bytes.size(),
-                       "file smaller than header + footer");
-  if (std::memcmp(bytes.data(), magic, 4) != 0)
-    return DecodeError(what_file, path, 0, "bad magic");
-  uint32_t version = 0;
-  std::memcpy(&version, bytes.data() + 4, sizeof(version));
-  if (version != kVersion)
-    return DecodeError(
-        what_file, path, 4,
-        "unsupported format version " + std::to_string(version),
-        StatusCode::kUnimplemented);
-  const size_t payload_end = bytes.size() - kFooterSize;
-  uint64_t stored_checksum = 0;
-  std::memcpy(&stored_checksum, bytes.data() + payload_end, kFooterSize);
-  if (stored_checksum !=
-      Fnv1a(bytes.data() + kHeaderSize, payload_end - kHeaderSize))
-    return DecodeError(what_file, path, payload_end,
-                       "checksum mismatch (corrupt file)");
-  *begin = kHeaderSize;
-  *end = payload_end;
-  return Status::OK();
-}
-
 }  // namespace
 
 uint64_t JobManifest::JobFingerprint() const {
-  uint64_t h = 1469598103934665603ull;
-  h = FnvMixValue(h, anonymized_fingerprint);
-  h = FnvMixValue(h, auxiliary_fingerprint);
-  h = FnvMixValue(h, config_fingerprint);
-  h = FnvMixValue(h, num_users);
-  h = FnvMixValue(h, shard_size);
-  return h;
+  uint64_t h = Fnv1aValue(kFnv1aBasis, anonymized_fingerprint);
+  h = Fnv1aValue(h, auxiliary_fingerprint);
+  h = Fnv1aValue(h, config_fingerprint);
+  h = Fnv1aValue(h, num_users);
+  return Fnv1aValue(h, shard_size);
 }
 
 uint64_t JobConfigFingerprint(const DeHealthConfig& config) {
@@ -137,46 +29,46 @@ uint64_t JobConfigFingerprint(const DeHealthConfig& config) {
   // bitwise-identical to dense, so checkpoints interchange).
   std::string buf;
   const SimilarityConfig& sim = config.similarity;
-  Append(buf, sim.c1);
-  Append(buf, sim.c2);
-  Append(buf, sim.c3);
-  Append(buf, static_cast<int32_t>(sim.num_landmarks));
-  Append(buf, static_cast<uint8_t>(sim.idf_weight_attributes ? 1 : 0));
+  Put(buf, sim.c1);
+  Put(buf, sim.c2);
+  Put(buf, sim.c3);
+  Put(buf, static_cast<int32_t>(sim.num_landmarks));
+  Put(buf, static_cast<uint8_t>(sim.idf_weight_attributes ? 1 : 0));
 
-  Append(buf, static_cast<int32_t>(config.top_k));
-  Append(buf, static_cast<int32_t>(config.selection));
-  Append(buf, static_cast<uint8_t>(config.enable_filtering ? 1 : 0));
-  Append(buf, config.filter.epsilon);
-  Append(buf, static_cast<int32_t>(config.filter.num_thresholds));
+  Put(buf, static_cast<int32_t>(config.top_k));
+  Put(buf, static_cast<int32_t>(config.selection));
+  Put(buf, static_cast<uint8_t>(config.enable_filtering ? 1 : 0));
+  Put(buf, config.filter.epsilon);
+  Put(buf, static_cast<int32_t>(config.filter.num_thresholds));
 
   const RefinedDaConfig& r = config.refined;
-  Append(buf, static_cast<int32_t>(r.learner));
-  Append(buf, static_cast<int32_t>(r.knn_k));
-  Append(buf, r.rlsc_lambda);
-  Append(buf, static_cast<int32_t>(r.svm.kernel));
-  Append(buf, r.svm.c);
-  Append(buf, r.svm.rbf_gamma);
-  Append(buf, r.svm.tolerance);
-  Append(buf, static_cast<int32_t>(r.svm.max_passes));
-  Append(buf, static_cast<int32_t>(r.svm.max_iterations));
-  Append(buf, r.svm.seed);
-  Append(buf, static_cast<uint8_t>(r.include_structural_features ? 1 : 0));
-  Append(buf, static_cast<int32_t>(r.aggregation));
-  Append(buf, static_cast<uint8_t>(r.user_level_instances ? 1 : 0));
-  Append(buf, static_cast<int32_t>(r.verification));
-  Append(buf, r.mean_verification_r);
-  Append(buf, static_cast<int32_t>(r.false_addition_count));
-  Append(buf, r.seed);
+  Put(buf, static_cast<int32_t>(r.learner));
+  Put(buf, static_cast<int32_t>(r.knn_k));
+  Put(buf, r.rlsc_lambda);
+  Put(buf, static_cast<int32_t>(r.svm.kernel));
+  Put(buf, r.svm.c);
+  Put(buf, r.svm.rbf_gamma);
+  Put(buf, r.svm.tolerance);
+  Put(buf, static_cast<int32_t>(r.svm.max_passes));
+  Put(buf, static_cast<int32_t>(r.svm.max_iterations));
+  Put(buf, r.svm.seed);
+  Put(buf, static_cast<uint8_t>(r.include_structural_features ? 1 : 0));
+  Put(buf, static_cast<int32_t>(r.aggregation));
+  Put(buf, static_cast<uint8_t>(r.user_level_instances ? 1 : 0));
+  Put(buf, static_cast<int32_t>(r.verification));
+  Put(buf, r.mean_verification_r);
+  Put(buf, static_cast<int32_t>(r.false_addition_count));
+  Put(buf, r.seed);
 
   // The slot of the retired index recall cap: always 0, so job
   // directories written while the cap existed still resume.
-  Append(buf, int32_t{0});
+  Put(buf, int32_t{0});
 
   // Slice identity: a job computed over shard i of N holds candidates for
   // a DIFFERENT id space than shard j (or the whole universe), so slices
   // never interchange checkpoints.
-  Append(buf, static_cast<int32_t>(config.shard_index));
-  Append(buf, static_cast<int32_t>(config.shard_count));
+  Put(buf, static_cast<int32_t>(config.shard_index));
+  Put(buf, static_cast<int32_t>(config.shard_count));
 
   // Engine identity: blind/community scores differ from structural, so
   // their checkpoints must never interchange — with structural OR each
@@ -184,39 +76,36 @@ uint64_t JobConfigFingerprint(const DeHealthConfig& config) {
   // directory written before --engine existed valid. engine_seed shapes
   // the community engine's label-propagation result, so it travels too.
   if (config.engine != EngineKind::kStructural) {
-    Append(buf, static_cast<int32_t>(config.engine));
-    Append(buf, config.engine_seed);
+    Put(buf, static_cast<int32_t>(config.engine));
+    Put(buf, config.engine_seed);
   }
   return Fnv1a(buf.data(), buf.size());
 }
 
 std::string EncodeJobManifest(const JobManifest& manifest) {
-  std::string out(kManifestMagic, sizeof(kManifestMagic));
-  Append(out, kVersion);
-  const size_t payload_begin = out.size();
-  Append(out, manifest.anonymized_fingerprint);
-  Append(out, manifest.auxiliary_fingerprint);
-  Append(out, manifest.config_fingerprint);
-  Append(out, manifest.num_users);
-  Append(out, manifest.shard_size);
-  Append(out, Fnv1a(out.data() + payload_begin, out.size() - payload_begin));
+  std::string out = BeginFrame(kManifestMagic, kVersion);
+  Put(out, manifest.anonymized_fingerprint);
+  Put(out, manifest.auxiliary_fingerprint);
+  Put(out, manifest.config_fingerprint);
+  Put(out, manifest.num_users);
+  Put(out, manifest.shard_size);
+  EndFrame(out);
   return out;
 }
 
 StatusOr<JobManifest> DecodeJobManifest(const std::string& bytes,
                                         const std::string& path) {
-  size_t begin = 0, end = 0;
-  DEHEALTH_RETURN_IF_ERROR(
-      CheckFrame("job manifest", kManifestMagic, bytes, path, &begin, &end));
-  Reader reader("job manifest", bytes, begin, end, path);
+  StatusOr<ByteReader> reader =
+      OpenFrame(bytes, kManifestMagic, kVersion, "job manifest", path);
+  if (!reader.ok()) return reader.status();
   JobManifest manifest;
-  DEHEALTH_RETURN_IF_ERROR(reader.Read(&manifest.anonymized_fingerprint));
-  DEHEALTH_RETURN_IF_ERROR(reader.Read(&manifest.auxiliary_fingerprint));
-  DEHEALTH_RETURN_IF_ERROR(reader.Read(&manifest.config_fingerprint));
-  DEHEALTH_RETURN_IF_ERROR(reader.Read(&manifest.num_users));
-  DEHEALTH_RETURN_IF_ERROR(reader.Read(&manifest.shard_size));
-  if (!reader.AtEnd()) return reader.Fail("trailing bytes after payload");
-  if (manifest.shard_size == 0) return reader.Fail("shard_size is zero");
+  DEHEALTH_RETURN_IF_ERROR(reader->Read(&manifest.anonymized_fingerprint));
+  DEHEALTH_RETURN_IF_ERROR(reader->Read(&manifest.auxiliary_fingerprint));
+  DEHEALTH_RETURN_IF_ERROR(reader->Read(&manifest.config_fingerprint));
+  DEHEALTH_RETURN_IF_ERROR(reader->Read(&manifest.num_users));
+  DEHEALTH_RETURN_IF_ERROR(reader->Read(&manifest.shard_size));
+  DEHEALTH_RETURN_IF_ERROR(reader->ExpectEnd());
+  if (manifest.shard_size == 0) return reader->Fail("shard_size is zero");
   return manifest;
 }
 
@@ -249,28 +138,26 @@ StatusOr<std::string> EncodeJobShard(const JobShard& shard,
       return Status::Internal("EncodeJobShard: unknown phase");
   }
 
-  std::string out(kShardMagic, sizeof(kShardMagic));
-  Append(out, kVersion);
-  const size_t payload_begin = out.size();
-  Append(out, job_fingerprint);
-  Append(out, static_cast<uint8_t>(shard.phase));
-  Append(out, shard.begin);
-  Append(out, shard.end);
+  std::string out = BeginFrame(kShardMagic, kVersion);
+  Put(out, job_fingerprint);
+  Put(out, static_cast<uint8_t>(shard.phase));
+  Put(out, shard.begin);
+  Put(out, shard.end);
   if (shard.phase == JobShard::Phase::kTopK ||
       shard.phase == JobShard::Phase::kFilter) {
     for (const std::vector<int>& list : shard.candidates) {
-      Append(out, static_cast<uint32_t>(list.size()));
-      for (int v : list) Append(out, static_cast<int32_t>(v));
+      Put(out, static_cast<uint32_t>(list.size()));
+      for (int v : list) Put(out, static_cast<int32_t>(v));
     }
   }
   if (shard.phase == JobShard::Phase::kRefined)
     for (size_t i = 0; i < span; ++i)
-      Append(out, static_cast<int32_t>(shard.predictions[i]));
+      Put(out, static_cast<int32_t>(shard.predictions[i]));
   if (shard.phase == JobShard::Phase::kRefined ||
       shard.phase == JobShard::Phase::kFilter)
     for (size_t i = 0; i < span; ++i)
-      Append(out, static_cast<uint8_t>(shard.rejected[i] ? 1 : 0));
-  Append(out, Fnv1a(out.data() + payload_begin, out.size() - payload_begin));
+      Put(out, static_cast<uint8_t>(shard.rejected[i] ? 1 : 0));
+  EndFrame(out);
   return out;
 }
 
@@ -280,10 +167,10 @@ StatusOr<JobShard> DecodeJobShard(const std::string& bytes,
                                   uint32_t expected_begin,
                                   uint32_t expected_end,
                                   const std::string& path) {
-  size_t begin = 0, end = 0;
-  DEHEALTH_RETURN_IF_ERROR(
-      CheckFrame("job shard", kShardMagic, bytes, path, &begin, &end));
-  Reader reader("job shard", bytes, begin, end, path);
+  StatusOr<ByteReader> frame =
+      OpenFrame(bytes, kShardMagic, kVersion, "job shard", path);
+  if (!frame.ok()) return frame.status();
+  ByteReader& reader = *frame;
 
   uint64_t stored_fingerprint = 0;
   DEHEALTH_RETURN_IF_ERROR(reader.Read(&stored_fingerprint));
@@ -302,38 +189,33 @@ StatusOr<JobShard> DecodeJobShard(const std::string& bytes,
     return reader.Fail("unexpected user range [" +
                        std::to_string(shard.begin) + ", " +
                        std::to_string(shard.end) + ")");
+  // The range now equals the caller's, so `span` is trusted for sizing.
   const size_t span = shard.end - shard.begin;
 
   if (expected_phase == JobShard::Phase::kTopK ||
       expected_phase == JobShard::Phase::kFilter) {
     shard.candidates.resize(span);
-    for (size_t i = 0; i < span; ++i) {
+    for (std::vector<int>& list : shard.candidates) {
       uint32_t count = 0;
-      DEHEALTH_RETURN_IF_ERROR(reader.Read(&count));
-      if (!reader.CanHold(count, sizeof(int32_t)))
-        return reader.Fail("candidate list length exceeds payload");
-      shard.candidates[i].resize(count);
-      for (uint32_t j = 0; j < count; ++j) {
-        int32_t v = 0;
-        DEHEALTH_RETURN_IF_ERROR(reader.Read(&v));
-        shard.candidates[i][j] = v;
+      DEHEALTH_RETURN_IF_ERROR(reader.ReadCount(sizeof(int32_t), &count));
+      list.resize(count);
+      for (int& v : list) {
+        int32_t id = 0;
+        DEHEALTH_RETURN_IF_ERROR(reader.Read(&id));
+        v = id;
       }
     }
   }
   if (expected_phase == JobShard::Phase::kRefined) {
-    if (!reader.CanHold(span, sizeof(int32_t) + sizeof(uint8_t)))
-      return reader.Fail("prediction list exceeds payload");
     shard.predictions.resize(span);
-    for (size_t i = 0; i < span; ++i) {
-      int32_t p = 0;
-      DEHEALTH_RETURN_IF_ERROR(reader.Read(&p));
-      shard.predictions[i] = p;
+    for (int& p : shard.predictions) {
+      int32_t id = 0;
+      DEHEALTH_RETURN_IF_ERROR(reader.Read(&id));
+      p = id;
     }
   }
   if (expected_phase == JobShard::Phase::kRefined ||
       expected_phase == JobShard::Phase::kFilter) {
-    if (!reader.CanHold(span, sizeof(uint8_t)))
-      return reader.Fail("rejected flags exceed payload");
     shard.rejected.resize(span);
     for (size_t i = 0; i < span; ++i) {
       uint8_t flag = 0;
@@ -342,7 +224,7 @@ StatusOr<JobShard> DecodeJobShard(const std::string& bytes,
       shard.rejected[i] = flag != 0;
     }
   }
-  if (!reader.AtEnd()) return reader.Fail("trailing bytes after payload");
+  DEHEALTH_RETURN_IF_ERROR(reader.ExpectEnd());
   return shard;
 }
 

@@ -14,8 +14,8 @@ namespace dehealth {
 /// On-disk formats of the crash-safe attack job (src/job/runner.h).
 ///
 /// A job directory holds one DHJB manifest binding the job to its inputs,
-/// plus DHSH result shards, all written with WriteStringToFileAtomic and
-/// framed exactly like the DHIX index snapshot and the DHQP wire protocol:
+/// plus DHSH result shards, all written with WriteStringToFileAtomic in
+/// the file frame of io/byte_codec.h:
 ///
 ///   magic (4 bytes) | u32 version | payload | u64 FNV-1a(payload)
 ///

@@ -8,6 +8,7 @@
 #include "common/shutdown.h"
 #include "index/candidate_index.h"
 #include "index/pipeline.h"
+#include "io/byte_codec.h"
 #include "io/file_util.h"
 #include "obs/standard_metrics.h"
 #include "obs/trace.h"
@@ -24,19 +25,12 @@ std::string ShardFilename(const char* prefix, uint32_t begin, uint32_t end) {
   return buf;
 }
 
-/// Moves a poisoned file out of the way (never deletes evidence): a later
-/// post-mortem can inspect `<name>.quarantined` while the runner recomputes
-/// a clean replacement. Rename-over is fine if an older quarantined copy
-/// exists.
-void QuarantineFile(const std::string& path, const Status& why) {
+/// Quarantines a poisoned checkpoint (never deletes evidence) so the runner
+/// can recompute a clean replacement. If the rename fails the file stays
+/// put, and the replacement's atomic write overwrites it.
+void QuarantineCheckpoint(const std::string& path, const Status& why) {
   obs::GetJobMetrics().quarantines->Increment();
-  const std::string target = path + ".quarantined";
-  std::fprintf(stderr,
-               "warning: quarantining '%s' (-> '%s'): %s; recomputing\n",
-               path.c_str(), target.c_str(), why.ToString().c_str());
-  std::error_code ec;
-  std::filesystem::rename(path, target, ec);
-  if (ec) std::filesystem::remove(path, ec);
+  QuarantineFile(path, why);
 }
 
 Status CancelledAtShard(const char* phase, uint32_t begin, uint32_t end) {
@@ -105,7 +99,7 @@ StatusOr<AttackJob> AttackJob::Open(const UdaGraph& anonymized,
             "start over");
       return job;  // valid manifest, same job: resume.
     }
-    QuarantineFile(manifest_path, stored.status());
+    QuarantineCheckpoint(manifest_path, stored.status());
   } else if (bytes.status().code() != StatusCode::kNotFound) {
     return bytes.status();
   }
@@ -129,13 +123,13 @@ StatusOr<JobShard> AttackJob::LoadShard(const std::string& filename,
     // (I/O fault) is quarantine-worthy — the file exists but cannot be
     // trusted.
     if (bytes.status().code() != StatusCode::kNotFound)
-      QuarantineFile(path, bytes.status());
+      QuarantineCheckpoint(path, bytes.status());
     return JobShard{};
   }
   StatusOr<JobShard> shard =
       DecodeJobShard(*bytes, fingerprint_, phase, begin, end, path);
   if (!shard.ok()) {
-    QuarantineFile(path, shard.status());
+    QuarantineCheckpoint(path, shard.status());
     return JobShard{};
   }
   *loaded = true;

@@ -1,135 +1,33 @@
 #include "serve/protocol.h"
 
-#include <bit>
-#include <cstring>
-
+#include "io/byte_codec.h"
 #include "io/socket.h"
 
 namespace dehealth {
 
 namespace {
 
-// ---- little-endian primitives over a growing string ----
+/// "DHQP" | u32 version | u8 type | u32 payload_len.
+constexpr size_t kDhqpHeaderBytes = 13;
 
-void PutU8(std::string& out, uint8_t v) {
-  out.push_back(static_cast<char>(v));
-}
-
-void PutU32(std::string& out, uint32_t v) {
-  for (int i = 0; i < 4; ++i)
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-void PutU64(std::string& out, uint64_t v) {
-  for (int i = 0; i < 8; ++i)
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-void PutI32(std::string& out, int32_t v) {
-  PutU32(out, static_cast<uint32_t>(v));
-}
-
-void PutDouble(std::string& out, double v) {
-  PutU64(out, std::bit_cast<uint64_t>(v));
-}
-
-/// Strict cursor over a received payload; every read is bounds-checked and
-/// failures carry the byte offset, like the DHIX snapshot reader.
-class PayloadReader {
- public:
-  explicit PayloadReader(const std::string& bytes) : bytes_(bytes) {}
-
-  Status Fail(const std::string& what) const {
-    return Status::InvalidArgument("DHQP payload (byte " +
-                                   std::to_string(pos_) + "): " + what);
-  }
-
-  Status ReadU8(uint8_t* v) {
-    if (bytes_.size() - pos_ < 1) return Fail("truncated u8");
-    *v = static_cast<uint8_t>(bytes_[pos_++]);
-    return Status();
-  }
-
-  Status ReadU32(uint32_t* v) {
-    if (bytes_.size() - pos_ < 4) return Fail("truncated u32");
-    uint32_t value = 0;
-    for (int i = 0; i < 4; ++i)
-      value |= static_cast<uint32_t>(static_cast<uint8_t>(bytes_[pos_ + i]))
-               << (8 * i);
-    pos_ += 4;
-    *v = value;
-    return Status();
-  }
-
-  Status ReadU64(uint64_t* v) {
-    if (bytes_.size() - pos_ < 8) return Fail("truncated u64");
-    uint64_t value = 0;
-    for (int i = 0; i < 8; ++i)
-      value |= static_cast<uint64_t>(static_cast<uint8_t>(bytes_[pos_ + i]))
-               << (8 * i);
-    pos_ += 8;
-    *v = value;
-    return Status();
-  }
-
-  Status ReadI32(int32_t* v) {
-    uint32_t raw = 0;
-    DEHEALTH_RETURN_IF_ERROR(ReadU32(&raw));
-    *v = static_cast<int32_t>(raw);
-    return Status();
-  }
-
-  Status ReadDouble(double* v) {
-    uint64_t raw = 0;
-    DEHEALTH_RETURN_IF_ERROR(ReadU64(&raw));
-    *v = std::bit_cast<double>(raw);
-    return Status();
-  }
-
-  /// Reads a u32 element count that must be plausible for `element_size`
-  /// bytes per element in the remaining payload — rejects absurd counts
-  /// before any allocation.
-  Status ReadCount(size_t element_size, uint32_t* count) {
-    DEHEALTH_RETURN_IF_ERROR(ReadU32(count));
-    if (static_cast<uint64_t>(*count) * element_size >
-        bytes_.size() - pos_)
-      return Fail("element count " + std::to_string(*count) +
-                  " exceeds remaining payload");
-    return Status();
-  }
-
-  Status ReadIntVector(std::vector<int>* out) {
-    uint32_t n = 0;
-    DEHEALTH_RETURN_IF_ERROR(ReadCount(4, &n));
-    out->resize(n);
-    for (uint32_t i = 0; i < n; ++i) {
-      int32_t v = 0;
-      DEHEALTH_RETURN_IF_ERROR(ReadI32(&v));
-      (*out)[i] = v;
-    }
-    return Status();
-  }
-
-  Status ExpectEnd() const {
-    if (pos_ != bytes_.size())
-      return Status::InvalidArgument(
-          "DHQP payload (byte " + std::to_string(pos_) + "): " +
-          std::to_string(bytes_.size() - pos_) + " trailing bytes");
-    return Status();
-  }
-
-  /// True when the cursor has consumed the whole payload — how decoders
-  /// detect that an optional trailing extension is absent (older peer).
-  bool AtEnd() const { return pos_ == bytes_.size(); }
-
- private:
-  const std::string& bytes_;
-  size_t pos_ = 0;
-};
+/// What every payload decoder's errors name: "DHQP payload (byte N): why".
+constexpr std::string_view kPayload = "DHQP payload";
 
 void PutIntVector(std::string& out, const std::vector<int>& v) {
-  PutU32(out, static_cast<uint32_t>(v.size()));
-  for (int x : v) PutI32(out, x);
+  Put(out, static_cast<uint32_t>(v.size()));
+  for (int x : v) Put(out, static_cast<int32_t>(x));
+}
+
+Status ReadIntVector(ByteReader& reader, std::vector<int>* out) {
+  uint32_t n = 0;
+  DEHEALTH_RETURN_IF_ERROR(reader.ReadCount(sizeof(int32_t), &n));
+  out->resize(n);
+  for (int& x : *out) {
+    int32_t v = 0;
+    DEHEALTH_RETURN_IF_ERROR(reader.Read(&v));
+    x = v;
+  }
+  return Status();
 }
 
 bool IsQueryType(RequestType type) {
@@ -143,10 +41,10 @@ bool IsQueryType(RequestType type) {
 std::string EncodeCandidateSets(const std::vector<std::vector<int>>& sets,
                                 const std::vector<bool>* rejected) {
   std::string out;
-  PutU32(out, static_cast<uint32_t>(sets.size()));
+  Put(out, static_cast<uint32_t>(sets.size()));
   for (size_t i = 0; i < sets.size(); ++i) {
     if (rejected != nullptr)
-      PutU8(out, (*rejected)[i] ? 1 : 0);
+      Put(out, static_cast<uint8_t>((*rejected)[i] ? 1 : 0));
     PutIntVector(out, sets[i]);
   }
   return out;
@@ -155,7 +53,7 @@ std::string EncodeCandidateSets(const std::vector<std::vector<int>>& sets,
 Status DecodeCandidateSets(const std::string& payload,
                            std::vector<std::vector<int>>* sets,
                            std::vector<bool>* rejected) {
-  PayloadReader reader(payload);
+  ByteReader reader(payload, kPayload);
   uint32_t n = 0;
   DEHEALTH_RETURN_IF_ERROR(reader.ReadCount(rejected ? 5 : 4, &n));
   sets->resize(n);
@@ -163,10 +61,10 @@ Status DecodeCandidateSets(const std::string& payload,
   for (uint32_t i = 0; i < n; ++i) {
     if (rejected != nullptr) {
       uint8_t flag = 0;
-      DEHEALTH_RETURN_IF_ERROR(reader.ReadU8(&flag));
+      DEHEALTH_RETURN_IF_ERROR(reader.Read(&flag));
       (*rejected)[i] = flag != 0;
     }
-    DEHEALTH_RETURN_IF_ERROR(reader.ReadIntVector(&(*sets)[i]));
+    DEHEALTH_RETURN_IF_ERROR(ReadIntVector(reader, &(*sets)[i]));
   }
   return reader.ExpectEnd();
 }
@@ -179,41 +77,28 @@ Status WriteFrame(int fd, uint8_t type, const std::string& payload) {
         "DHQP frame: payload of " + std::to_string(payload.size()) +
         " bytes exceeds the " + std::to_string(kDhqpMaxPayloadBytes) +
         "-byte limit");
-  std::string frame;
-  frame.reserve(13 + payload.size());
-  frame.append(kDhqpMagic, sizeof(kDhqpMagic));
-  PutU32(frame, kDhqpVersion);
-  PutU8(frame, type);
-  PutU32(frame, static_cast<uint32_t>(payload.size()));
+  std::string frame = BeginFrame(kDhqpMagic, kDhqpVersion);
+  frame.reserve(kDhqpHeaderBytes + payload.size());
+  Put(frame, type);
+  Put(frame, static_cast<uint32_t>(payload.size()));
   frame += payload;
   return WriteAll(fd, frame.data(), frame.size());
 }
 
 Status ReadFrame(int fd, uint8_t* type, std::string* payload) {
-  char header[13];
+  char header[kDhqpHeaderBytes];
   DEHEALTH_RETURN_IF_ERROR(ReadExact(fd, header, sizeof(header)));
-  if (std::memcmp(header, kDhqpMagic, sizeof(kDhqpMagic)) != 0)
-    return Status::InvalidArgument(
-        "DHQP frame: bad magic (not a De-Health query stream)");
-  uint32_t version = 0;
+  ByteReader reader(std::string_view(header, sizeof(header)), "DHQP frame");
+  DEHEALTH_RETURN_IF_ERROR(reader.ExpectHeader(kDhqpMagic, kDhqpVersion));
+  uint8_t frame_type = 0;
   uint32_t length = 0;
-  for (int i = 0; i < 4; ++i) {
-    version |= static_cast<uint32_t>(static_cast<uint8_t>(header[4 + i]))
-               << (8 * i);
-    length |= static_cast<uint32_t>(static_cast<uint8_t>(header[9 + i]))
-              << (8 * i);
-  }
-  if (version > kDhqpVersion)
-    return Status::Unimplemented(
-        "DHQP frame: version " + std::to_string(version) +
-        " is newer than this build supports (" +
-        std::to_string(kDhqpVersion) + ")");
+  DEHEALTH_RETURN_IF_ERROR(reader.Read(&frame_type));
+  DEHEALTH_RETURN_IF_ERROR(reader.Read(&length));
   if (length > kDhqpMaxPayloadBytes)
-    return Status::InvalidArgument(
-        "DHQP frame: announced payload of " + std::to_string(length) +
-        " bytes exceeds the " + std::to_string(kDhqpMaxPayloadBytes) +
-        "-byte limit");
-  *type = static_cast<uint8_t>(header[8]);
+    return reader.Fail("announced payload of " + std::to_string(length) +
+                       " bytes exceeds the " +
+                       std::to_string(kDhqpMaxPayloadBytes) + "-byte limit");
+  *type = frame_type;
   payload->resize(length);
   if (length > 0)
     DEHEALTH_RETURN_IF_ERROR(ReadExact(fd, payload->data(), length));
@@ -222,8 +107,8 @@ Status ReadFrame(int fd, uint8_t* type, std::string* payload) {
 
 std::string EncodeQueryPayload(const QueryRequest& request) {
   std::string out;
-  PutI32(out, request.top_k);
-  PutDouble(out, request.timeout_ms);
+  Put(out, static_cast<int32_t>(request.top_k));
+  Put(out, request.timeout_ms);
   PutIntVector(out, request.users);
   return out;
 }
@@ -237,12 +122,12 @@ StatusOr<QueryRequest> DecodeQueryPayload(RequestType type,
         " does not carry a query payload");
   QueryRequest request;
   request.type = type;
-  PayloadReader reader(payload);
+  ByteReader reader(payload, kPayload);
   int32_t top_k = 0;
-  DEHEALTH_RETURN_IF_ERROR(reader.ReadI32(&top_k));
+  DEHEALTH_RETURN_IF_ERROR(reader.Read(&top_k));
   request.top_k = top_k;
-  DEHEALTH_RETURN_IF_ERROR(reader.ReadDouble(&request.timeout_ms));
-  DEHEALTH_RETURN_IF_ERROR(reader.ReadIntVector(&request.users));
+  DEHEALTH_RETURN_IF_ERROR(reader.Read(&request.timeout_ms));
+  DEHEALTH_RETURN_IF_ERROR(ReadIntVector(reader, &request.users));
   DEHEALTH_RETURN_IF_ERROR(reader.ExpectEnd());
   if (request.top_k < 0)
     return Status::InvalidArgument("DHQP: top_k must be >= 0 (0 = default)");
@@ -266,12 +151,12 @@ StatusOr<TopKAnswer> DecodeTopKPayload(const std::string& payload) {
 
 std::string EncodeScoredTopKPayload(const ScoredTopKAnswer& answer) {
   std::string out;
-  PutU32(out, static_cast<uint32_t>(answer.candidates.size()));
+  Put(out, static_cast<uint32_t>(answer.candidates.size()));
   for (const std::vector<ScoredUser>& list : answer.candidates) {
-    PutU32(out, static_cast<uint32_t>(list.size()));
+    Put(out, static_cast<uint32_t>(list.size()));
     for (const ScoredUser& c : list) {
-      PutI32(out, c.user);
-      PutDouble(out, c.score);
+      Put(out, static_cast<int32_t>(c.user));
+      Put(out, c.score);
     }
   }
   return out;
@@ -280,7 +165,7 @@ std::string EncodeScoredTopKPayload(const ScoredTopKAnswer& answer) {
 StatusOr<ScoredTopKAnswer> DecodeScoredTopKPayload(
     const std::string& payload) {
   ScoredTopKAnswer answer;
-  PayloadReader reader(payload);
+  ByteReader reader(payload, kPayload);
   uint32_t n = 0;
   DEHEALTH_RETURN_IF_ERROR(reader.ReadCount(4, &n));
   answer.candidates.resize(n);
@@ -291,8 +176,8 @@ StatusOr<ScoredTopKAnswer> DecodeScoredTopKPayload(
     list.resize(m);
     for (uint32_t j = 0; j < m; ++j) {
       int32_t user = 0;
-      DEHEALTH_RETURN_IF_ERROR(reader.ReadI32(&user));
-      DEHEALTH_RETURN_IF_ERROR(reader.ReadDouble(&list[j].score));
+      DEHEALTH_RETURN_IF_ERROR(reader.Read(&user));
+      DEHEALTH_RETURN_IF_ERROR(reader.Read(&list[j].score));
       list[j].user = user;
     }
   }
@@ -302,51 +187,51 @@ StatusOr<ScoredTopKAnswer> DecodeScoredTopKPayload(
 
 std::string EncodeShardInfoPayload(const ShardInfoAnswer& answer) {
   std::string out;
-  PutU32(out, answer.shard_index);
-  PutU32(out, answer.shard_count);
-  PutU64(out, answer.shard_begin);
-  PutU64(out, answer.shard_total);
-  PutU64(out, answer.universe_fingerprint);
-  PutU64(out, answer.num_anonymized);
-  PutU64(out, answer.default_top_k);
+  Put(out, answer.shard_index);
+  Put(out, answer.shard_count);
+  Put(out, answer.shard_begin);
+  Put(out, answer.shard_total);
+  Put(out, answer.universe_fingerprint);
+  Put(out, answer.num_anonymized);
+  Put(out, answer.default_top_k);
   // The ingest extension travels only when it says something: all-zero
   // means "boot epoch, nothing staged", which is what a decoder assumes
   // when the payload ends here — so a non-ingest (or not-yet-sealed)
   // server stays byte-compatible with pre-ingest peers.
   if (answer.epoch_seq != 0 || answer.staged_segments != 0 ||
       answer.engine != 0) {
-    PutU64(out, answer.epoch_seq);
-    PutU64(out, answer.staged_segments);
+    Put(out, answer.epoch_seq);
+    Put(out, answer.staged_segments);
   }
   // Second trailing extension (pluggable engines, PR 10): non-structural
   // servers announce their engine; a structural server ends the payload
   // early, which is exactly what a pre-engine decoder assumes.
-  if (answer.engine != 0) PutU32(out, answer.engine);
+  if (answer.engine != 0) Put(out, answer.engine);
   return out;
 }
 
 StatusOr<ShardInfoAnswer> DecodeShardInfoPayload(const std::string& payload) {
   ShardInfoAnswer answer;
-  PayloadReader reader(payload);
-  DEHEALTH_RETURN_IF_ERROR(reader.ReadU32(&answer.shard_index));
-  DEHEALTH_RETURN_IF_ERROR(reader.ReadU32(&answer.shard_count));
-  DEHEALTH_RETURN_IF_ERROR(reader.ReadU64(&answer.shard_begin));
-  DEHEALTH_RETURN_IF_ERROR(reader.ReadU64(&answer.shard_total));
-  DEHEALTH_RETURN_IF_ERROR(reader.ReadU64(&answer.universe_fingerprint));
-  DEHEALTH_RETURN_IF_ERROR(reader.ReadU64(&answer.num_anonymized));
-  DEHEALTH_RETURN_IF_ERROR(reader.ReadU64(&answer.default_top_k));
+  ByteReader reader(payload, kPayload);
+  DEHEALTH_RETURN_IF_ERROR(reader.Read(&answer.shard_index));
+  DEHEALTH_RETURN_IF_ERROR(reader.Read(&answer.shard_count));
+  DEHEALTH_RETURN_IF_ERROR(reader.Read(&answer.shard_begin));
+  DEHEALTH_RETURN_IF_ERROR(reader.Read(&answer.shard_total));
+  DEHEALTH_RETURN_IF_ERROR(reader.Read(&answer.universe_fingerprint));
+  DEHEALTH_RETURN_IF_ERROR(reader.Read(&answer.num_anonymized));
+  DEHEALTH_RETURN_IF_ERROR(reader.Read(&answer.default_top_k));
   // Optional trailing extension (streaming ingestion, PR 8): a pre-ingest
   // peer's 48-byte payload simply ends here and means "boot epoch,
   // nothing staged" — exactly the defaults — so mixed-version fleets
   // keep interoperating through a rolling upgrade without a version bump.
   if (!reader.AtEnd()) {
-    DEHEALTH_RETURN_IF_ERROR(reader.ReadU64(&answer.epoch_seq));
-    DEHEALTH_RETURN_IF_ERROR(reader.ReadU64(&answer.staged_segments));
+    DEHEALTH_RETURN_IF_ERROR(reader.Read(&answer.epoch_seq));
+    DEHEALTH_RETURN_IF_ERROR(reader.Read(&answer.staged_segments));
   }
   // Second optional extension (pluggable engines, PR 10): absent means
   // structural, which is all a pre-engine peer can be.
   if (!reader.AtEnd())
-    DEHEALTH_RETURN_IF_ERROR(reader.ReadU32(&answer.engine));
+    DEHEALTH_RETURN_IF_ERROR(reader.Read(&answer.engine));
   DEHEALTH_RETURN_IF_ERROR(reader.ExpectEnd());
   if (answer.shard_count == 0)
     return Status::InvalidArgument("DHQP: shard_count must be >= 1");
@@ -357,18 +242,18 @@ StatusOr<ShardInfoAnswer> DecodeShardInfoPayload(const std::string& payload) {
 
 std::string EncodeLoadSegmentPayload(const std::string& segment_path) {
   std::string out;
-  PutU32(out, static_cast<uint32_t>(segment_path.size()));
+  Put(out, static_cast<uint32_t>(segment_path.size()));
   out += segment_path;
   return out;
 }
 
 StatusOr<std::string> DecodeLoadSegmentPayload(const std::string& payload) {
-  PayloadReader reader(payload);
+  ByteReader reader(payload, kPayload);
   uint32_t length = 0;
+  std::string path;
   DEHEALTH_RETURN_IF_ERROR(reader.ReadCount(1, &length));
-  if (payload.size() != 4 + static_cast<size_t>(length))
-    return reader.Fail("segment path length mismatch");
-  std::string path = payload.substr(4, length);
+  DEHEALTH_RETURN_IF_ERROR(reader.ReadBytes(length, &path));
+  DEHEALTH_RETURN_IF_ERROR(reader.ExpectEnd());
   if (path.empty())
     return Status::InvalidArgument("DHQP: kLoadSegment path is empty");
   if (path.find('\0') != std::string::npos)
@@ -378,17 +263,17 @@ StatusOr<std::string> DecodeLoadSegmentPayload(const std::string& payload) {
 
 std::string EncodeRefinedPayload(const RefinedAnswer& answer) {
   std::string out;
-  PutU32(out, static_cast<uint32_t>(answer.predictions.size()));
+  Put(out, static_cast<uint32_t>(answer.predictions.size()));
   for (size_t i = 0; i < answer.predictions.size(); ++i) {
-    PutI32(out, answer.predictions[i]);
-    PutU8(out, answer.rejected[i] ? 1 : 0);
+    Put(out, static_cast<int32_t>(answer.predictions[i]));
+    Put(out, static_cast<uint8_t>(answer.rejected[i] ? 1 : 0));
   }
   return out;
 }
 
 StatusOr<RefinedAnswer> DecodeRefinedPayload(const std::string& payload) {
   RefinedAnswer answer;
-  PayloadReader reader(payload);
+  ByteReader reader(payload, kPayload);
   uint32_t n = 0;
   DEHEALTH_RETURN_IF_ERROR(reader.ReadCount(5, &n));
   answer.predictions.resize(n);
@@ -396,8 +281,8 @@ StatusOr<RefinedAnswer> DecodeRefinedPayload(const std::string& payload) {
   for (uint32_t i = 0; i < n; ++i) {
     int32_t prediction = 0;
     uint8_t rejected = 0;
-    DEHEALTH_RETURN_IF_ERROR(reader.ReadI32(&prediction));
-    DEHEALTH_RETURN_IF_ERROR(reader.ReadU8(&rejected));
+    DEHEALTH_RETURN_IF_ERROR(reader.Read(&prediction));
+    DEHEALTH_RETURN_IF_ERROR(reader.Read(&rejected));
     answer.predictions[i] = prediction;
     answer.rejected[i] = rejected != 0;
   }
@@ -418,57 +303,56 @@ StatusOr<FilteredAnswer> DecodeFilteredPayload(const std::string& payload) {
 
 std::string EncodeStatsPayload(const ServerStatsSnapshot& stats) {
   std::string out;
-  PutU64(out, stats.requests_total);
-  PutU64(out, stats.queries_total);
-  PutU64(out, stats.batches_total);
-  PutU64(out, stats.max_batch);
-  PutU64(out, stats.overload_rejections);
-  PutU64(out, stats.deadline_expirations);
-  PutU64(out, stats.queue_depth);
-  PutU64(out, stats.num_anonymized);
-  PutU64(out, stats.default_top_k);
-  PutDouble(out, stats.p50_micros);
-  PutDouble(out, stats.p99_micros);
-  PutDouble(out, stats.max_micros);
+  Put(out, stats.requests_total);
+  Put(out, stats.queries_total);
+  Put(out, stats.batches_total);
+  Put(out, stats.max_batch);
+  Put(out, stats.overload_rejections);
+  Put(out, stats.deadline_expirations);
+  Put(out, stats.queue_depth);
+  Put(out, stats.num_anonymized);
+  Put(out, stats.default_top_k);
+  Put(out, stats.p50_micros);
+  Put(out, stats.p99_micros);
+  Put(out, stats.max_micros);
   return out;
 }
 
 StatusOr<ServerStatsSnapshot> DecodeStatsPayload(const std::string& payload) {
   ServerStatsSnapshot stats;
-  PayloadReader reader(payload);
-  DEHEALTH_RETURN_IF_ERROR(reader.ReadU64(&stats.requests_total));
-  DEHEALTH_RETURN_IF_ERROR(reader.ReadU64(&stats.queries_total));
-  DEHEALTH_RETURN_IF_ERROR(reader.ReadU64(&stats.batches_total));
-  DEHEALTH_RETURN_IF_ERROR(reader.ReadU64(&stats.max_batch));
-  DEHEALTH_RETURN_IF_ERROR(reader.ReadU64(&stats.overload_rejections));
-  DEHEALTH_RETURN_IF_ERROR(reader.ReadU64(&stats.deadline_expirations));
-  DEHEALTH_RETURN_IF_ERROR(reader.ReadU64(&stats.queue_depth));
-  DEHEALTH_RETURN_IF_ERROR(reader.ReadU64(&stats.num_anonymized));
-  DEHEALTH_RETURN_IF_ERROR(reader.ReadU64(&stats.default_top_k));
-  DEHEALTH_RETURN_IF_ERROR(reader.ReadDouble(&stats.p50_micros));
-  DEHEALTH_RETURN_IF_ERROR(reader.ReadDouble(&stats.p99_micros));
-  DEHEALTH_RETURN_IF_ERROR(reader.ReadDouble(&stats.max_micros));
+  ByteReader reader(payload, kPayload);
+  DEHEALTH_RETURN_IF_ERROR(reader.Read(&stats.requests_total));
+  DEHEALTH_RETURN_IF_ERROR(reader.Read(&stats.queries_total));
+  DEHEALTH_RETURN_IF_ERROR(reader.Read(&stats.batches_total));
+  DEHEALTH_RETURN_IF_ERROR(reader.Read(&stats.max_batch));
+  DEHEALTH_RETURN_IF_ERROR(reader.Read(&stats.overload_rejections));
+  DEHEALTH_RETURN_IF_ERROR(reader.Read(&stats.deadline_expirations));
+  DEHEALTH_RETURN_IF_ERROR(reader.Read(&stats.queue_depth));
+  DEHEALTH_RETURN_IF_ERROR(reader.Read(&stats.num_anonymized));
+  DEHEALTH_RETURN_IF_ERROR(reader.Read(&stats.default_top_k));
+  DEHEALTH_RETURN_IF_ERROR(reader.Read(&stats.p50_micros));
+  DEHEALTH_RETURN_IF_ERROR(reader.Read(&stats.p99_micros));
+  DEHEALTH_RETURN_IF_ERROR(reader.Read(&stats.max_micros));
   DEHEALTH_RETURN_IF_ERROR(reader.ExpectEnd());
   return stats;
 }
 
 std::string EncodeErrorPayload(const Status& status) {
   std::string out;
-  PutU32(out, static_cast<uint32_t>(status.code()));
-  PutU32(out, static_cast<uint32_t>(status.message().size()));
+  Put(out, static_cast<uint32_t>(status.code()));
+  Put(out, static_cast<uint32_t>(status.message().size()));
   out += status.message();
   return out;
 }
 
 Status DecodeErrorPayload(const std::string& payload, Status* error) {
-  PayloadReader reader(payload);
+  ByteReader reader(payload, kPayload);
   uint32_t code = 0;
-  DEHEALTH_RETURN_IF_ERROR(reader.ReadU32(&code));
   uint32_t length = 0;
+  std::string message;
+  DEHEALTH_RETURN_IF_ERROR(reader.Read(&code));
   DEHEALTH_RETURN_IF_ERROR(reader.ReadCount(1, &length));
-  if (payload.size() < 8 + static_cast<size_t>(length))
-    return reader.Fail("truncated error message");
-  std::string message = payload.substr(8, length);
+  DEHEALTH_RETURN_IF_ERROR(reader.ReadBytes(length, &message));
   if (code == 0 || code > static_cast<uint32_t>(StatusCode::kCancelled)) {
     *error = Status::Internal("peer error (unknown code " +
                               std::to_string(code) + "): " + message);

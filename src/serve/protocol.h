@@ -11,9 +11,9 @@
 namespace dehealth {
 
 /// DHQP — the De-Health query protocol spoken between dehealth_serve and
-/// its clients. Every message is one length-prefixed binary frame,
-/// mirroring the DHIX snapshot framing (magic + version up front so stale
-/// peers fail fast and loudly):
+/// its clients. Every message is one length-prefixed binary frame whose
+/// magic + version header, version rule and encoding are the ones of
+/// io/byte_codec.h, so stale peers fail fast and loudly:
 ///
 ///   "DHQP" | u32 version | u8 type | u32 payload_len | payload
 ///

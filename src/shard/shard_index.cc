@@ -1,8 +1,7 @@
 #include "shard/shard_index.h"
 
-#include <cstdio>
-
 #include "index/snapshot.h"
+#include "io/byte_codec.h"
 #include "obs/standard_metrics.h"
 #include "obs/trace.h"
 
@@ -29,18 +28,6 @@ bool ShardSnapshotMatches(const CandidateIndexData& data,
          data.shard_begin == static_cast<uint32_t>(range.begin) &&
          data.shard_total == static_cast<uint32_t>(universe_size) &&
          data.users.size() == static_cast<size_t>(range.size());
-}
-
-/// Moves a corrupt shard snapshot out of the way so the rebuild's save
-/// cannot be confused with the bad bytes (and an operator can inspect
-/// them). Rename failure is non-fatal: the save overwrites in place.
-void QuarantineShardSnapshot(const std::string& path) {
-  const std::string quarantined = path + ".quarantined";
-  std::rename(path.c_str(), quarantined.c_str());
-  obs::GetShardMetrics().snapshot_quarantines->Increment();
-  std::fprintf(stderr,
-               "warning: corrupt shard snapshot '%s' quarantined to '%s'\n",
-               path.c_str(), quarantined.c_str());
 }
 
 }  // namespace
@@ -94,8 +81,11 @@ StatusOr<CandidateIndex> LoadOrBuildShardIndex(
     // rebuilt; anything else on disk is a damaged snapshot (bad
     // magic/checksum/bounds) — quarantine it so only THIS shard pays the
     // rebuild.
-    if (!loaded.ok() && loaded.status().code() != StatusCode::kNotFound)
-      QuarantineShardSnapshot(path);
+    if (!loaded.ok() && loaded.status().code() != StatusCode::kNotFound) {
+      // Rename failure is non-fatal: the rebuild's save overwrites in place.
+      QuarantineFile(path, loaded.status());
+      obs::GetShardMetrics().snapshot_quarantines->Increment();
+    }
   }
   obs::Span span("shard", "shard_index_rebuild");
   StatusOr<CandidateIndex> full = CandidateIndex::Build(auxiliary, config);

@@ -84,11 +84,11 @@ TEST_F(DeterminismTest, RefinedDaPredictionsIdenticalAcrossThreadCounts) {
   config.false_addition_count = 5;
 
   config.num_threads = 1;
-  auto one =
-      RunRefinedDa(*anon_, *aux_, *candidates, nullptr, matrix, config);
+  auto one = RunRefinedDa(*anon_, *aux_, *candidates, nullptr,
+                          DenseCandidateSource(matrix), config);
   config.num_threads = 8;
-  auto eight =
-      RunRefinedDa(*anon_, *aux_, *candidates, nullptr, matrix, config);
+  auto eight = RunRefinedDa(*anon_, *aux_, *candidates, nullptr,
+                            DenseCandidateSource(matrix), config);
   ASSERT_TRUE(one.ok());
   ASSERT_TRUE(eight.ok());
   EXPECT_EQ(one->predictions, eight->predictions);
@@ -104,9 +104,11 @@ TEST_F(DeterminismTest, SharedRefinedDaIdenticalAcrossThreadCounts) {
   config.learner = LearnerKind::kNearestCentroid;
 
   config.num_threads = 1;
-  auto one = RunRefinedDaShared(*anon_, *aux_, uniform, matrix, config);
+  auto one = RunRefinedDaShared(*anon_, *aux_, uniform,
+                                DenseCandidateSource(matrix), config);
   config.num_threads = 8;
-  auto eight = RunRefinedDaShared(*anon_, *aux_, uniform, matrix, config);
+  auto eight = RunRefinedDaShared(*anon_, *aux_, uniform,
+                                  DenseCandidateSource(matrix), config);
   ASSERT_TRUE(one.ok());
   ASSERT_TRUE(eight.ok());
   EXPECT_EQ(one->predictions, eight->predictions);

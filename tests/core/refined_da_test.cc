@@ -54,15 +54,16 @@ CandidateSets* RefinedDaTest::candidates_ = nullptr;
 TEST_F(RefinedDaTest, RejectsMismatchedSizes) {
   RefinedDaConfig config;
   CandidateSets wrong(3);
-  auto r = RunRefinedDa(*anon_, *aux_, wrong, nullptr, *similarity_, config);
+  auto r = RunRefinedDa(*anon_, *aux_, wrong, nullptr,
+                        DenseCandidateSource(*similarity_), config);
   EXPECT_FALSE(r.ok());
 }
 
 TEST_F(RefinedDaTest, PredictionsWithinCandidates) {
   RefinedDaConfig config;
   config.learner = LearnerKind::kNearestCentroid;
-  auto r = RunRefinedDa(*anon_, *aux_, *candidates_, nullptr, *similarity_,
-                        config);
+  auto r = RunRefinedDa(*anon_, *aux_, *candidates_, nullptr,
+                        DenseCandidateSource(*similarity_), config);
   ASSERT_TRUE(r.ok());
   ASSERT_EQ(r->predictions.size(),
             static_cast<size_t>(anon_->num_users()));
@@ -77,8 +78,8 @@ TEST_F(RefinedDaTest, PredictionsWithinCandidates) {
 TEST_F(RefinedDaTest, BeatsRandomGuessing) {
   RefinedDaConfig config;
   config.learner = LearnerKind::kNearestCentroid;
-  auto r = RunRefinedDa(*anon_, *aux_, *candidates_, nullptr, *similarity_,
-                        config);
+  auto r = RunRefinedDa(*anon_, *aux_, *candidates_, nullptr,
+                        DenseCandidateSource(*similarity_), config);
   ASSERT_TRUE(r.ok());
   auto counts = EvaluateRefinedDa(*r, scenario_->truth);
   // Random guessing over 40 auxiliary users ≈ 2.5%; the attack must do
@@ -94,7 +95,7 @@ TEST_F(RefinedDaTest, AllLearnersRun) {
     config.learner = learner;
     config.svm.max_iterations = 50;  // keep the suite fast
     auto r = RunRefinedDa(*anon_, *aux_, *candidates_, nullptr,
-                          *similarity_, config);
+                          DenseCandidateSource(*similarity_), config);
     ASSERT_TRUE(r.ok()) << LearnerKindName(learner);
     int predicted = 0;
     for (int p : r->predictions)
@@ -110,7 +111,7 @@ TEST_F(RefinedDaTest, FilteringRejectionsPropagate) {
                              false);
   rejected[0] = true;
   auto r = RunRefinedDa(*anon_, *aux_, *candidates_, &rejected,
-                        *similarity_, config);
+                        DenseCandidateSource(*similarity_), config);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->predictions[0], kNotPresent);
   EXPECT_GE(r->num_rejected, 1);
@@ -121,8 +122,8 @@ TEST_F(RefinedDaTest, MeanVerificationRejectsWeakMatches) {
   strict.learner = LearnerKind::kNearestCentroid;
   strict.verification = VerificationScheme::kMeanVerification;
   strict.mean_verification_r = 100.0;  // impossible bar: everyone rejected
-  auto r = RunRefinedDa(*anon_, *aux_, *candidates_, nullptr, *similarity_,
-                        strict);
+  auto r = RunRefinedDa(*anon_, *aux_, *candidates_, nullptr,
+                        DenseCandidateSource(*similarity_), strict);
   ASSERT_TRUE(r.ok());
   for (int p : r->predictions) EXPECT_EQ(p, kNotPresent);
 }
@@ -132,8 +133,8 @@ TEST_F(RefinedDaTest, MeanVerificationZeroRAcceptsTopCandidate) {
   lax.learner = LearnerKind::kNearestCentroid;
   lax.verification = VerificationScheme::kMeanVerification;
   lax.mean_verification_r = 0.0;
-  auto r = RunRefinedDa(*anon_, *aux_, *candidates_, nullptr, *similarity_,
-                        lax);
+  auto r = RunRefinedDa(*anon_, *aux_, *candidates_, nullptr,
+                        DenseCandidateSource(*similarity_), lax);
   ASSERT_TRUE(r.ok());
   int accepted = 0;
   for (int p : r->predictions)
@@ -146,8 +147,8 @@ TEST_F(RefinedDaTest, FalseAdditionCanReject) {
   config.learner = LearnerKind::kNearestCentroid;
   config.verification = VerificationScheme::kFalseAddition;
   config.false_addition_count = 10;
-  auto r = RunRefinedDa(*anon_, *aux_, *candidates_, nullptr, *similarity_,
-                        config);
+  auto r = RunRefinedDa(*anon_, *aux_, *candidates_, nullptr,
+                        DenseCandidateSource(*similarity_), config);
   ASSERT_TRUE(r.ok());
   // Decoys must never be returned as predictions outside candidate sets...
   // they are rejected to ⊥ instead, so every non-⊥ prediction is a real
@@ -164,8 +165,8 @@ TEST_F(RefinedDaTest, SharedVariantRejectsDifferingCandidateSets) {
   RefinedDaConfig config;
   config.learner = LearnerKind::kNearestCentroid;
   // Per-user candidate sets differ, so the shared variant must refuse.
-  auto r = RunRefinedDaShared(*anon_, *aux_, *candidates_, *similarity_,
-                              config);
+  auto r = RunRefinedDaShared(*anon_, *aux_, *candidates_,
+                              DenseCandidateSource(*similarity_), config);
   EXPECT_FALSE(r.ok());
 }
 
@@ -176,10 +177,10 @@ TEST_F(RefinedDaTest, SharedVariantMatchesPerUserOnUniformCandidates) {
   std::iota(all.begin(), all.end(), 0);
   const CandidateSets uniform(
       static_cast<size_t>(anon_->num_users()), all);
-  auto shared =
-      RunRefinedDaShared(*anon_, *aux_, uniform, *similarity_, config);
+  auto shared = RunRefinedDaShared(*anon_, *aux_, uniform,
+                                   DenseCandidateSource(*similarity_), config);
   auto per_user = RunRefinedDa(*anon_, *aux_, uniform, nullptr,
-                               *similarity_, config);
+                               DenseCandidateSource(*similarity_), config);
   ASSERT_TRUE(shared.ok() && per_user.ok());
   EXPECT_EQ(shared->predictions, per_user->predictions);
 }

@@ -160,6 +160,24 @@ TEST(IndexSnapshotTest, RejectsFutureVersion) {
   EXPECT_EQ(r.status().code(), StatusCode::kUnimplemented);
 }
 
+TEST(IndexSnapshotTest, RejectsVersionZeroAndOlderVersions) {
+  // A zeroed version field is a damaged file, and no build reads v1 any
+  // more (LoadOrBuildIndex rebuilds it): neither is parsed as v2.
+  const Scenario s = MakeScenario(16, 1);
+  const std::string bytes = EncodeIndexSnapshot(BuildIndex(s, false));
+  for (char version : {0, 1}) {
+    std::string old = bytes;
+    old[4] = version;
+    auto r = DecodeIndexSnapshot(old, "old.dhix");
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
+        << r.status().ToString();
+    EXPECT_NE(r.status().message().find("'old.dhix' (byte 4)"),
+              std::string::npos)
+        << r.status().ToString();
+  }
+}
+
 TEST(IndexSnapshotTest, RejectsTruncationAtEveryPrefix) {
   const Scenario s = MakeScenario(16, 2);
   const std::string bytes = EncodeIndexSnapshot(BuildIndex(s, true));
@@ -260,6 +278,10 @@ TEST(IndexLoadOrBuildTest, RecoversFromCorruptSnapshot) {
   auto recovered = LoadOrBuildIndex(file, s.auxiliary, sim);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   EXPECT_TRUE(LoadIndexSnapshot(file).ok());
+  // ...after moving the corrupt bytes aside for a post-mortem.
+  auto quarantined = ReadFileToString(file + ".quarantined");
+  ASSERT_TRUE(quarantined.ok()) << quarantined.status().ToString();
+  EXPECT_EQ(*quarantined, corrupted);
 }
 
 TEST(IndexLoadOrBuildTest, RecoversFromBitFlipAnywhereInSnapshot) {

@@ -115,6 +115,31 @@ TEST_F(JobTest, ManifestRejectsCorruption) {
             StatusCode::kUnimplemented);
 }
 
+TEST_F(JobTest, ManifestAndShardRejectVersionZero) {
+  // A zeroed version field is a damaged file, never parsed as version 1.
+  std::string manifest = EncodeJobManifest(JobManifest{});
+  manifest[4] = 0;
+  auto m = DecodeJobManifest(manifest, "m.dhjb");
+  ASSERT_FALSE(m.ok());
+  EXPECT_EQ(m.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(m.status().message().find("'m.dhjb' (byte 4)"),
+            std::string::npos)
+      << m.status().ToString();
+
+  JobShard shard;
+  shard.phase = JobShard::Phase::kTopK;
+  shard.begin = 0;
+  shard.end = 1;
+  shard.candidates = {{1}};
+  auto bytes = EncodeJobShard(shard, /*job_fingerprint=*/10);
+  ASSERT_TRUE(bytes.ok());
+  (*bytes)[4] = 0;
+  EXPECT_EQ(DecodeJobShard(*bytes, 10, JobShard::Phase::kTopK, 0, 1)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST_F(JobTest, ShardRoundTripsPerPhase) {
   const uint64_t fp = 0xfeedULL;
   JobShard topk;

@@ -72,6 +72,22 @@ TEST_F(ServeProtocolTest, FutureVersionIsUnimplemented) {
   EXPECT_EQ(st.code(), StatusCode::kUnimplemented);
 }
 
+TEST_F(ServeProtocolTest, VersionZeroIsInvalid) {
+  // A zeroed version is a damaged or foreign stream, not an old peer.
+  std::string header = "DHQP";
+  header.append(4, '\0');  // version 0
+  header.push_back(1);     // type
+  header.append(4, '\0');  // length 0
+  ASSERT_TRUE(WriteAll(a_.get(), header.data(), header.size()).ok());
+  uint8_t type = 0;
+  std::string payload;
+  Status st = ReadFrame(b_.get(), &type, &payload);
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(st.message().find("(byte 4)"), std::string::npos)
+      << st.ToString();
+}
+
 TEST_F(ServeProtocolTest, OversizedAnnouncedPayloadIsRejected) {
   std::string header = "DHQP";
   for (int i = 0; i < 4; ++i)
