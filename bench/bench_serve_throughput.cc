@@ -82,7 +82,6 @@ int Run(int num_users, const std::string& out_path) {
   DeHealthConfig config;
   config.top_k = 10;
   config.refined.learner = LearnerKind::kNearestCentroid;
-  config.use_index = true;  // serving configuration; dense is O(n^2) memory
 
   // One-shot cost: everything a cold dehealth_cli run pays before its
   // first (and only) answer.

@@ -8,8 +8,8 @@
 //                         --truth-out truth.csv
 //   dehealth_cli attack   --anonymized anon.jsonl --auxiliary aux.jsonl
 //                         --k 10 --engine structural --learner smo
-//                         --threads 0 [--idf]
-//                         [--index] [--index-path idx.dhix]
+//                         --threads 0 [--idf] [--filter]
+//                         [--index-path idx.dhix]
 //                         [--job-dir dir] [--shard-size N]
 //                         [--truth truth.csv] [--out predictions.csv]
 //                         [--trace-out trace.json] [--metrics-out m.prom]
@@ -25,8 +25,8 @@
 // success-rate/rank-CDF curve at the --ks cutoffs.
 // --threads N runs the whole pipeline on N threads (0 = all hardware
 // threads, the default); results are identical for any value.
-// --index answers phase 1 from the auxiliary-side candidate index instead
-// of the dense similarity matrix (same results, see DESIGN.md);
+// The structural engine scores through the auxiliary-side candidate index
+// and never forms the |Δ1|×|Δ2| matrix (see DESIGN.md "Candidate index");
 // --index-path persists the index as a snapshot reused across runs.
 // Splitting the auxiliary universe across processes is the fleet's job
 // (dehealth_serve --shard-count behind dehealth_router).
@@ -292,14 +292,14 @@ int CmdEvaluate(const Args& args) {
 
   // The head-to-head contract is "same forums, same truth, exact scores":
   // every engine ranks the full auxiliary universe for every user, so the
-  // curves differ only by engine. The approximate/partial knobs would
-  // break that, and are rejected rather than silently ignored.
+  // curves differ only by engine. Knobs that do not fit that contract are
+  // rejected rather than silently ignored.
   auto config_or = ParseAttackFlags(args);
   if (!config_or.ok()) return Fail(config_or.status().ToString());
   DeHealthConfig config = *config_or;
-  if (config.use_index)
-    return Fail("evaluate compares engines on dense full rankings; "
-                "--index/--index-path do not apply");
+  if (!config.index_snapshot_path.empty())
+    return Fail("evaluate builds every engine's scores afresh; "
+                "--index-path does not apply");
   if (config.shard_count > 1)
     return Fail("evaluate needs the full auxiliary universe; "
                 "--shard-count does not apply");
@@ -349,30 +349,16 @@ int CmdEvaluate(const Args& args) {
     const auto start = std::chrono::steady_clock::now();
     auto bundle = BuildAttackScoreSource(anon, aux, config);
     if (!bundle.ok()) return Fail(bundle.status().ToString());
+    // build-s covers the rank pass too: the structural engine scores its
+    // pairs there, the matrix engines while building.
+    const std::vector<int> ranks =
+        TrueIdentityRanks(*(*bundle)->source, truth, config.num_threads);
     EngineCurve curve;
     curve.engine = engine;
     curve.build_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       start)
             .count();
-    // The rank of u's true identity t under this engine: 1 + how many
-    // auxiliary users strictly outscore t + how many tie with a smaller
-    // id — the position TopK would surface t at, for any k.
-    const CandidateSource& source = *(*bundle)->source;
-    std::vector<double> scratch;
-    std::vector<int> ranks;
-    for (int u = 0; u < anon.num_users(); ++u) {
-      const int t = truth[static_cast<size_t>(u)];
-      if (t < 0 || t >= aux.num_users()) continue;
-      const std::vector<double>& row = source.Row(u, &scratch);
-      const double true_score = row[static_cast<size_t>(t)];
-      int rank = 1;
-      for (int v = 0; v < aux.num_users(); ++v) {
-        const double s = row[static_cast<size_t>(v)];
-        if (s > true_score || (s == true_score && v < t)) ++rank;
-      }
-      ranks.push_back(rank);
-    }
     curve.evaluated = static_cast<int>(ranks.size());
     if (ranks.empty())
       return Fail("truth CSV maps no anonymized user into the auxiliary "

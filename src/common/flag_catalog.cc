@@ -58,12 +58,9 @@ const std::vector<FlagDoc>& FlagCatalog() {
        "Server address (default 127.0.0.1)"},
       {"idf", "cli attack, serve", true,
        "IDF-weight attribute similarity"},
-      {"index", "cli attack, serve", true,
-       "Answer phase 1 from the candidate index instead of the dense "
-       "similarity matrix"},
       {"index-path", "cli attack, serve", false,
-       "DHIX snapshot path: load the index when fresh, else rebuild and "
-       "persist (implies --index)"},
+       "DHIX snapshot path of the structural engine's candidate index: "
+       "load it when fresh, else rebuild and persist it"},
       {"ingest", "serve", true,
        "Enable streaming ingestion: accept load-segment/seal-epoch admin "
        "requests and swap epochs without dropping in-flight queries"},

@@ -2,6 +2,8 @@
 
 #include <numeric>
 
+#include "common/parallel.h"
+
 namespace dehealth {
 
 DeHealth::DeHealth(DeHealthConfig config) : config_(config) {}
@@ -9,7 +11,7 @@ DeHealth::DeHealth(DeHealthConfig config) : config_(config) {}
 namespace {
 
 /// Phases 1b-2 against an arbitrary score source; fills every result field
-/// except `similarity` (the caller owns matrix materialization policy).
+/// except `similarity`, which only Run sets.
 Status RunPhases(const DeHealth& attack, const UdaGraph& anonymized,
                  const UdaGraph& auxiliary, const CandidateSource& scores,
                  DeHealthResult& result) {
@@ -34,31 +36,50 @@ Status RunPhases(const DeHealth& attack, const UdaGraph& anonymized,
 }  // namespace
 
 StatusOr<DeHealthCandidates> DeHealth::SelectCandidates(
-    const CandidateSource& scores) const {
+    const CandidateSource& scores, DeHealthCandidates* raw) const {
   DeHealthCandidates state;
 
   // Phase 1b: Top-K candidate sets (Algorithm 1, line 5). Graph matching
-  // needs the whole matrix at once, so it only works on dense sources.
-  if (config_.selection == CandidateSelection::kGraphMatching &&
-      scores.DenseMatrix() == nullptr)
-    return Status::FailedPrecondition(
-        "DeHealth: graph-matching selection requires a dense similarity "
-        "matrix (disable use_index or use direct selection)");
-  StatusOr<CandidateSets> candidates =
-      config_.selection == CandidateSelection::kGraphMatching
-          ? SelectTopKCandidates(*scores.DenseMatrix(), config_.top_k,
-                                 config_.selection, config_.num_threads)
-          : scores.TopK(config_.top_k, config_.num_threads);
+  // needs the whole matrix at once; direct selection also hands out the
+  // global score range the filter needs.
+  ScoreRange range;
+  std::vector<std::vector<double>> formed;
+  const std::vector<std::vector<double>>* matrix = scores.DenseMatrix();
+  StatusOr<CandidateSets> candidates = CandidateSets{};
+  if (config_.selection == CandidateSelection::kGraphMatching) {
+    if (matrix == nullptr) {
+      formed.resize(static_cast<size_t>(scores.num_anonymized()));
+      ParallelFor(
+          0, static_cast<int64_t>(formed.size()),
+          [&](int64_t u) {
+            std::vector<double>& row = formed[static_cast<size_t>(u)];
+            const std::vector<double>& scored =
+                scores.Row(static_cast<NodeId>(u), &row);
+            if (&scored != &row) row = scored;
+          },
+          config_.num_threads);
+      matrix = &formed;
+    }
+    candidates = SelectTopKCandidates(*matrix, config_.top_k,
+                                      config_.selection, config_.num_threads);
+  } else {
+    candidates = scores.TopK(config_.top_k, config_.num_threads,
+                             config_.enable_filtering ? &range : nullptr);
+  }
   if (!candidates.ok()) return candidates.status();
   state.candidates = std::move(candidates).value();
   state.rejected.assign(state.candidates.size(), false);
+  if (raw != nullptr) *raw = state;
 
   // Phase 1c: optional threshold-vector filtering (line 6, Algorithm 2).
-  // Thresholds are global (max/min over all candidate scores), which is
-  // why this belongs to the precomputed state and not the per-query path.
+  // Thresholds are global (max/min over all scores), which is why this
+  // belongs to the precomputed state and not the per-query path.
   if (config_.enable_filtering) {
     StatusOr<FilterResult> filtered =
-        FilterCandidates(scores, state.candidates, config_.filter);
+        config_.selection == CandidateSelection::kGraphMatching
+            ? FilterCandidates(*matrix, state.candidates, config_.filter)
+            : FilterCandidates(scores, state.candidates, range,
+                               config_.filter);
     if (!filtered.ok()) return filtered.status();
     state.candidates = std::move(filtered->candidates);
     state.rejected = std::move(filtered->rejected);
@@ -97,7 +118,6 @@ StatusOr<DeHealthResult> DeHealth::RunWithSource(
     const UdaGraph& anonymized, const UdaGraph& auxiliary,
     const CandidateSource& scores) const {
   DeHealthResult result;
-  if (const auto* matrix = scores.DenseMatrix()) result.similarity = *matrix;
   DEHEALTH_RETURN_IF_ERROR(
       RunPhases(*this, anonymized, auxiliary, scores, result));
   return result;

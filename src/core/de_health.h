@@ -48,15 +48,13 @@ struct DeHealthConfig {
   /// value (see DESIGN.md "Threading model").
   int num_threads = 0;
 
-  /// Answer phase 1 from the persistent auxiliary-side candidate index
-  /// (src/index/) instead of materializing the dense |Δ1|×|Δ2| similarity
-  /// matrix. Scores and candidate sets are bitwise-identical to the dense
-  /// path (see DESIGN.md "Candidate index"); DeHealthResult::similarity is
-  /// left empty. Consumed by RunDeHealthAttack (src/index/pipeline.h) —
-  /// DeHealth::Run itself always runs dense.
+  /// Ignored. The structural engine always scores through the candidate
+  /// index (see DESIGN.md "Candidate index"); the field stays so existing
+  /// callers keep compiling, and JobConfigFingerprint never reads it.
   bool use_index = false;
-  /// When non-empty, the index is loaded from this snapshot file if it
-  /// matches the auxiliary side + config (and rebuilt + saved otherwise).
+  /// When non-empty, the structural engine's index is loaded from this
+  /// snapshot file if it matches the auxiliary side + config (and rebuilt
+  /// + saved otherwise).
   std::string index_snapshot_path;
 
   /// Shard-slice mode for distributed serving (dehealth_router + N
@@ -86,7 +84,7 @@ struct DeHealthConfig {
 /// Everything the two phases produced; kept so benches and callers can
 /// evaluate Top-K success and refined accuracy from one run.
 struct DeHealthResult {
-  std::vector<std::vector<double>> similarity;  // s_uv matrix
+  std::vector<std::vector<double>> similarity;  // s_uv matrix (Run only)
   CandidateSets candidates;                     // final candidate sets C_u
   std::vector<bool> rejected;                   // u → ⊥ decided by filtering
   RefinedDaResult refined;                      // phase-2 predictions
@@ -114,20 +112,21 @@ class DeHealth {
                                const UdaGraph& auxiliary) const;
 
   /// Runs phases 1b-2 against an externally provided score source (the
-  /// dense matrix wrapped in a DenseCandidateSource, or the candidate
-  /// index). DeHealthResult::similarity is only populated when the source
-  /// exposes a dense matrix; graph-matching selection requires one and
-  /// fails with FailedPrecondition otherwise.
+  /// candidate index, or a matrix wrapped in a DenseCandidateSource).
+  /// DeHealthResult::similarity stays empty.
   StatusOr<DeHealthResult> RunWithSource(const UdaGraph& anonymized,
                                          const UdaGraph& auxiliary,
                                          const CandidateSource& scores) const;
 
   /// Phases 1b-1c only: Top-K candidate selection plus (when enabled)
   /// filtering — exactly the state Run/RunWithSource compute before phase
-  /// 2. The serving path (src/serve/) calls this once at startup and keeps
-  /// the result resident.
+  /// 2. Direct selection reads each row once, and filtering takes its
+  /// global range from that same pass; graph-matching selection is global
+  /// and forms the whole matrix from the source's rows unless the source
+  /// holds one. When `raw` is non-null it receives the UNFILTERED phase-1b
+  /// state — the serving engine keeps both resident.
   StatusOr<DeHealthCandidates> SelectCandidates(
-      const CandidateSource& scores) const;
+      const CandidateSource& scores, DeHealthCandidates* raw = nullptr) const;
 
   /// Batch entry point for the serving path: phase-2 refined-DA answers
   /// for just the listed anonymized users against precomputed phase-1

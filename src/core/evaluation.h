@@ -3,6 +3,7 @@
 
 #include <vector>
 
+#include "core/candidate_source.h"
 #include "core/refined_da.h"
 #include "ml/metrics.h"
 
@@ -14,6 +15,17 @@ namespace dehealth {
 /// `.FalsePositiveRate()`.
 OpenWorldCounts EvaluateRefinedDa(const RefinedDaResult& result,
                                   const std::vector<int>& truth);
+
+/// The rank of each anonymized user's true auxiliary identity t under the
+/// source's exact scores: 1 + the auxiliary users that outscore t + those
+/// that tie with t and have a smaller id — t's 1-based position in
+/// TopK(k) for any k that reaches it. Users whose truth[u] lies outside
+/// [0, n2) are skipped; ranks come back in user order. Parallel over
+/// users (0 = hardware concurrency), with output independent of the
+/// thread count.
+std::vector<int> TrueIdentityRanks(const CandidateSource& source,
+                                   const std::vector<int>& truth,
+                                   int num_threads);
 
 }  // namespace dehealth
 

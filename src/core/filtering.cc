@@ -1,7 +1,7 @@
 #include "core/filtering.h"
 
 #include <algorithm>
-#include <limits>
+#include <string>
 
 #include "obs/standard_metrics.h"
 #include "obs/trace.h"
@@ -10,6 +10,7 @@ namespace dehealth {
 
 StatusOr<FilterResult> FilterCandidates(const CandidateSource& scores,
                                         const CandidateSets& candidates,
+                                        const ScoreRange& range,
                                         FilterConfig config) {
   if (config.num_thresholds < 1)
     return Status::InvalidArgument(
@@ -20,6 +21,13 @@ StatusOr<FilterResult> FilterCandidates(const CandidateSource& scores,
   if (static_cast<size_t>(scores.num_anonymized()) != candidates.size())
     return Status::InvalidArgument(
         "FilterCandidates: similarity/candidate size mismatch");
+  const int n2 = scores.num_auxiliary();
+  for (const std::vector<int>& list : candidates)
+    for (const int v : list)
+      if (v < 0 || v >= n2)
+        return Status::InvalidArgument(
+            "FilterCandidates: candidate id " + std::to_string(v) +
+            " out of range [0, " + std::to_string(n2) + ")");
 
   obs::Span span("core", "filter_candidates");
   span.SetArg("users", static_cast<int64_t>(candidates.size()));
@@ -31,31 +39,14 @@ StatusOr<FilterResult> FilterCandidates(const CandidateSource& scores,
   result.rejected.assign(candidates.size(), false);
   if (candidates.empty()) return result;
 
-  // Global similarity extremes (line 1-2 of Algorithm 2), streamed one row
-  // at a time; each candidate's score is kept so the threshold pass below
-  // never needs the row again.
-  double s_max = -std::numeric_limits<double>::infinity();
-  double s_min = std::numeric_limits<double>::infinity();
-  std::vector<std::vector<double>> candidate_scores(candidates.size());
-  std::vector<double> scratch;
-  for (size_t u = 0; u < candidates.size(); ++u) {
-    const std::vector<double>& row =
-        scores.Row(static_cast<NodeId>(u), &scratch);
-    for (double s : row) {
-      s_max = std::max(s_max, s);
-      s_min = std::min(s_min, s);
-    }
-    candidate_scores[u].reserve(candidates[u].size());
-    for (int v : candidates[u])
-      candidate_scores[u].push_back(row[static_cast<size_t>(v)]);
-  }
-  if (s_min > s_max) {  // no auxiliary users at all
+  // Global similarity extremes (line 1-2 of Algorithm 2).
+  if (range.min > range.max) {  // no auxiliary users at all
     result.rejected.assign(candidates.size(), true);
     metrics.filter_rejected->Increment(candidates.size());
     return result;
   }
-  const double s_upper = s_max;
-  const double s_lower = std::min(s_min + config.epsilon, s_upper);
+  const double s_upper = range.max;
+  const double s_lower = std::min(range.min + config.epsilon, s_upper);
 
   // Threshold vector T_i = s_u - i/(l-1) · (s_u - s_l), largest first.
   const int l = config.num_thresholds;
@@ -67,12 +58,16 @@ StatusOr<FilterResult> FilterCandidates(const CandidateSource& scores,
         s_upper - frac * (s_upper - s_lower);
   }
 
+  std::vector<double> candidate_scores;
   for (size_t u = 0; u < candidates.size(); ++u) {
+    candidate_scores.clear();
+    for (const int v : candidates[u])
+      candidate_scores.push_back(scores.Score(static_cast<NodeId>(u), v));
     bool kept = false;
     for (double threshold : result.thresholds) {
       std::vector<int> surviving;
       for (size_t i = 0; i < candidates[u].size(); ++i)
-        if (candidate_scores[u][i] >= threshold)
+        if (candidate_scores[i] >= threshold)
           surviving.push_back(candidates[u][i]);
       if (!surviving.empty()) {
         result.candidates[u] = std::move(surviving);
@@ -91,8 +86,11 @@ StatusOr<FilterResult> FilterCandidates(const CandidateSource& scores,
 StatusOr<FilterResult> FilterCandidates(
     const std::vector<std::vector<double>>& similarity,
     const CandidateSets& candidates, FilterConfig config) {
-  const DenseCandidateSource source(similarity);
-  return FilterCandidates(source, candidates, config);
+  ScoreRange range;
+  for (const std::vector<double>& row : similarity)
+    for (const double s : row) range.Add(s);
+  return FilterCandidates(DenseCandidateSource(similarity), candidates, range,
+                          config);
 }
 
 }  // namespace dehealth

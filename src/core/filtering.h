@@ -23,23 +23,25 @@ struct FilterResult {
   std::vector<double> thresholds;  // the vector T, largest first
 };
 
-/// Applies Algorithm 2: builds the threshold vector from the global
-/// max/min similarity, then keeps, per user, the candidates surviving the
-/// largest threshold that leaves the set non-empty; a user whose candidates
-/// all fall below the smallest threshold is rejected (open-world ⊥).
-/// Candidate order (decreasing similarity) is preserved.
+/// Applies Algorithm 2: builds the threshold vector from `range`, the
+/// global max/min over all n1 × n2 similarities (CandidateSource::TopK
+/// hands it out from the pass that ranked the candidates), then keeps, per
+/// user, the candidates surviving the largest threshold that leaves the
+/// set non-empty; a user whose candidates all fall below the smallest
+/// threshold is rejected (open-world ⊥). Candidate order (decreasing
+/// similarity) is preserved. Reads only Score(u, v) of each user's
+/// candidates, never a whole row. InvalidArgument on a bad config, a
+/// size mismatch, or a candidate id outside [0, n2).
+StatusOr<FilterResult> FilterCandidates(const CandidateSource& scores,
+                                        const CandidateSets& candidates,
+                                        const ScoreRange& range,
+                                        FilterConfig config = {});
+
+/// Matrix variant, the reference the source variant is tested against:
+/// takes the range from one serial row-major pass over `similarity`.
 StatusOr<FilterResult> FilterCandidates(
     const std::vector<std::vector<double>>& similarity,
     const CandidateSets& candidates, FilterConfig config = {});
-
-/// CandidateSource variant: identical results, but rows are streamed from
-/// the source (one O(n2) row at a time) instead of indexed out of a
-/// materialized matrix — the global max/min pass makes filtering inherently
-/// a full-scan phase, so the indexed path trades matrix memory for row
-/// recomputation here.
-StatusOr<FilterResult> FilterCandidates(const CandidateSource& scores,
-                                        const CandidateSets& candidates,
-                                        FilterConfig config = {});
 
 }  // namespace dehealth
 

@@ -15,8 +15,8 @@ StatusOr<std::vector<std::vector<double>>> BuildEngineMatrix(
   switch (config.engine) {
     case EngineKind::kStructural:
       return Status::InvalidArgument(
-          "BuildEngineMatrix: the structural engine is served by "
-          "BuildAttackScoreSource's dense/indexed modes, not here");
+          "BuildEngineMatrix: the structural engine scores through "
+          "BuildAttackScoreSource's candidate index, not here");
     case EngineKind::kBlind: {
       BlindConfig blind;
       blind.num_threads = config.num_threads;

@@ -12,8 +12,8 @@ namespace dehealth {
 /// (config.engine == kBlind or kCommunity), honoring config.num_threads,
 /// config.engine_seed and — for the community engine's within-community
 /// scorer — config.similarity (idf/simd/weights). InvalidArgument for
-/// kStructural: that engine's dense/indexed/sharded modes belong to
-/// BuildAttackScoreSource (src/index/pipeline.h), which calls here for
+/// kStructural: that engine scores through the candidate index, which
+/// BuildAttackScoreSource (src/index/pipeline.h) builds; it calls here for
 /// the others.
 ///
 /// Deterministic and bitwise thread-invariant, like every matrix in the

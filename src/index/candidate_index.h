@@ -48,12 +48,12 @@ struct CandidateIndexData {
 uint64_t FingerprintForIndex(const UdaGraph& side);
 
 /// A persistent auxiliary-side score index: the auxiliary users' similarity
-/// features (ComputeUserFeatures, the builder the dense path uses), packed
-/// into a FeatureStore for the batched score kernel and persisted as a DHIX
-/// snapshot so a warm start skips the landmark precomputation. It answers
-/// exact per-anonymized-user scores WITHOUT forming the dense |Δ1|×|Δ2|
-/// similarity matrix: a query's row is one FeatureStore scan, bitwise equal
-/// to the dense row (see DESIGN.md "Candidate index").
+/// features (ComputeUserFeatures, the builder StructuralSimilarity uses),
+/// packed into a FeatureStore for the batched score kernel and persisted as
+/// a DHIX snapshot so a warm start skips the landmark precomputation. It
+/// answers exact per-anonymized-user scores WITHOUT forming the dense
+/// |Δ1|×|Δ2| similarity matrix: a query's row is one FeatureStore scan,
+/// bitwise equal to the dense row (see DESIGN.md "Candidate index").
 class CandidateIndex {
  public:
   /// Builds the index from the auxiliary side. `config.num_threads` drives

@@ -1,10 +1,8 @@
 #include "index/indexed_source.h"
 
-#include <numeric>
 #include <utility>
 
 #include "obs/standard_metrics.h"
-#include "obs/trace.h"
 
 namespace dehealth {
 
@@ -33,19 +31,11 @@ const std::vector<double>& IndexedCandidateSource::Row(
   return *scratch;
 }
 
-StatusOr<CandidateSets> IndexedCandidateSource::TopK(int k,
-                                                     int num_threads) const {
-  obs::Span span("index", "indexed_top_k");
-  span.SetArg("rows", static_cast<int64_t>(queries_.size()));
-  std::vector<int> users(queries_.size());
-  std::iota(users.begin(), users.end(), 0);
-  return TopKForUsers(users, k, num_threads);
-}
-
 StatusOr<CandidateSets> IndexedCandidateSource::TopKForUsers(
-    const std::vector<int>& users, int k, int num_threads) const {
+    const std::vector<int>& users, int k, int num_threads,
+    ScoreRange* range) const {
   StatusOr<CandidateSets> result =
-      CandidateSource::TopKForUsers(users, k, num_threads);
+      CandidateSource::TopKForUsers(users, k, num_threads, range);
   if (!result.ok()) return result;
   // Every Top-K row is one full scan: bound_pruned stays 0, and
   // dense_scans == topk_queries.

@@ -8,12 +8,13 @@
 
 namespace dehealth {
 
-/// CandidateSource over one CandidateIndex: the whole auxiliary index
-/// (--index), or one fleet backend's slice of it (--shard-count), which
-/// answers with the slice's local ids. A row is one FeatureStore scan, and
-/// Top-K ranks it with TopKForRow — the function the dense path uses — so
-/// every answer is bitwise the dense answer (restricted to the slice) for
-/// any thread count, and the dense matrix is never formed.
+/// CandidateSource over one CandidateIndex: the whole auxiliary index (the
+/// structural engine's one score source), or one fleet backend's slice of
+/// it (--shard-count), which answers with the slice's local ids. A row is
+/// one FeatureStore scan, and Top-K ranks it with TopKForRow — the
+/// function SelectTopKCandidates applies to each dense row — so every
+/// answer is bitwise the dense answer (restricted to the slice) for any
+/// thread count, and the dense matrix is never formed.
 class IndexedCandidateSource final : public CandidateSource {
  public:
   /// Computes the anonymized-side query features once with the index's
@@ -27,9 +28,9 @@ class IndexedCandidateSource final : public CandidateSource {
   double Score(NodeId u, NodeId v) const override;
   const std::vector<double>& Row(NodeId u,
                                  std::vector<double>* scratch) const override;
-  StatusOr<CandidateSets> TopK(int k, int num_threads) const override;
   StatusOr<CandidateSets> TopKForUsers(const std::vector<int>& users, int k,
-                                       int num_threads) const override;
+                                       int num_threads,
+                                       ScoreRange* range) const override;
 
  private:
   CandidateIndex index_;

@@ -25,8 +25,9 @@ uint64_t JobConfigFingerprint(const DeHealthConfig& config) {
   // Excluded on purpose: num_threads (results are thread-independent),
   // index_snapshot_path (a cache location), job_dir / job_shard_size (the
   // shard layout changes where bytes land, not what they are — the
-  // manifest records shard_size separately), and use_index (the index is
-  // bitwise-identical to dense, so checkpoints interchange).
+  // manifest records shard_size separately). The retired index switch was
+  // never part of it, so job directories written when it selected the
+  // dense or the indexed path both resume.
   std::string buf;
   const SimilarityConfig& sim = config.similarity;
   Put(buf, sim.c1);

@@ -41,6 +41,13 @@ Status CancelledAtShard(const char* phase, uint32_t begin, uint32_t end) {
       "to resume");
 }
 
+/// The absolute user ids of one shard, [begin, end).
+std::vector<int> UsersOf(uint32_t begin, uint32_t end) {
+  std::vector<int> users(end - begin);
+  std::iota(users.begin(), users.end(), static_cast<int>(begin));
+  return users;
+}
+
 /// The [begin, end) user ranges the job is sharded into.
 std::vector<std::pair<uint32_t, uint32_t>> ShardRanges(uint32_t num_users,
                                                        uint32_t shard_size) {
@@ -159,9 +166,13 @@ StatusOr<DeHealthCandidates> AttackJob::SelectCandidates(
   // Phase 1b, sharded: per-user Top-K is embarrassingly parallel AND
   // batch-deterministic (TopKForUsers answers absolute ids identically in
   // any batch), so any prefix of durable shards composes bitwise with
-  // freshly computed ones.
-  for (const auto& [begin, end] :
-       ShardRanges(manifest_.num_users, manifest_.shard_size)) {
+  // freshly computed ones. A computed shard also yields its rows' score
+  // range for the filter; a loaded one does not (DHSH holds no scores).
+  const auto shards = ShardRanges(manifest_.num_users, manifest_.shard_size);
+  std::vector<ScoreRange> ranges(shards.size());
+  std::vector<bool> ranged(shards.size(), false);
+  for (size_t i = 0; i < shards.size(); ++i) {
+    const auto [begin, end] = shards[i];
     const std::string filename = ShardFilename("topk", begin, end);
     bool loaded = false;
     StatusOr<JobShard> shard =
@@ -174,11 +185,12 @@ StatusOr<DeHealthCandidates> AttackJob::SelectCandidates(
       obs::GetJobMetrics().shards_computed->Increment();
       obs::Span shard_span("job", "topk_shard");
       shard_span.SetArg("users", static_cast<int64_t>(end - begin));
-      std::vector<int> users(end - begin);
-      std::iota(users.begin(), users.end(), static_cast<int>(begin));
       StatusOr<CandidateSets> sets =
-          scores.TopKForUsers(users, config_.top_k, config_.num_threads);
+          scores.TopKForUsers(UsersOf(begin, end), config_.top_k,
+                              config_.num_threads,
+                              config_.enable_filtering ? &ranges[i] : nullptr);
       if (!sets.ok()) return sets.status();
+      ranged[i] = true;
       shard->phase = JobShard::Phase::kTopK;
       shard->begin = begin;
       shard->end = end;
@@ -191,9 +203,9 @@ StatusOr<DeHealthCandidates> AttackJob::SelectCandidates(
 
   if (raw != nullptr) *raw = state;
 
-  // Phase 1c: filtering thresholds are global (max/min over every
-  // candidate score), so the verdict is one artifact over all users,
-  // durable only once it is complete.
+  // Phase 1c: filtering thresholds are global (max/min over every score),
+  // so the verdict is one artifact over all users, durable only once it is
+  // complete.
   if (config_.enable_filtering) {
     const std::string filename = "filter.dhsh";
     bool loaded = false;
@@ -208,8 +220,23 @@ StatusOr<DeHealthCandidates> AttackJob::SelectCandidates(
       obs::Span shard_span("job", "filter_shard");
       shard_span.SetArg("users",
                         static_cast<int64_t>(manifest_.num_users));
+      // Fold the shard ranges in user order; only the rows of loaded
+      // Top-K shards are scanned again. The base-class call with k = 1
+      // reads the rows for their range alone: it skips the index's Top-K
+      // query metrics and nearly all of the ranking.
+      ScoreRange range;
+      for (size_t i = 0; i < shards.size(); ++i) {
+        if (!ranged[i]) {
+          StatusOr<CandidateSets> rescanned =
+              scores.CandidateSource::TopKForUsers(
+                  UsersOf(shards[i].first, shards[i].second), /*k=*/1,
+                  config_.num_threads, &ranges[i]);
+          if (!rescanned.ok()) return rescanned.status();
+        }
+        range.Add(ranges[i]);
+      }
       StatusOr<FilterResult> filtered =
-          FilterCandidates(scores, state.candidates, config_.filter);
+          FilterCandidates(scores, state.candidates, range, config_.filter);
       if (!filtered.ok()) return filtered.status();
       shard->phase = JobShard::Phase::kFilter;
       shard->begin = 0;
@@ -248,8 +275,7 @@ StatusOr<RefinedDaResult> AttackJob::Refine(const UdaGraph& anonymized,
       obs::GetJobMetrics().shards_computed->Increment();
       obs::Span shard_span("job", "refined_shard");
       shard_span.SetArg("users", static_cast<int64_t>(end - begin));
-      std::vector<int> users(end - begin);
-      std::iota(users.begin(), users.end(), static_cast<int>(begin));
+      const std::vector<int> users = UsersOf(begin, end);
       // Each user's refined-DA problem is a pure function of (config, u)
       // with the ABSOLUTE id seeding its RNG stream, so batch answers are
       // bitwise-identical to the full run's entries.

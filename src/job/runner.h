@@ -48,10 +48,13 @@ class AttackJob {
   /// Phase 1 (Top-K selection + optional filtering), load-or-compute.
   /// Top-K is sharded; the filter verdict is one global artifact
   /// (thresholds are global max/min, so it cannot shard) computed after
-  /// all Top-K shards are durable. Returns the same DeHealthCandidates a
-  /// DeHealth::SelectCandidates call would. When `raw` is non-null it
-  /// receives the UNFILTERED phase-1b state (what SelectCandidates returns
-  /// with filtering disabled) — the serving engine keeps both resident.
+  /// all Top-K shards are durable, from the score range the computed
+  /// shards' Top-K pass folded. Only while the verdict is not yet durable
+  /// are the rows of loaded Top-K shards scanned again for their range.
+  /// Returns the same DeHealthCandidates a DeHealth::SelectCandidates
+  /// call would. When `raw` is non-null it receives the UNFILTERED
+  /// phase-1b state (what SelectCandidates returns with filtering
+  /// disabled) — the serving engine keeps both resident.
   StatusOr<DeHealthCandidates> SelectCandidates(const CandidateSource& scores,
                                                 DeHealthCandidates* raw =
                                                     nullptr);
@@ -86,12 +89,11 @@ class AttackJob {
 };
 
 /// The checkpointed equivalent of RunDeHealthAttack: opens the job at
-/// config.job_dir, builds the score source (dense or indexed, with the
-/// same graceful index degradation), and runs both phases through the
-/// durable shard store. DeHealthResult::similarity is always left empty
-/// (checkpointing the O(n1·n2) matrix would dwarf the results; nothing
-/// downstream of the CLI needs it). Cancelled when a shutdown signal
-/// interrupted the job after a durable checkpoint — re-run to resume.
+/// config.job_dir, builds the score source exactly as RunDeHealthAttack
+/// does, and runs both phases through the durable shard store.
+/// DeHealthResult::similarity is always left empty. Cancelled when a
+/// shutdown signal interrupted the job after a durable checkpoint — re-run
+/// to resume.
 StatusOr<DeHealthResult> RunDeHealthAttackJob(const UdaGraph& anonymized,
                                               const UdaGraph& auxiliary,
                                               const DeHealthConfig& config);

@@ -17,7 +17,7 @@ const MetricDef kCoreSimilarityRows = {
     "core", "Anonymized-user rows scored during similarity computation"};
 const MetricDef kCoreTopKDenseRows = {
     "dehealth_core_topk_dense_rows_total", MetricType::kCounter, "rows",
-    "core", "Rows ranked by the dense (full-scan) Top-K selector"};
+    "core", "Rows ranked by a whole-matrix Top-K pass over a dense matrix"};
 const MetricDef kCoreFilterRuns = {
     "dehealth_core_filter_runs_total", MetricType::kCounter, "1", "core",
     "Phase-1c candidate filtering passes executed"};
@@ -50,9 +50,6 @@ const MetricDef kIndexSnapshotLoads = {
 const MetricDef kIndexSnapshotRebuilds = {
     "dehealth_index_snapshot_rebuilds_total", MetricType::kCounter, "1",
     "index", "Candidate indexes rebuilt (missing or stale snapshot)"};
-const MetricDef kIndexDenseFallbacks = {
-    "dehealth_index_dense_fallbacks_total", MetricType::kCounter, "1",
-    "index", "Indexed runs degraded to the dense Top-K path"};
 const MetricDef kIndexDenseScans = {
     "dehealth_index_dense_scans_total", MetricType::kCounter, "1", "index",
     "Top-K rows answered by a full row scan (always equals "
@@ -211,8 +208,8 @@ const std::vector<const MetricDef*>& AllMetricDefs() {
           &kCoreSimdKernel,      &kCoreScoreBlockSize,
           &kIndexTopKQueries,    &kIndexExactEvals,
           &kIndexBoundPruned,    &kIndexSnapshotLoads,
-          &kIndexSnapshotRebuilds, &kIndexDenseFallbacks,
-          &kIndexDenseScans,     &kShardScatterRpcs,
+          &kIndexSnapshotRebuilds, &kIndexDenseScans,
+          &kShardScatterRpcs,
           &kShardScatterFailures, &kShardPartialAnswers,
           &kShardMergeMicros,    &kShardBackendLatency,
           &kShardSnapshotQuarantines,
@@ -266,7 +263,6 @@ IndexMetrics& GetIndexMetrics() {
         r.GetCounter(kIndexBoundPruned),
         r.GetCounter(kIndexSnapshotLoads),
         r.GetCounter(kIndexSnapshotRebuilds),
-        r.GetCounter(kIndexDenseFallbacks),
         r.GetCounter(kIndexDenseScans),
     };
   }();

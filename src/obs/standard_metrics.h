@@ -33,7 +33,6 @@ extern const MetricDef kIndexExactEvals;
 extern const MetricDef kIndexBoundPruned;
 extern const MetricDef kIndexSnapshotLoads;
 extern const MetricDef kIndexSnapshotRebuilds;
-extern const MetricDef kIndexDenseFallbacks;
 extern const MetricDef kIndexDenseScans;
 
 // ---- shard: scatter-gather over the partitioned auxiliary universe ----
@@ -117,7 +116,6 @@ struct IndexMetrics {
   Counter* bound_pruned;
   Counter* snapshot_loads;
   Counter* snapshot_rebuilds;
-  Counter* dense_fallbacks;
   Counter* dense_scans;
 };
 IndexMetrics& GetIndexMetrics();

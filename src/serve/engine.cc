@@ -3,7 +3,6 @@
 #include <string>
 #include <utility>
 
-#include "core/filtering.h"
 #include "job/runner.h"
 
 namespace dehealth {
@@ -26,49 +25,31 @@ Status QueryEngine::Init() {
   const DeHealthConfig& config = attack_.config();
 
   // Score source — the same construction RunDeHealthAttack and the job
-  // runner perform (including graceful dense fallback when the index is
-  // unusable), so served answers match the one-shot pipeline bit for bit.
+  // runner perform, so served answers match the one-shot pipeline bit for
+  // bit.
   StatusOr<std::unique_ptr<AttackScoreSource>> bundle =
       BuildAttackScoreSource(anonymized_, auxiliary_, config);
   if (!bundle.ok()) return bundle.status();
   bundle_ = std::move(bundle).value();
 
-  // Durable warm start: with a job directory, phase 1 runs through the
-  // crash-safe shard store — a restart loads the shards a previous
-  // process (server or CLI) committed instead of recomputing them, and a
-  // warm start interrupted by SIGTERM/SIGKILL resumes next launch.
-  if (!config.job_dir.empty()) {
+  // Phase 1 once: the unfiltered sets answer kTopK at the default K, and
+  // filtering thresholds are global (max/min over all scores), so they
+  // must be fixed at startup — a per-query filter would see different
+  // thresholds per batch. With a job directory, phase 1 runs through the
+  // crash-safe shard store: a restart loads the shards a previous process
+  // (server or CLI) committed instead of recomputing them, and a warm
+  // start interrupted by SIGTERM/SIGKILL resumes next launch.
+  StatusOr<DeHealthCandidates> state = DeHealthCandidates{};
+  if (config.job_dir.empty()) {
+    state = attack_.SelectCandidates(scores(), &raw_);
+  } else {
     StatusOr<AttackJob> job =
         AttackJob::Open(anonymized_, auxiliary_, config);
     if (!job.ok()) return job.status();
-    StatusOr<DeHealthCandidates> state =
-        job->SelectCandidates(scores(), &raw_);
-    if (!state.ok()) return state.status();
-    state_ = std::move(state).value();
-    return Status();
+    state = job->SelectCandidates(scores(), &raw_);
   }
-
-  // Phase 1b once, unfiltered: these sets answer kTopK at the default K
-  // (and are the filtering input).
-  DeHealthConfig unfiltered = config;
-  unfiltered.enable_filtering = false;
-  StatusOr<DeHealthCandidates> raw =
-      DeHealth(unfiltered).SelectCandidates(scores());
-  if (!raw.ok()) return raw.status();
-  raw_ = std::move(raw).value();
-
-  // Phase 1c once: filtering thresholds are global (max/min over all
-  // candidate scores), so they must be fixed at startup — a per-query
-  // filter would see different thresholds per batch.
-  if (config.enable_filtering) {
-    StatusOr<FilterResult> filtered =
-        FilterCandidates(scores(), raw_.candidates, config.filter);
-    if (!filtered.ok()) return filtered.status();
-    state_.candidates = std::move(filtered->candidates);
-    state_.rejected = std::move(filtered->rejected);
-  } else {
-    state_ = raw_;
-  }
+  if (!state.ok()) return state.status();
+  state_ = std::move(state).value();
   return Status();
 }
 
@@ -106,7 +87,7 @@ StatusOr<TopKAnswer> QueryEngine::TopKLocal(const std::vector<int>& users,
         "K=" + std::to_string(config.top_k) +
         "; request k=0 (default) or k=" + std::to_string(config.top_k));
   StatusOr<CandidateSets> sets =
-      scores().TopKForUsers(users, k, config.num_threads);
+      scores().TopKForUsers(users, k, config.num_threads, nullptr);
   if (!sets.ok()) return sets.status();
   answer.candidates = std::move(sets).value();
   return answer;

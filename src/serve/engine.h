@@ -12,9 +12,10 @@
 namespace dehealth {
 
 /// The load-once heart of dehealth_serve: owns the UDA-graph pair, the
-/// score source (dense matrix or candidate index, honoring the same
-/// DeHealthConfig knobs as RunDeHealthAttack), and the precomputed phase-1
-/// state — then answers per-user queries without redoing any global work.
+/// score source (the candidate index, or a matrix-backed engine's matrix,
+/// built exactly as RunDeHealthAttack builds it), and the precomputed
+/// phase-1 state — then answers per-user queries without redoing any
+/// global work.
 ///
 /// Determinism contract: every answer is bitwise-identical to the
 /// corresponding slice of a one-shot RunDeHealthAttack with the same
@@ -33,14 +34,14 @@ namespace dehealth {
 /// mode — their thresholds and matching are universe-global.
 class QueryEngine : public QueryHandler {
  public:
-  /// Builds the engine: score source (phase 1a or index load/build, with
-  /// graceful dense fallback when the index is unusable), phase-1b
-  /// candidate sets, and — when config.enable_filtering — the phase-1c
-  /// filtering verdicts. Everything a query needs is resident after this
-  /// returns. When config.job_dir is set, phase 1 runs through the
-  /// crash-safe job runner (src/job/): warm starts load durable shards
-  /// instead of recomputing, an interrupted warm start resumes on the next
-  /// launch, and a SIGTERM during it returns Cancelled.
+  /// Builds the engine: score source (index load/build, or an engine
+  /// matrix), phase-1b candidate sets, and — when config.enable_filtering
+  /// — the phase-1c filtering verdicts. Everything a query needs is
+  /// resident after this returns. When config.job_dir is set, phase 1
+  /// runs through the crash-safe job runner (src/job/): warm starts load
+  /// durable shards instead of recomputing, an interrupted warm start
+  /// resumes on the next launch, and a SIGTERM during it returns
+  /// Cancelled.
   static StatusOr<std::unique_ptr<QueryEngine>> Create(UdaGraph anonymized,
                                                        UdaGraph auxiliary,
                                                        DeHealthConfig config);
@@ -90,8 +91,8 @@ class QueryEngine : public QueryHandler {
   UdaGraph anonymized_;
   UdaGraph auxiliary_;
   DeHealth attack_;
-  /// The score source plus whatever storage it borrows (dense matrix or
-  /// candidate index) — built by BuildAttackScoreSource, the same
+  /// The score source plus whatever storage it borrows (candidate index or
+  /// engine matrix) — built by BuildAttackScoreSource, the same
   /// construction the one-shot pipeline and the job runner use.
   std::unique_ptr<AttackScoreSource> bundle_;
   DeHealthCandidates raw_;    // phase 1b only (serves kTopK at default K)

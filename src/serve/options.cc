@@ -31,10 +31,6 @@ StatusOr<DeHealthConfig> ParseAttackFlags(const FlagParser& flags) {
   config.similarity.simd = simd;
   config.enable_filtering = flags.Has("filter");
   config.index_snapshot_path = flags.Get("index-path");
-  // --index-path implies the indexed path; --index alone keeps the index
-  // in memory for this run.
-  config.use_index =
-      flags.Has("index") || !config.index_snapshot_path.empty();
   // Crash-safe checkpoint/resume (src/job/): both binaries accept the same
   // job flags so a serve warm start can reuse shards a CLI run committed.
   config.job_dir = flags.Get("job-dir");
@@ -49,10 +45,11 @@ StatusOr<DeHealthConfig> ParseAttackFlags(const FlagParser& flags) {
   // The candidate index is a structural-kernel artifact; the matrix-backed
   // engines have nothing to load, so combining them is a config error,
   // not a degradation.
-  if (config.engine != EngineKind::kStructural && config.use_index)
+  if (config.engine != EngineKind::kStructural &&
+      !config.index_snapshot_path.empty())
     return Status::InvalidArgument(
-        std::string("--index/--index-path only apply to "
-                    "--engine=structural, not --engine=") +
+        std::string("--index-path only applies to --engine=structural, "
+                    "not --engine=") +
         EngineKindName(config.engine));
   if (shard_count < 1)
     return Status::InvalidArgument("--shard-count must be >= 1");

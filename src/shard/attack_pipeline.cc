@@ -1,7 +1,7 @@
 // Implements index/pipeline.h. Lives in src/shard/ (not src/index/)
-// because BuildAttackScoreSource is the one place every score-source mode
-// meets — dense, whole index, and fleet slice — and the slice mode needs
-// src/shard/, which layers above src/index/.
+// because BuildAttackScoreSource is the one place every score source
+// meets — whole index, fleet slice and engine matrix — and the slice mode
+// needs src/shard/, which layers above src/index/.
 #include "index/pipeline.h"
 
 #include <cstdio>
@@ -11,7 +11,6 @@
 #include "engines/pipeline.h"
 #include "index/indexed_source.h"
 #include "index/snapshot.h"
-#include "obs/standard_metrics.h"
 #include "shard/partition.h"
 #include "shard/shard_index.h"
 
@@ -19,12 +18,15 @@ namespace dehealth {
 
 namespace {
 
-void WarnDenseFallback(const Status& status) {
-  std::fprintf(stderr,
-               "warning: candidate index unavailable (%s); falling back "
-               "to dense similarity path\n",
-               status.ToString().c_str());
-  obs::GetIndexMetrics().dense_fallbacks->Increment();
+/// The structural engine's index: the whole auxiliary side, or one fleet
+/// slice. `path` empty keeps it in memory only.
+StatusOr<CandidateIndex> LoadOrBuildStructuralIndex(
+    const std::string& path, const UdaGraph& auxiliary,
+    const SimilarityConfig& sim_config, const DeHealthConfig& config) {
+  return config.shard_count > 1
+             ? LoadOrBuildShardIndex(path, auxiliary, sim_config,
+                                     config.shard_index, config.shard_count)
+             : LoadOrBuildIndex(path, auxiliary, sim_config);
 }
 
 }  // namespace
@@ -41,13 +43,13 @@ StatusOr<std::unique_ptr<AttackScoreSource>> BuildAttackScoreSource(
         "BuildAttackScoreSource: filtering thresholds are global and cannot "
         "be computed on a shard slice");
   // The candidate index is a structural-kernel artifact, so the
-  // matrix-backed engines fail fast on its knobs instead of silently
-  // degrading.
+  // matrix-backed engines fail fast on its snapshot path instead of
+  // silently ignoring it.
   const bool structural = config.engine == EngineKind::kStructural;
-  if (!structural && (config.use_index || !config.index_snapshot_path.empty()))
+  if (!structural && !config.index_snapshot_path.empty())
     return Status::InvalidArgument(
-        std::string("BuildAttackScoreSource: --index/--index-path only "
-                    "apply to the structural engine, not --engine=") +
+        std::string("BuildAttackScoreSource: --index-path only applies to "
+                    "the structural engine, not --engine=") +
         EngineKindName(config.engine));
 
   auto bundle = std::make_unique<AttackScoreSource>();
@@ -64,36 +66,30 @@ StatusOr<std::unique_ptr<AttackScoreSource>> BuildAttackScoreSource(
           [static_cast<size_t>(config.shard_index)];
   bundle->shard_begin = range.begin;
 
-  if (structural && (config.use_index || config.shard_count > 1)) {
-    // This backend's one slice of a fleet (--shard-count), or the whole
-    // index (--index).
-    StatusOr<CandidateIndex> index =
-        config.shard_count > 1
-            ? LoadOrBuildShardIndex(config.index_snapshot_path, auxiliary,
-                                    sim_config, config.shard_index,
-                                    config.shard_count)
-            : LoadOrBuildIndex(config.index_snapshot_path, auxiliary,
-                               sim_config);
-    if (index.ok()) {
-      // Snapshot loads come back with the default kAuto; the runtime SIMD
-      // choice is a per-run knob, never part of the persisted index.
-      index->set_simd_mode(sim_config.simd);
-      bundle->source = std::make_unique<IndexedCandidateSource>(
-          anonymized, std::move(index).value(), config.num_threads);
-      return bundle;
+  if (structural) {
+    StatusOr<CandidateIndex> index = LoadOrBuildStructuralIndex(
+        config.index_snapshot_path, auxiliary, sim_config, config);
+    // An unusable snapshot path is a persistence failure, not a
+    // correctness one: warn and score on an index kept in memory only.
+    if (!index.ok() && !config.index_snapshot_path.empty()) {
+      std::fprintf(stderr,
+                   "warning: index snapshot '%s' unusable (%s); continuing "
+                   "with an in-memory index that is not saved\n",
+                   config.index_snapshot_path.c_str(),
+                   index.status().ToString().c_str());
+      index = LoadOrBuildStructuralIndex("", auxiliary, sim_config, config);
     }
-    // Graceful degradation: an index that cannot be loaded, built, or
-    // persisted is a performance feature failing, not a correctness one —
-    // warn and continue on the dense path instead of failing the attack.
-    WarnDenseFallback(index.status());
-    bundle->degraded_to_dense = true;
+    if (!index.ok()) return index.status();
+    // Snapshot loads come back with the default kAuto; the runtime SIMD
+    // choice is a per-run knob, never part of the persisted index.
+    index->set_simd_mode(sim_config.simd);
+    bundle->source = std::make_unique<IndexedCandidateSource>(
+        anonymized, std::move(index).value(), config.num_threads);
+    return bundle;
   }
 
   StatusOr<std::vector<std::vector<double>>> matrix =
-      structural
-          ? StructuralSimilarity(anonymized, auxiliary, sim_config)
-                .ComputeMatrix()
-          : BuildEngineMatrix(anonymized, auxiliary, config);
+      BuildEngineMatrix(anonymized, auxiliary, config);
   if (!matrix.ok()) return matrix.status();
   bundle->similarity = std::move(matrix).value();
   if (config.shard_count > 1)

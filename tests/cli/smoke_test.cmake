@@ -1,5 +1,5 @@
-# End-to-end smoke test of the dehealth_cli binary, including the indexed
-# attack path and the strict-flag-parsing error paths.
+# End-to-end smoke test of the dehealth_cli binary, including the index
+# snapshot, the evaluate command and the strict-flag-parsing error paths.
 #
 # Usage: cmake -DCLI=<dehealth_cli> -DWORK_DIR=<scratch dir> -P smoke_test.cmake
 
@@ -27,7 +27,7 @@ function(run_cli expect_rc)
   set(RUN_ERR "${err}" PARENT_SCOPE)
 endfunction()
 
-# --- happy path: generate -> split -> attack with the candidate index ----
+# --- happy path: generate -> split -> attack with an index snapshot -----
 run_cli(0 generate --preset webmd --users 60 --seed 7
         --out "${WORK_DIR}/forum.jsonl")
 run_cli(0 split --dataset "${WORK_DIR}/forum.jsonl" --aux-fraction 0.5
@@ -35,11 +35,12 @@ run_cli(0 split --dataset "${WORK_DIR}/forum.jsonl" --aux-fraction 0.5
         --aux-out "${WORK_DIR}/aux.jsonl" --truth-out "${WORK_DIR}/truth.csv")
 run_cli(0 attack --anonymized "${WORK_DIR}/anon.jsonl"
         --auxiliary "${WORK_DIR}/aux.jsonl" --k 5 --learner centroid
-        --threads 2 --index --index-path "${WORK_DIR}/aux.dhix"
+        --threads 2 --index-path "${WORK_DIR}/aux.dhix"
         --truth "${WORK_DIR}/truth.csv" --out "${WORK_DIR}/pred.csv")
-if(NOT RUN_OUT MATCHES "top-5 success")
+if(NOT RUN_OUT MATCHES "top-5 success: ([0-9.]+)%")
   message(FATAL_ERROR "attack output missing evaluation line: ${RUN_OUT}")
 endif()
+set(attack_top5 "${CMAKE_MATCH_1}")
 if(NOT EXISTS "${WORK_DIR}/pred.csv")
   message(FATAL_ERROR "attack did not write predictions CSV")
 endif()
@@ -47,7 +48,7 @@ if(NOT EXISTS "${WORK_DIR}/aux.dhix")
   message(FATAL_ERROR "attack did not persist the index snapshot")
 endif()
 
-# Second indexed run reuses the persisted snapshot and must still succeed.
+# A second run reuses the persisted snapshot and must still succeed.
 run_cli(0 attack --anonymized "${WORK_DIR}/anon.jsonl"
         --auxiliary "${WORK_DIR}/aux.jsonl" --k 5 --learner centroid
         --index-path "${WORK_DIR}/aux.dhix" --out "${WORK_DIR}/pred2.csv")
@@ -63,7 +64,7 @@ endif()
 # observability files must be non-empty and well-formed.
 run_cli(0 attack --anonymized "${WORK_DIR}/anon.jsonl"
         --auxiliary "${WORK_DIR}/aux.jsonl" --k 5 --learner centroid
-        --threads 2 --index --index-path "${WORK_DIR}/aux.dhix"
+        --threads 2 --index-path "${WORK_DIR}/aux.dhix"
         --trace-out "${WORK_DIR}/attack_trace.json"
         --metrics-out "${WORK_DIR}/attack_metrics.prom"
         --out "${WORK_DIR}/pred_traced.csv")
@@ -112,11 +113,19 @@ run_cli(1 attack --anonymized "${WORK_DIR}/anon.jsonl"
 if(NOT RUN_ERR MATCHES "unknown flag --shards")
   message(FATAL_ERROR "retired --shards error unclear: ${RUN_ERR}")
 endif()
-# Matrix-backed engines have no index: --index is a config error.
+# The structural engine always scores through the index, so --index is
+# retired like --shards.
 run_cli(1 attack --anonymized "${WORK_DIR}/anon.jsonl"
-        --auxiliary "${WORK_DIR}/aux.jsonl" --engine blind --index)
-if(NOT RUN_ERR MATCHES "--index/--index-path only apply to --engine=structural")
-  message(FATAL_ERROR "--engine blind --index error unclear: ${RUN_ERR}")
+        --auxiliary "${WORK_DIR}/aux.jsonl" --index)
+if(NOT RUN_ERR MATCHES "unknown flag --index")
+  message(FATAL_ERROR "retired --index error unclear: ${RUN_ERR}")
+endif()
+# Matrix-backed engines have no index: --index-path is a config error.
+run_cli(1 attack --anonymized "${WORK_DIR}/anon.jsonl"
+        --auxiliary "${WORK_DIR}/aux.jsonl" --engine blind
+        --index-path "${WORK_DIR}/blind.dhix")
+if(NOT RUN_ERR MATCHES "--index-path only applies to --engine=structural")
+  message(FATAL_ERROR "--engine blind --index-path error unclear: ${RUN_ERR}")
 endif()
 # Enumerated flags reject values outside their lists instead of falling
 # back to a default.
@@ -139,19 +148,38 @@ if(EXISTS "${WORK_DIR}/never.jsonl")
   message(FATAL_ERROR "rejected --preset must not write a dataset")
 endif()
 # Graceful degradation: an unusable index snapshot path must not take the
-# attack down — it warns and falls back to the dense similarity path, and
-# the answers are identical to the exact indexed run above.
+# attack down — it warns and continues on an index kept in memory, and the
+# answers are identical to the run above.
 run_cli(0 attack --anonymized "${WORK_DIR}/anon.jsonl"
         --auxiliary "${WORK_DIR}/aux.jsonl" --k 5 --learner centroid
         --index-path "/nonexistent_dir/idx.dhix"
         --out "${WORK_DIR}/pred3.csv")
-if(NOT RUN_ERR MATCHES "falling back to dense")
-  message(FATAL_ERROR "unwritable --index-path fallback warning missing: "
+if(NOT RUN_ERR MATCHES "continuing with an in-memory index")
+  message(FATAL_ERROR "unwritable --index-path warning missing: "
           "${RUN_ERR}")
 endif()
 file(READ "${WORK_DIR}/pred3.csv" degraded_run)
 if(NOT first_run STREQUAL degraded_run)
-  message(FATAL_ERROR "dense-fallback run changed predictions")
+  message(FATAL_ERROR "in-memory-index run changed predictions")
+endif()
+
+# --- evaluate: the structural engine's success@5 is attack's top-5 -------
+run_cli(0 evaluate --anonymized "${WORK_DIR}/anon.jsonl"
+        --auxiliary "${WORK_DIR}/aux.jsonl" --truth "${WORK_DIR}/truth.csv"
+        --engines structural --ks 1,5 --threads 2)
+if(NOT RUN_OUT MATCHES "structural +[0-9.]+% +([0-9.]+)%")
+  message(FATAL_ERROR "evaluate output missing the structural row: "
+          "${RUN_OUT}")
+endif()
+if(NOT CMAKE_MATCH_1 STREQUAL attack_top5)
+  message(FATAL_ERROR "evaluate s@5 ${CMAKE_MATCH_1}% differs from "
+          "attack's top-5 success ${attack_top5}%")
+endif()
+run_cli(1 evaluate --anonymized "${WORK_DIR}/anon.jsonl"
+        --auxiliary "${WORK_DIR}/aux.jsonl" --truth "${WORK_DIR}/truth.csv"
+        --index-path "${WORK_DIR}/aux.dhix")
+if(NOT RUN_ERR MATCHES "--index-path does not apply")
+  message(FATAL_ERROR "evaluate --index-path error unclear: ${RUN_ERR}")
 endif()
 
 # --- crash-safe job runner: checkpoint, crash, resume, byte-compare ------

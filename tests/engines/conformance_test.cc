@@ -2,8 +2,8 @@
 // blind, and community alike, all through BuildAttackScoreSource (the one
 // place every score-source mode meets):
 //   - bitwise-identical scores and candidate sets for 1/4/8 threads;
-//   - structural --index answers bitwise-equal to the dense matrix, and
-//     the matrix-backed engines rejecting --index;
+//   - structural index answers bitwise-equal to the dense structural
+//     matrix, and the matrix-backed engines rejecting --index-path;
 //   - checkpointed job runs (fresh AND resumed-from-complete) equal to
 //     the one-shot pipeline;
 //   - a job directory written under one engine fails closed under
@@ -25,13 +25,11 @@
 namespace dehealth {
 namespace {
 
-DeHealthConfig EngineConfig(EngineKind engine, int num_threads = 1,
-                            bool use_index = false) {
+DeHealthConfig EngineConfig(EngineKind engine, int num_threads = 1) {
   DeHealthConfig config;
   config.engine = engine;
   config.top_k = 5;
   config.num_threads = num_threads;
-  config.use_index = use_index;
   config.refined.learner = LearnerKind::kNearestCentroid;
   return config;
 }
@@ -72,9 +70,13 @@ TEST_P(EngineConformanceTest, ScoresBitwiseIdenticalAcrossThreadCounts) {
     auto many = BuildAttackScoreSource(*anon_, *aux_,
                                        EngineConfig(GetParam(), threads));
     ASSERT_TRUE(many.ok()) << many.status().ToString();
-    ASSERT_EQ((*one)->similarity.size(), (*many)->similarity.size());
-    for (size_t u = 0; u < (*one)->similarity.size(); ++u)
-      ASSERT_EQ((*one)->similarity[u], (*many)->similarity[u])
+    const CandidateSource& a = *(*one)->source;
+    const CandidateSource& b = *(*many)->source;
+    ASSERT_EQ(a.num_anonymized(), anon_->num_users());
+    ASSERT_EQ(b.num_anonymized(), a.num_anonymized());
+    std::vector<double> scratch_a, scratch_b;
+    for (int u = 0; u < a.num_anonymized(); ++u)
+      ASSERT_EQ(a.Row(u, &scratch_a), b.Row(u, &scratch_b))
           << "row " << u << " differs at " << threads << " threads";
   }
 }
@@ -94,32 +96,34 @@ TEST_P(EngineConformanceTest, TopKIdenticalAcrossThreadCounts) {
 
 TEST_P(EngineConformanceTest, ShardedAnswersEqualUnsharded) {
   // Fleet slices are checked against the whole index in
-  // tests/shard/sharded_source_test.cc; here the whole index (--index)
-  // must answer bitwise what the dense matrix answers.
+  // tests/shard/sharded_source_test.cc; here the whole index must answer
+  // bitwise what the dense structural matrix answers.
   if (GetParam() != EngineKind::kStructural) {
-    // The matrix-backed engines have no index: --index is a config error.
-    auto indexed = BuildAttackScoreSource(*anon_, *aux_,
-                                          EngineConfig(GetParam(), 2, true));
+    // The matrix-backed engines have no index: --index-path is a config
+    // error.
+    DeHealthConfig config = EngineConfig(GetParam(), 2);
+    config.index_snapshot_path = "unused.dhix";
+    auto indexed = BuildAttackScoreSource(*anon_, *aux_, config);
     ASSERT_FALSE(indexed.ok());
     EXPECT_EQ(indexed.status().code(), StatusCode::kInvalidArgument);
     return;
   }
-  auto dense = BuildAttackScoreSource(*anon_, *aux_,
-                                      EngineConfig(GetParam(), 2));
-  ASSERT_TRUE(dense.ok());
-  auto golden = (*dense)->source->TopK(5, 2);
+  const DeHealthConfig config = EngineConfig(GetParam(), 2);
+  const std::vector<std::vector<double>> matrix =
+      StructuralSimilarity(*anon_, *aux_, config.similarity).ComputeMatrix();
+  const DenseCandidateSource dense(matrix);
+  auto golden = dense.TopK(5, 2);
   ASSERT_TRUE(golden.ok());
   const std::vector<int> probe = {0, 3, anon_->num_users() - 1};
-  auto golden_probe = (*dense)->source->TopKForUsers(probe, 5, 2);
+  auto golden_probe = dense.TopKForUsers(probe, 5, 2, nullptr);
   ASSERT_TRUE(golden_probe.ok());
-  auto indexed = BuildAttackScoreSource(*anon_, *aux_,
-                                        EngineConfig(GetParam(), 2, true));
+  auto indexed = BuildAttackScoreSource(*anon_, *aux_, config);
   ASSERT_TRUE(indexed.ok()) << indexed.status().ToString();
   EXPECT_TRUE((*indexed)->similarity.empty());  // the matrix is never formed
   auto got = (*indexed)->source->TopK(5, 2);
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(*golden, *got);
-  auto got_probe = (*indexed)->source->TopKForUsers(probe, 5, 2);
+  auto got_probe = (*indexed)->source->TopKForUsers(probe, 5, 2, nullptr);
   ASSERT_TRUE(got_probe.ok());
   EXPECT_EQ(*golden_probe, *got_probe);
 }

@@ -4,6 +4,11 @@
 // IDF attribute weighting — the determinism contract in DESIGN.md
 // "Candidate index".
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "core/de_health.h"
@@ -34,6 +39,8 @@ Scenario MakeScenario(int num_users, uint64_t seed) {
   EXPECT_TRUE(split.ok());
   return {BuildUdaGraph(split->anonymized), BuildUdaGraph(split->auxiliary)};
 }
+
+uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
 
 std::vector<std::vector<double>> DenseMatrix(const Scenario& s,
                                              const SimilarityConfig& config) {
@@ -122,10 +129,8 @@ TEST(IndexPipelineTest, EndToEndAttackMatchesDensePath) {
   config.refined.learner = LearnerKind::kNearestCentroid;
   config.refined.verification = VerificationScheme::kMeanVerification;
 
-  auto dense = RunDeHealthAttack(s.anonymized, s.auxiliary, config);
+  auto dense = DeHealth(config).Run(s.anonymized, s.auxiliary);
   ASSERT_TRUE(dense.ok()) << dense.status().ToString();
-
-  config.use_index = true;
   auto indexed = RunDeHealthAttack(s.anonymized, s.auxiliary, config);
   ASSERT_TRUE(indexed.ok()) << indexed.status().ToString();
 
@@ -133,27 +138,34 @@ TEST(IndexPipelineTest, EndToEndAttackMatchesDensePath) {
   EXPECT_EQ(indexed->rejected, dense->rejected);
   EXPECT_EQ(indexed->refined.predictions, dense->refined.predictions);
   EXPECT_EQ(indexed->refined.num_rejected, dense->refined.num_rejected);
-  // The indexed path never materializes the matrix.
+  // The pipeline never materializes the matrix.
   EXPECT_TRUE(indexed->similarity.empty());
   EXPECT_FALSE(dense->similarity.empty());
 }
 
 TEST(IndexPipelineTest, GraphMatchingSelectionRequiresDenseMatrix) {
+  // Graph matching is global: the pipeline forms the matrix from the
+  // index's rows for that phase alone, and answers what the dense run
+  // answers.
   const Scenario s = MakeScenario(16, 5);
   DeHealthConfig config;
   config.top_k = 2;
   config.selection = CandidateSelection::kGraphMatching;
-  config.use_index = true;
-  auto result = RunDeHealthAttack(s.anonymized, s.auxiliary, config);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
+  config.enable_filtering = true;
+  config.refined.learner = LearnerKind::kNearestCentroid;
+  auto dense = DeHealth(config).Run(s.anonymized, s.auxiliary);
+  ASSERT_TRUE(dense.ok()) << dense.status().ToString();
+  auto indexed = RunDeHealthAttack(s.anonymized, s.auxiliary, config);
+  ASSERT_TRUE(indexed.ok()) << indexed.status().ToString();
+  EXPECT_EQ(indexed->candidates, dense->candidates);
+  EXPECT_EQ(indexed->rejected, dense->rejected);
+  EXPECT_EQ(indexed->refined.predictions, dense->refined.predictions);
 }
 
 TEST(IndexPipelineTest, IndexedResultsIdenticalAcrossThreadCounts) {
   const Scenario s = MakeScenario(60, 31);
   DeHealthConfig config;
   config.top_k = 5;
-  config.use_index = true;
   config.refined.learner = LearnerKind::kNearestCentroid;
   config.num_threads = 1;
   auto one = RunDeHealthAttack(s.anonymized, s.auxiliary, config);
@@ -163,6 +175,45 @@ TEST(IndexPipelineTest, IndexedResultsIdenticalAcrossThreadCounts) {
   ASSERT_TRUE(eight.ok());
   EXPECT_EQ(one->candidates, eight->candidates);
   EXPECT_EQ(one->refined.predictions, eight->refined.predictions);
+}
+
+TEST(IndexPipelineTest, TopKRangeEqualsRowMajorFold) {
+  // The range the Top-K pass hands out is bitwise the serial row-major
+  // min/max over the dense matrix, for any thread count and batch.
+  const Scenario s = MakeScenario(60, 13);
+  for (const bool idf : {false, true}) {
+    SCOPED_TRACE(idf ? "idf=on" : "idf=off");
+    SimilarityConfig sim;
+    sim.idf_weight_attributes = idf;
+    const auto matrix = DenseMatrix(s, sim);
+    double s_min = std::numeric_limits<double>::infinity();
+    double s_max = -std::numeric_limits<double>::infinity();
+    for (const auto& row : matrix)
+      for (const double score : row) {
+        s_max = std::max(s_max, score);
+        s_min = std::min(s_min, score);
+      }
+    auto index = CandidateIndex::Build(s.auxiliary, sim);
+    ASSERT_TRUE(index.ok());
+    const IndexedCandidateSource source(s.anonymized, *index);
+    for (const int threads : {1, 3, 8}) {
+      ScoreRange range;
+      auto sets = source.TopK(4, threads, &range);
+      ASSERT_TRUE(sets.ok());
+      EXPECT_EQ(Bits(range.min), Bits(s_min)) << "threads=" << threads;
+      EXPECT_EQ(Bits(range.max), Bits(s_max)) << "threads=" << threads;
+    }
+    // Two batches folded in user order give the same range.
+    const int n1 = source.num_anonymized();
+    std::vector<int> head, tail;
+    for (int u = 0; u < n1; ++u) (u < n1 / 3 ? head : tail).push_back(u);
+    ScoreRange head_range, tail_range;
+    ASSERT_TRUE(source.TopKForUsers(head, 4, 2, &head_range).ok());
+    ASSERT_TRUE(source.TopKForUsers(tail, 4, 2, &tail_range).ok());
+    head_range.Add(tail_range);
+    EXPECT_EQ(Bits(head_range.min), Bits(s_min));
+    EXPECT_EQ(Bits(head_range.max), Bits(s_max));
+  }
 }
 
 }  // namespace

@@ -47,8 +47,8 @@ void ExpectSameAttackResult(const DeHealthResult& job,
 }
 
 /// One shared closed-world scenario (14 anonymized users -> 5 shards of 3)
-/// plus the
-/// uninterrupted golden run every checkpointed run is compared against.
+/// plus the uninterrupted dense golden run (DeHealth::Run) every
+/// checkpointed run is compared against.
 class JobTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -58,7 +58,7 @@ class JobTest : public ::testing::Test {
     ASSERT_TRUE(split.ok());
     anon_ = new UdaGraph(BuildUdaGraph(split->anonymized));
     aux_ = new UdaGraph(BuildUdaGraph(split->auxiliary));
-    auto golden = RunDeHealthAttack(*anon_, *aux_, JobConfig(""));
+    auto golden = DeHealth(JobConfig("")).Run(*anon_, *aux_);
     ASSERT_TRUE(golden.ok()) << golden.status().ToString();
     golden_ = new DeHealthResult(std::move(golden).value());
   }
@@ -204,13 +204,13 @@ TEST_F(JobTest, ShardFailsClosedOnAnyIdentityMismatch) {
 TEST_F(JobTest, ConfigFingerprintCoversOnlySemanticFields) {
   DeHealthConfig base = JobConfig("job-a", 7);
   DeHealthConfig operational = base;
-  // Results are bitwise-independent of these: an interrupted 8-thread
-  // indexed run may finish single-threaded and dense.
+  // Results are bitwise-independent of these: an interrupted 8-thread run
+  // may finish single-threaded, with or without a snapshot file.
   operational.num_threads = 8;
   operational.job_dir = "job-b";
   operational.job_shard_size = 3;
   operational.index_snapshot_path = "x.dhix";
-  operational.use_index = true;  // index == dense, bitwise
+  operational.use_index = true;  // ignored
   EXPECT_EQ(JobConfigFingerprint(base), JobConfigFingerprint(operational));
 
   DeHealthConfig other_k = base;
@@ -309,13 +309,14 @@ TEST_F(JobTest, RawOutParamCarriesUnfilteredCandidates) {
 
 TEST_F(JobTest, DegradedIndexFallsBackToDenseBitwise) {
   // An unusable snapshot path must not take the attack down: the score
-  // source degrades to the dense path with identical answers.
+  // source keeps its index in memory, unsaved, with identical answers —
+  // and still never forms the dense matrix.
   DeHealthConfig config = JobConfig("");
-  config.use_index = true;
   config.index_snapshot_path = "/nonexistent_dir/idx.dhix";
   auto bundle = BuildAttackScoreSource(*anon_, *aux_, config);
   ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
-  EXPECT_TRUE((*bundle)->degraded_to_dense);
+  EXPECT_TRUE((*bundle)->similarity.empty());
+  EXPECT_FALSE(std::filesystem::exists(config.index_snapshot_path));
   auto result = RunDeHealthAttack(*anon_, *aux_, config);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->candidates, golden_->candidates);
@@ -352,19 +353,28 @@ TEST_F(JobTest, ResumesAfterInjectedFailureAtEveryPhase) {
 }
 
 TEST_F(JobTest, FilteringJobResumesAcrossFilterFault) {
-  const ScopedTempDir dir;
-  DeHealthConfig config = JobConfig(dir.path());
-  config.enable_filtering = true;
-  ASSERT_TRUE(FaultInjector::Global().Configure("job.filter:fail:1").ok());
-  ASSERT_FALSE(RunDeHealthAttackJob(*anon_, *aux_, config).ok());
-  FaultInjector::Global().Reset();
-  DeHealthConfig direct = config;
-  direct.job_dir.clear();
-  auto filtered_golden = RunDeHealthAttack(*anon_, *aux_, direct);
+  // The filter's global range folds from the Top-K shards a run computes;
+  // a resume rescans only the loaded ones. A filter fault leaves every
+  // Top-K shard durable; a phase-1 fault leaves two, so the resume mixes
+  // loaded and computed shards before the filter.
+  DeHealthConfig direct = JobConfig("");
+  direct.enable_filtering = true;
+  auto filtered_golden = DeHealth(direct).Run(*anon_, *aux_);
   ASSERT_TRUE(filtered_golden.ok());
-  auto resumed = RunDeHealthAttackJob(*anon_, *aux_, config);
-  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-  ExpectSameAttackResult(*resumed, *filtered_golden);
+  for (const char* spec : {"job.filter:fail:1", "job.phase1:fail:3"}) {
+    const ScopedTempDir dir;
+    DeHealthConfig config = JobConfig(dir.path());
+    config.enable_filtering = true;
+    ASSERT_TRUE(FaultInjector::Global().Configure(spec).ok());
+    ASSERT_FALSE(RunDeHealthAttackJob(*anon_, *aux_, config).ok()) << spec;
+    FaultInjector::Global().Reset();
+    EXPECT_FALSE(std::filesystem::exists(dir.File("filter.dhsh"))) << spec;
+    config.num_threads = 2;
+    auto resumed = RunDeHealthAttackJob(*anon_, *aux_, config);
+    ASSERT_TRUE(resumed.ok()) << spec << ": " << resumed.status().ToString();
+    SCOPED_TRACE(spec);
+    ExpectSameAttackResult(*resumed, *filtered_golden);
+  }
 }
 
 TEST_F(JobTest, CorruptShardIsQuarantinedAndRecomputed) {

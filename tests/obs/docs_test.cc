@@ -1,19 +1,23 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/flag_catalog.h"
 #include "core/engine_kind.h"
 #include "obs/standard_metrics.h"
 
 // Docs-consistency checks: the in-source catalogs (AllMetricDefs,
-// FlagCatalog) are the single source of truth, and these tests fail the
-// build-tree whenever docs/METRICS.md or docs/OPERATIONS.md falls behind
-// them. DEHEALTH_SOURCE_DIR is injected by tests/CMakeLists.txt.
+// FlagCatalog, the obs::Span sites under src/) are the single source of
+// truth, and these tests fail the build-tree whenever docs/METRICS.md,
+// docs/OPERATIONS.md or docs/TRACING.md falls behind them.
+// DEHEALTH_SOURCE_DIR is injected by tests/CMakeLists.txt.
 
 #ifndef DEHEALTH_SOURCE_DIR
 #error "DEHEALTH_SOURCE_DIR must be defined to locate docs/"
@@ -106,6 +110,76 @@ TEST(DocsTest, EngineDocCoversEveryEngineAndItsFlags) {
         << "docs/ENGINES.md no longer mentions " << required;
 }
 
+/// The contents of each `quote`-delimited run in `s`, in order.
+std::vector<std::string> Quoted(const std::string& s, char quote) {
+  std::vector<std::string> runs;
+  for (size_t open = s.find(quote); open != std::string::npos;) {
+    const size_t close = s.find(quote, open + 1);
+    if (close == std::string::npos) break;
+    runs.push_back(s.substr(open + 1, close - open - 1));
+    open = s.find(quote, close + 1);
+  }
+  return runs;
+}
+
+TEST(DocsTest, EverySpanIsDocumented) {
+  // Every `obs::Span <var>("<category>", "<span>")` in src/ must appear in
+  // docs/TRACING.md's "Instrumented span inventory" table, and every span
+  // the table names must still exist in src/.
+  using SpanName = std::pair<std::string, std::string>;
+  const std::string site = "obs::Span ";
+  std::set<SpanName> in_source;
+  for (const auto& entry : std::filesystem::recursive_directory_iterator(
+           std::string(DEHEALTH_SOURCE_DIR) + "/src")) {
+    const std::string ext = entry.path().extension().string();
+    if (ext != ".cc" && ext != ".h") continue;
+    std::ifstream in(entry.path());
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    const std::string text = buffer.str();
+    for (size_t at = text.find(site); at != std::string::npos;
+         at = text.find(site, at + 1)) {
+      // The variable name runs straight into the argument list.
+      const size_t open = text.find_first_not_of(
+          "abcdefghijklmnopqrstuvwxyz_0123456789", at + site.size());
+      if (open == std::string::npos || text[open] != '(') continue;
+      const std::vector<std::string> args =
+          Quoted(text.substr(open, text.find(')', open) - open), '"');
+      if (args.size() == 2) in_source.insert({args[0], args[1]});
+    }
+  }
+  ASSERT_FALSE(in_source.empty());
+
+  const std::string doc = ReadDoc("docs/TRACING.md");
+  const size_t table = doc.find("## Instrumented span inventory");
+  ASSERT_NE(table, std::string::npos);
+  std::istringstream lines(
+      doc.substr(table, doc.find("\n## ", table + 1) - table));
+  std::set<SpanName> in_doc;
+  std::string line;
+  while (std::getline(lines, line)) {
+    // Rows look like "| core | `refined_da`, `refined_da_for_users` | ...".
+    const size_t first = line.find('|');
+    const size_t second = line.find('|', first + 1);
+    const size_t third = line.find('|', second + 1);
+    if (first != 0 || third == std::string::npos) continue;
+    std::string category = line.substr(1, second - 1);
+    category.erase(0, category.find_first_not_of(' '));
+    category.erase(category.find_last_not_of(' ') + 1);
+    for (const std::string& span :
+         Quoted(line.substr(second + 1, third - second - 1), '`'))
+      in_doc.insert({category, span});
+  }
+  for (const SpanName& span : in_source)
+    EXPECT_TRUE(in_doc.count(span))
+        << "span " << span.first << "/" << span.second
+        << " is not in docs/TRACING.md's span inventory";
+  for (const SpanName& span : in_doc)
+    EXPECT_TRUE(in_source.count(span))
+        << "docs/TRACING.md lists span " << span.first << "/" << span.second
+        << " but no obs::Span in src/ records it";
+}
+
 TEST(FlagCatalogTest, SortedAndUnique) {
   const std::vector<FlagDoc>& catalog = FlagCatalog();
   ASSERT_FALSE(catalog.empty());
@@ -119,8 +193,7 @@ TEST(FlagCatalogTest, AttackBooleanFlagsDeriveFromCatalog) {
   // entries; the set is small and load-bearing enough to pin exactly.
   const std::set<std::string> expected = {
       "allow-epoch-skew", "filter",  "idf",
-      "index",            "ingest",  "no-seal",
-      "require-all-shards"};
+      "ingest",           "no-seal", "require-all-shards"};
   EXPECT_EQ(AttackBooleanFlags(), expected);
 }
 

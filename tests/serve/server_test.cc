@@ -94,23 +94,23 @@ TEST_F(ServeEngineTest, SoloAnswersMatchBatchAnswers) {
 }
 
 TEST_F(ServeEngineTest, IndexedEngineMatchesDenseEngine) {
-  DeHealthConfig indexed_config = FastConfig();
-  indexed_config.use_index = true;
-  auto dense = MakeEngine(FastConfig());
-  auto indexed = MakeEngine(indexed_config);
+  // The engine scores through the candidate index; the dense reference is
+  // DeHealth::Run over the materialized matrix.
+  const DeHealthConfig config = FastConfig();
+  auto dense = DeHealth(config).Run(*anon_, *aux_);
+  auto indexed = MakeEngine(config);
   ASSERT_TRUE(dense.ok());
   ASSERT_TRUE(indexed.ok()) << indexed.status().ToString();
   const std::vector<int> users = {0, 3, 9, 14};
-  auto dense_top = (*dense)->TopK(users, 0);
   auto indexed_top = (*indexed)->TopK(users, 0);
-  ASSERT_TRUE(dense_top.ok());
   ASSERT_TRUE(indexed_top.ok());
-  EXPECT_EQ(dense_top->candidates, indexed_top->candidates);
-  auto dense_refined = (*dense)->Refine(users);
   auto indexed_refined = (*indexed)->Refine(users);
-  ASSERT_TRUE(dense_refined.ok());
   ASSERT_TRUE(indexed_refined.ok());
-  EXPECT_EQ(dense_refined->predictions, indexed_refined->predictions);
+  for (size_t i = 0; i < users.size(); ++i) {
+    const auto u = static_cast<size_t>(users[i]);
+    EXPECT_EQ(indexed_top->candidates[i], dense->candidates[u]);
+    EXPECT_EQ(indexed_refined->predictions[i], dense->refined.predictions[u]);
+  }
 }
 
 TEST_F(ServeEngineTest, NonDefaultKMatchesOneShotWithThatK) {

@@ -37,6 +37,14 @@ fail() {
   --k 5 --learner centroid --threads 2 --out "$WORK/cli.csv"
 [ -s "$WORK/cli.csv" ] || fail "dehealth_cli wrote no predictions CSV"
 
+# --- the retired --index flag fails closed ------------------------------
+RC=0
+"$SERVE" --anonymized "$WORK/anon.jsonl" --auxiliary "$WORK/aux.jsonl" \
+  --index --port 0 >/dev/null 2>"$WORK/index.err" || RC=$?
+[ "$RC" -eq 1 ] || fail "dehealth_serve --index exited $RC (expected 1)"
+grep -q "unknown flag --index" "$WORK/index.err" ||
+  fail "dehealth_serve --index error unclear: $(cat "$WORK/index.err")"
+
 # --- bring the server up on an ephemeral port ---------------------------
 "$SERVE" --anonymized "$WORK/anon.jsonl" --auxiliary "$WORK/aux.jsonl" \
   --k 5 --learner centroid --threads 2 \

@@ -74,7 +74,7 @@ class ShardedSourceTest : public ::testing::Test {
       auto slice = MakeSlice(i, n, num_threads);
       EXPECT_TRUE(slice.ok()) << slice.status().ToString();
       if (!slice.ok()) return {};
-      auto local = slice->TopKForUsers(users, k, num_threads);
+      auto local = slice->TopKForUsers(users, k, num_threads, nullptr);
       EXPECT_TRUE(local.ok()) << local.status().ToString();
       if (!local.ok()) return {};
       for (size_t q = 0; q < users.size(); ++q)
@@ -147,7 +147,7 @@ TEST_F(ShardedSourceTest, TopKBitwiseIdenticalAcrossShardAndThreadCounts) {
 
 TEST_F(ShardedSourceTest, TopKForUsersMatchesSingleIndex) {
   const std::vector<int> users = {0, 3, 9, 14, 14, 1};
-  auto golden = reference_->TopKForUsers(users, 4, 1);
+  auto golden = reference_->TopKForUsers(users, 4, 1, nullptr);
   ASSERT_TRUE(golden.ok());
   for (int n : {2, 3, 8})
     EXPECT_EQ(MergedTopK(n, users, 4, 2), *golden) << "n=" << n;
@@ -157,8 +157,9 @@ TEST_F(ShardedSourceTest, RejectsBadArguments) {
   auto slice = MakeSlice(1, 3);
   ASSERT_TRUE(slice.ok());
   EXPECT_FALSE(slice->TopK(0, 1).ok());
-  EXPECT_FALSE(slice->TopKForUsers({-1}, 3, 1).ok());
-  EXPECT_FALSE(slice->TopKForUsers({slice->num_anonymized()}, 3, 1).ok());
+  EXPECT_FALSE(slice->TopKForUsers({-1}, 3, 1, nullptr).ok());
+  EXPECT_FALSE(
+      slice->TopKForUsers({slice->num_anonymized()}, 3, 1, nullptr).ok());
 }
 
 TEST_F(ShardedSourceTest, SliceIndexDataKeepsGlobalState) {
