@@ -224,8 +224,8 @@ int CmdAttack(const Args& args) {
 
   std::printf("building UDA graphs (%zu + %zu posts)...\n",
               anon_data->posts.size(), aux_data->posts.size());
-  const UdaGraph anon = BuildUdaGraph(*anon_data);
-  const UdaGraph aux = BuildUdaGraph(*aux_data);
+  const UdaGraph anon = BuildUdaGraph(*anon_data, config.num_threads);
+  const UdaGraph aux = BuildUdaGraph(*aux_data, config.num_threads);
   const bool checkpointed = !config.job_dir.empty();
   // Checkpointed path: SIGTERM/SIGINT finish the current shard, commit
   // it, and surface Cancelled — which is a clean exit, not an error (the
@@ -336,8 +336,8 @@ int CmdEvaluate(const Args& args) {
   if (!anon_data.ok()) return Fail(anon_data.status().ToString());
   auto aux_data = LoadForumDataset(aux_path);
   if (!aux_data.ok()) return Fail(aux_data.status().ToString());
-  const UdaGraph anon = BuildUdaGraph(*anon_data);
-  const UdaGraph aux = BuildUdaGraph(*aux_data);
+  const UdaGraph anon = BuildUdaGraph(*anon_data, config.num_threads);
+  const UdaGraph aux = BuildUdaGraph(*aux_data, config.num_threads);
   auto truth_or =
       LoadTruthCsv(truth_path, static_cast<size_t>(anon.num_users()));
   if (!truth_or.ok()) return Fail(truth_or.status().ToString());

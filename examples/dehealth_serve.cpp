@@ -114,7 +114,7 @@ int main(int argc, char** argv) {
 
   std::printf("loading: building UDA graphs (%zu + %zu posts)...\n",
               anon_data->posts.size(), aux_data->posts.size());
-  UdaGraph anon = BuildUdaGraph(*anon_data);
+  UdaGraph anon = BuildUdaGraph(*anon_data, attack_config->num_threads);
 
   // Handlers go in BEFORE the (possibly long) warm start: with --job-dir a
   // SIGTERM mid-warm-start checkpoints the current shard and exits 0, and
@@ -152,7 +152,7 @@ int main(int argc, char** argv) {
       epoch->ConfigureAutoSeal(std::move(policy));
     }
   } else {
-    UdaGraph aux = BuildUdaGraph(*aux_data);
+    UdaGraph aux = BuildUdaGraph(*aux_data, attack_config->num_threads);
     auto created = QueryEngine::Create(std::move(anon), std::move(aux),
                                        *attack_config);
     if (!created.ok() &&

@@ -27,13 +27,18 @@ struct UdaGraph {
 
 /// Builds the UDA graph of a dataset: extracts Table-I features from every
 /// post, aggregates per-user attributes, and constructs the co-thread
-/// correlation graph. Cost: one extraction pass over all posts.
-UdaGraph BuildUdaGraph(const ForumDataset& dataset);
+/// correlation graph. Cost: one extraction pass over all posts, spread over
+/// `cpu_threads` CPU threads (0 = all hardware threads). The result is
+/// bitwise the same for every thread count.
+UdaGraph BuildUdaGraph(const ForumDataset& dataset, int cpu_threads = 0);
 
 /// Streaming-ingest entry point: appends `new_posts` to `dataset` (growing
-/// it to `num_users_after`/`num_threads_after`), extracts features for the
-/// NEW posts only, folds them into the existing profiles in post order, and
-/// rebuilds the co-thread correlation graph from the accumulated dataset.
+/// it to `num_users_after` users and `num_threads_after` discussion
+/// threads), extracts features for the NEW posts only on `cpu_threads` CPU
+/// threads (0 = all hardware threads), folds them into the existing
+/// profiles in post order, and rebuilds the co-thread correlation graph
+/// from the accumulated dataset. BuildUdaGraph runs the same extraction
+/// over all posts.
 ///
 /// Bitwise contract: after any sequence of Apply calls, `*uda` is
 /// byte-for-byte equal to `BuildUdaGraph(*dataset)` — per-user AddPost call
@@ -44,7 +49,8 @@ UdaGraph BuildUdaGraph(const ForumDataset& dataset);
 /// after-bounds or the bounds shrink.
 Status ApplyPostsToUdaGraph(UdaGraph* uda, ForumDataset* dataset,
                             const std::vector<Post>& new_posts,
-                            int num_users_after, int num_threads_after);
+                            int num_users_after, int num_threads_after,
+                            int cpu_threads = 0);
 
 }  // namespace dehealth
 

@@ -43,7 +43,8 @@ StatusOr<std::unique_ptr<EpochHandler>> EpochHandler::Create(
     DeHealthConfig config) {
   auto handler = std::unique_ptr<EpochHandler>(
       new EpochHandler(std::move(anonymized), std::move(config)));
-  handler->staging_ = IngestState::FromDataset(std::move(auxiliary_dataset));
+  handler->staging_ = IngestState::FromDataset(std::move(auxiliary_dataset),
+                                               handler->config_.num_threads);
   // The boot epoch honors the full config — warm starts from --job-dir and
   // DHIX snapshot reuse work exactly as on a non-ingest server.
   UdaGraph anon_copy = handler->anonymized_;

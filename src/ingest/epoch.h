@@ -67,6 +67,8 @@ class EpochHandler : public QueryHandler {
   /// QueryEngine with `config` verbatim (job_dir warm start and index
   /// snapshots behave exactly as a non-ingest server). The anonymized
   /// graph and the config are retained for seal-time rebuilds.
+  /// `config.num_threads` also sets the staging state's extraction threads
+  /// (boot, every segment apply and its rollback).
   static StatusOr<std::unique_ptr<EpochHandler>> Create(
       UdaGraph anonymized, ForumDataset auxiliary_dataset,
       DeHealthConfig config);

@@ -8,9 +8,10 @@
 namespace dehealth {
 namespace ingest {
 
-IngestState IngestState::FromDataset(ForumDataset dataset) {
+IngestState IngestState::FromDataset(ForumDataset dataset, int cpu_threads) {
   IngestState state;
-  state.uda_ = BuildUdaGraph(dataset);
+  state.cpu_threads_ = cpu_threads;
+  state.uda_ = BuildUdaGraph(dataset, cpu_threads);
   state.dataset_ = std::move(dataset);
   return state;
 }
@@ -25,8 +26,10 @@ Status IngestState::Advance(const std::vector<Post>& new_posts,
     return Status::FailedPrecondition(
         "IngestState::Advance: state is poisoned by an earlier failed "
         "apply whose rollback could not be verified; rebuild it");
-  DEHEALTH_RETURN_IF_ERROR(ApplyPostsToUdaGraph(
-      &uda_, &dataset_, new_posts, num_users_after, num_threads_after));
+  DEHEALTH_RETURN_IF_ERROR(ApplyPostsToUdaGraph(&uda_, &dataset_, new_posts,
+                                                num_users_after,
+                                                num_threads_after,
+                                                cpu_threads_));
   obs::GetIngestMetrics().posts_applied->Increment(new_posts.size());
   return Status::OK();
 }
@@ -71,7 +74,7 @@ Status IngestState::Apply(const DeltaSegment& segment) {
   dataset_.posts.resize(base_posts);
   dataset_.num_users = base_users;
   dataset_.num_threads = base_threads;
-  uda_ = BuildUdaGraph(dataset_);
+  uda_ = BuildUdaGraph(dataset_, cpu_threads_);
   if (fingerprint() != current) {
     poisoned_ = true;
     return Status::Internal(

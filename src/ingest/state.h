@@ -22,7 +22,10 @@ namespace ingest {
 class IngestState {
  public:
   /// Builds the state of a base forum (one full feature-extraction pass).
-  static IngestState FromDataset(ForumDataset dataset);
+  /// This and every later Apply, Advance and rollback rebuild extract on
+  /// `cpu_threads` CPU threads (0 = all hardware threads); the state is
+  /// bitwise the same for every value.
+  static IngestState FromDataset(ForumDataset dataset, int cpu_threads = 0);
 
   /// Applies one delta segment: validates the parent fingerprint against
   /// the current state (FailedPrecondition on mismatch — the segment was
@@ -57,6 +60,7 @@ class IngestState {
  private:
   ForumDataset dataset_;
   UdaGraph uda_;
+  int cpu_threads_ = 0;
   bool poisoned_ = false;
 };
 

@@ -7,6 +7,7 @@
 #include "common/fault_injection.h"
 #include "common/string_utils.h"
 #include "io/file_util.h"
+#include "obs/trace.h"
 
 namespace dehealth {
 
@@ -332,8 +333,10 @@ Status SaveForumDataset(const ForumDataset& dataset,
 }
 
 StatusOr<ForumDataset> LoadForumDataset(const std::string& path) {
+  obs::Span span("io", "load_forum_dataset");
   StatusOr<std::string> content = ReadFileToString(path);
   if (!content.ok()) return content.status();
+  span.SetArg("bytes", static_cast<int64_t>(content->size()));
   // Simulated on-disk corruption of the forum file; the parser must turn
   // whatever this produces into a path+line Status, never a crash.
   InjectDataFault("forum.load.data", &*content);

@@ -6,6 +6,8 @@
 #include <cstdio>
 #include <limits>
 #include <mutex>
+#include <set>
+#include <string>
 #include <thread>
 #include <utility>
 
@@ -60,28 +62,35 @@ StatusOr<BackendAddress> ParseHostPort(const std::string& entry,
   return BackendAddress{entry.substr(0, colon), port};
 }
 
-/// Per-backend latency histogram in the router's registry. The MetricDef
-/// strings are leaked once per (registry, backend name) — registries keep
-/// the def by pointer and must outlive every render.
+/// The process-lifetime copy of a MetricDef string. Registries keep the
+/// def by pointer and must outlive every render, so each distinct text is
+/// stored once and a repeated one (the same backend in another router, or
+/// a rebuilt one) reuses its entry.
+const char* InternMetricText(std::string text) {
+  static std::mutex mutex;
+  static std::set<std::string>& store = *new std::set<std::string>;
+  std::lock_guard<std::mutex> lock(mutex);
+  return store.insert(std::move(text)).first->c_str();
+}
+
+/// Per-backend latency histogram in the router's registry.
 obs::Histogram* BackendLatencyHistogram(obs::Registry& registry,
                                         const std::string& tag) {
-  auto* name = new std::string("dehealth_shard_backend" + tag +
-                               "_latency_micros");
-  auto* help = new std::string(
-      "Round-trip latency of scatter RPCs to shard backend " + tag);
-  obs::MetricDef def{name->c_str(), obs::MetricType::kHistogram, "us",
-                     "shard", help->c_str()};
+  obs::MetricDef def{
+      InternMetricText("dehealth_shard_backend" + tag + "_latency_micros"),
+      obs::MetricType::kHistogram, "us", "shard",
+      InternMetricText(
+          "Round-trip latency of scatter RPCs to shard backend " + tag)};
   return registry.GetHistogram(def);
 }
 
-/// Per-backend gauge, same leaked-def pattern as the latency histogram.
+/// Per-backend gauge in the router's registry.
 obs::Gauge* BackendGauge(obs::Registry& registry, const std::string& tag,
                          const std::string& what, const std::string& help) {
-  auto* name =
-      new std::string("dehealth_shard_backend" + tag + "_" + what);
-  auto* help_text = new std::string(help + " of shard backend " + tag);
-  obs::MetricDef def{name->c_str(), obs::MetricType::kGauge, "1", "shard",
-                     help_text->c_str()};
+  obs::MetricDef def{
+      InternMetricText("dehealth_shard_backend" + tag + "_" + what),
+      obs::MetricType::kGauge, "1", "shard",
+      InternMetricText(help + " of shard backend " + tag)};
   return registry.GetGauge(def);
 }
 

@@ -1,9 +1,9 @@
 #include "stylo/extractor.h"
 
-#include <cctype>
-#include <cstring>
+#include <algorithm>
+#include <array>
+#include <cstdint>
 #include <string>
-#include <unordered_map>
 
 #include "common/string_utils.h"
 #include "stylo/feature_layout.h"
@@ -14,20 +14,28 @@ namespace dehealth {
 
 namespace fl = feature_layout;
 
+namespace {
+
+/// K from the token count n and sum_i i^2 * V_i (which equals the sum of
+/// each type's squared count). Every term is an integer, so the sum is
+/// exact in any order.
+double YulesKFromMoments(long long n, double sum_i2_vi) {
+  if (n < 1) return 0.0;
+  const double nd = static_cast<double>(n);
+  return 1e4 * (sum_i2_vi - nd) / (nd * nd);
+}
+
+}  // namespace
+
 double YulesK(const std::vector<int>& type_counts) {
   long long n = 0;
-  std::unordered_map<int, int> v;  // occurrences -> number of types
+  double sum_i2_vi = 0.0;
   for (int c : type_counts) {
     if (c <= 0) continue;
     n += c;
-    ++v[c];
+    sum_i2_vi += static_cast<double>(c) * c;
   }
-  if (n < 1) return 0.0;
-  double sum_i2_vi = 0.0;
-  for (const auto& [i, vi] : v)
-    sum_i2_vi += static_cast<double>(i) * i * vi;
-  const double nd = static_cast<double>(n);
-  return 1e4 * (sum_i2_vi - nd) / (nd * nd);
+  return YulesKFromMoments(n, sum_i2_vi);
 }
 
 namespace {
@@ -43,35 +51,60 @@ int ShapeBandOffset(WordShape shape) {
   return -1;
 }
 
+/// Position of every byte in a character set (-1 when absent), so the
+/// character pass does one load per byte instead of a strchr.
+std::array<int8_t, 256> CharSetIndex(const char* set) {
+  std::array<int8_t, 256> index;
+  index.fill(-1);
+  for (int i = 0; set[i] != '\0'; ++i)
+    index[static_cast<unsigned char>(set[i])] = static_cast<int8_t>(i);
+  return index;
+}
+
 }  // namespace
 
 SparseVector FeatureExtractor::ExtractPost(std::string_view text) const {
-  SparseVector f;
-  if (text.empty()) return f;
+  if (text.empty()) return SparseVector();
+
+  // Every feature is written into one dense array and the nonzero entries
+  // are emitted once, in id order, at the end. Each id is written at most
+  // once and a zero is absent, so this is exactly the vector the sequence
+  // of SparseVector::Set calls it replaces would build.
+  std::array<double, fl::kTotalFeatures> f{};
 
   const std::vector<Token> tokens = Tokenize(text);
-  std::vector<const Token*> word_tokens;
+  // The post lowercased once: a token's lowercase form is the view at the
+  // same offsets. The tagger, both lexicons and the type counter read it.
+  std::string lower_text(text);
+  for (char& c : lower_text) c = LowerAsciiChar(c);
+  const auto lower_of = [&](std::string_view token) {
+    return std::string_view(lower_text)
+        .substr(static_cast<size_t>(token.data() - text.data()),
+                token.size());
+  };
+  size_t num_word_tokens = 0;
   for (const Token& t : tokens)
-    if (t.kind == TokenKind::kWord) word_tokens.push_back(&t);
-  const double num_words = static_cast<double>(word_tokens.size());
+    if (t.kind == TokenKind::kWord) ++num_word_tokens;
+  const double num_words = static_cast<double>(num_word_tokens);
 
   // ---- Length features ----
   const double num_chars = static_cast<double>(text.size());
-  f.Set(fl::kNumChars, num_chars);
-  f.Set(fl::kNumParagraphs,
-        static_cast<double>(SplitParagraphs(text).size()));
+  f[fl::kNumChars] = num_chars;
+  f[fl::kNumParagraphs] = static_cast<double>(SplitParagraphs(text).size());
   if (num_words > 0) {
     double total_word_chars = 0;
-    for (const Token* w : word_tokens)
-      total_word_chars += static_cast<double>(w->text.size());
-    f.Set(fl::kAvgCharsPerWord, total_word_chars / num_words);
+    for (const Token& w : tokens)
+      if (w.kind == TokenKind::kWord)
+        total_word_chars += static_cast<double>(w.text.size());
+    f[fl::kAvgCharsPerWord] = total_word_chars / num_words;
   }
 
   // ---- Word length frequencies (1..20) ----
   if (num_words > 0) {
     int length_counts[fl::kNumWordLengths] = {};
-    for (const Token* w : word_tokens) {
-      int len = static_cast<int>(w->text.size());
+    for (const Token& w : tokens) {
+      if (w.kind != TokenKind::kWord) continue;
+      int len = static_cast<int>(w.text.size());
       if (len >= 1) {
         if (len > fl::kNumWordLengths) len = fl::kNumWordLengths;
         ++length_counts[len - 1];
@@ -79,69 +112,97 @@ SparseVector FeatureExtractor::ExtractPost(std::string_view text) const {
     }
     for (int i = 0; i < fl::kNumWordLengths; ++i)
       if (length_counts[i] > 0)
-        f.Set(fl::kWordLengthBase + i, length_counts[i] / num_words);
+        f[fl::kWordLengthBase + i] = length_counts[i] / num_words;
   }
 
   // ---- Vocabulary richness ----
+  // Types are runs of equal lowercase words once sorted. The order is by a
+  // word's first 8 bytes read as one big-endian integer, then by length,
+  // then by the bytes after the 8th: any order that makes equal words
+  // adjacent will do, and this one compares integers almost always.
   if (num_words > 0) {
-    std::unordered_map<std::string, int> type_count;
-    for (const Token* w : word_tokens) ++type_count[ToLowerAscii(w->text)];
-    std::vector<int> counts;
-    counts.reserve(type_count.size());
-    int legomena[4] = {};  // types occurring exactly 1..4 times
-    for (const auto& [word, c] : type_count) {
-      counts.push_back(c);
-      if (c >= 1 && c <= 4) ++legomena[c - 1];
+    struct KeyedWord {
+      uint64_t key;
+      std::string_view word;
+    };
+    std::vector<KeyedWord> words;
+    words.reserve(num_word_tokens);
+    for (const Token& w : tokens) {
+      if (w.kind != TokenKind::kWord) continue;
+      const std::string_view lower = lower_of(w.text);
+      uint64_t key = 0;
+      for (size_t i = 0; i < 8; ++i)
+        key = key << 8 |
+              (i < lower.size() ? static_cast<unsigned char>(lower[i]) : 0u);
+      words.push_back({key, lower});
     }
-    f.Set(fl::kYulesK, YulesK(counts));
-    const double num_types = static_cast<double>(type_count.size());
-    if (legomena[0] > 0) f.Set(fl::kHapaxLegomena, legomena[0] / num_types);
-    if (legomena[1] > 0) f.Set(fl::kDisLegomena, legomena[1] / num_types);
-    if (legomena[2] > 0) f.Set(fl::kTrisLegomena, legomena[2] / num_types);
-    if (legomena[3] > 0)
-      f.Set(fl::kTetrakisLegomena, legomena[3] / num_types);
+    std::sort(words.begin(), words.end(),
+              [](const KeyedWord& a, const KeyedWord& b) {
+                if (a.key != b.key) return a.key < b.key;
+                if (a.word.size() != b.word.size())
+                  return a.word.size() < b.word.size();
+                return a.word.size() > 8 && a.word.substr(8) < b.word.substr(8);
+              });
+    double sum_i2_vi = 0.0;
+    size_t num_types = 0;
+    int legomena[4] = {};  // types occurring exactly 1..4 times
+    for (size_t i = 0; i < words.size();) {
+      size_t j = i + 1;
+      while (j < words.size() && words[j].word == words[i].word) ++j;
+      const int c = static_cast<int>(j - i);
+      sum_i2_vi += static_cast<double>(c) * c;
+      if (c <= 4) ++legomena[c - 1];
+      ++num_types;
+      i = j;
+    }
+    f[fl::kYulesK] = YulesKFromMoments(
+        static_cast<long long>(num_word_tokens), sum_i2_vi);
+    const double types = static_cast<double>(num_types);
+    if (legomena[0] > 0) f[fl::kHapaxLegomena] = legomena[0] / types;
+    if (legomena[1] > 0) f[fl::kDisLegomena] = legomena[1] / types;
+    if (legomena[2] > 0) f[fl::kTrisLegomena] = legomena[2] / types;
+    if (legomena[3] > 0) f[fl::kTetrakisLegomena] = legomena[3] / types;
   }
 
   // ---- Character-class frequencies ----
+  static const std::array<int8_t, 256> special_index =
+      CharSetIndex(fl::SpecialCharSet());
+  static const std::array<int8_t, 256> punct_index =
+      CharSetIndex(fl::PunctuationSet());
   int letter_counts[26] = {};
   int digit_counts[10] = {};
   int special_counts[fl::kNumSpecialChars] = {};
   int punct_counts[fl::kNumPunctuation] = {};
   int total_letters = 0, total_upper = 0;
-  const char* specials = fl::SpecialCharSet();
-  const char* puncts = fl::PunctuationSet();
   for (char c : text) {
-    const auto uc = static_cast<unsigned char>(c);
-    if (std::isalpha(uc)) {
+    if (IsAsciiLetter(c)) {
       ++total_letters;
-      if (std::isupper(uc)) ++total_upper;
-      ++letter_counts[std::tolower(uc) - 'a'];
-    } else if (std::isdigit(uc)) {
+      if (IsAsciiUpper(c)) ++total_upper;
+      ++letter_counts[LowerAsciiChar(c) - 'a'];
+    } else if (IsAsciiDigit(c)) {
       ++digit_counts[c - '0'];
     } else {
-      if (const char* p = std::strchr(specials, c); p && *p)
-        ++special_counts[p - specials];
-      if (const char* p = std::strchr(puncts, c); p && *p)
-        ++punct_counts[p - puncts];
+      const auto uc = static_cast<unsigned char>(c);
+      if (const int i = special_index[uc]; i >= 0) ++special_counts[i];
+      if (const int i = punct_index[uc]; i >= 0) ++punct_counts[i];
     }
   }
   if (total_letters > 0) {
     for (int i = 0; i < 26; ++i)
       if (letter_counts[i] > 0)
-        f.Set(fl::kLetterBase + i, letter_counts[i] /
-                                       static_cast<double>(total_letters));
-    f.Set(fl::kUppercasePct,
-          total_upper / static_cast<double>(total_letters));
+        f[fl::kLetterBase + i] =
+            letter_counts[i] / static_cast<double>(total_letters);
+    f[fl::kUppercasePct] = total_upper / static_cast<double>(total_letters);
   }
   for (int i = 0; i < 10; ++i)
     if (digit_counts[i] > 0)
-      f.Set(fl::kDigitBase + i, digit_counts[i] / num_chars);
+      f[fl::kDigitBase + i] = digit_counts[i] / num_chars;
   for (int i = 0; i < fl::kNumSpecialChars; ++i)
     if (special_counts[i] > 0)
-      f.Set(fl::kSpecialCharBase + i, special_counts[i] / num_chars);
+      f[fl::kSpecialCharBase + i] = special_counts[i] / num_chars;
   for (int i = 0; i < fl::kNumPunctuation; ++i)
     if (punct_counts[i] > 0)
-      f.Set(fl::kPunctuationBase + i, punct_counts[i] / num_chars);
+      f[fl::kPunctuationBase + i] = punct_counts[i] / num_chars;
 
   // ---- Word shape ----
   if (num_words > 0) {
@@ -150,18 +211,19 @@ SparseVector FeatureExtractor::ExtractPost(std::string_view text) const {
     int apostrophe_words = 0, transitions = 0, brand_words = 0;
     WordShape prev_shape = WordShape::kOther;
     bool have_prev = false;
-    for (const Token* w : word_tokens) {
-      const WordShape shape = ClassifyWordShape(w->text);
+    for (const Token& w : tokens) {
+      if (w.kind != TokenKind::kWord) continue;
+      const WordShape shape = ClassifyWordShape(w.text);
       const int off = ShapeBandOffset(shape);
       if (off >= 0) {
         ++shape_counts[off];
-        const size_t len = w->text.size();
+        const size_t len = w.text.size();
         const int band = len <= 3 ? 0 : (len <= 6 ? 1 : 2);
         ++band_counts[band][off];
       } else {
         ++shape_counts[4];
       }
-      if (w->text.find('\'') != std::string::npos) ++apostrophe_words;
+      if (w.text.find('\'') != std::string_view::npos) ++apostrophe_words;
       if (shape == WordShape::kAllUpper || shape == WordShape::kCamel)
         ++brand_words;
       if (have_prev && shape != prev_shape) ++transitions;
@@ -171,72 +233,87 @@ SparseVector FeatureExtractor::ExtractPost(std::string_view text) const {
     const int shape_ids[4] = {fl::kShapeAllUpper, fl::kShapeAllLower,
                               fl::kShapeFirstUpper, fl::kShapeCamel};
     for (int i = 0; i < 4; ++i)
-      if (shape_counts[i] > 0)
-        f.Set(shape_ids[i], shape_counts[i] / num_words);
-    if (shape_counts[4] > 0) f.Set(fl::kShapeOther, shape_counts[4] / num_words);
+      if (shape_counts[i] > 0) f[shape_ids[i]] = shape_counts[i] / num_words;
+    if (shape_counts[4] > 0) f[fl::kShapeOther] = shape_counts[4] / num_words;
     const int band_bases[3] = {fl::kShapeShortBase, fl::kShapeMediumBase,
                                fl::kShapeLongBase};
     for (int b = 0; b < 3; ++b)
       for (int i = 0; i < 4; ++i)
         if (band_counts[b][i] > 0)
-          f.Set(band_bases[b] + i, band_counts[b][i] / num_words);
+          f[band_bases[b] + i] = band_counts[b][i] / num_words;
     if (apostrophe_words > 0)
-      f.Set(fl::kShapeApostropheRate, apostrophe_words / num_words);
-    if (transitions > 0 && word_tokens.size() > 1)
-      f.Set(fl::kShapeTransitionRate,
-            transitions / static_cast<double>(word_tokens.size() - 1));
-    if (brand_words > 0) f.Set(fl::kShapeBrandRate, brand_words / num_words);
+      f[fl::kShapeApostropheRate] = apostrophe_words / num_words;
+    if (transitions > 0 && num_word_tokens > 1)
+      f[fl::kShapeTransitionRate] =
+          transitions / static_cast<double>(num_word_tokens - 1);
+    if (brand_words > 0) f[fl::kShapeBrandRate] = brand_words / num_words;
     // Sentence-initial capitalization rate.
-    const auto sentences = SplitSentences(text);
+    const std::vector<std::string_view> sentences = SplitSentences(text);
     if (!sentences.empty()) {
       int capped = 0;
-      for (const auto& s : sentences) {
+      for (std::string_view s : sentences) {
         for (char c : s) {
-          const auto uc = static_cast<unsigned char>(c);
-          if (std::isalpha(uc)) {
-            if (std::isupper(uc)) ++capped;
+          if (IsAsciiLetter(c)) {
+            if (IsAsciiUpper(c)) ++capped;
             break;
           }
         }
       }
       if (capped > 0)
-        f.Set(fl::kShapeSentenceInitialCap,
-              capped / static_cast<double>(sentences.size()));
+        f[fl::kShapeSentenceInitialCap] =
+            capped / static_cast<double>(sentences.size());
     }
   }
 
   // ---- Function words & misspellings ----
   if (num_words > 0) {
-    std::unordered_map<int, int> fw_counts, ms_counts;
-    for (const Token* w : word_tokens) {
-      const std::string lower = ToLowerAscii(w->text);
+    int fw_counts[fl::kNumFunctionWords] = {};
+    int ms_counts[fl::kNumMisspellings] = {};
+    for (const Token& w : tokens) {
+      if (w.kind != TokenKind::kWord) continue;
+      const std::string_view lower = lower_of(w.text);
       if (int idx = FunctionWordIndex(lower); idx >= 0) ++fw_counts[idx];
       if (int idx = MisspellingIndex(lower); idx >= 0) ++ms_counts[idx];
     }
-    for (const auto& [idx, c] : fw_counts)
-      f.Set(fl::kFunctionWordBase + idx, c / num_words);
-    for (const auto& [idx, c] : ms_counts)
-      f.Set(fl::kMisspellingBase + idx, c / num_words);
+    for (int i = 0; i < fl::kNumFunctionWords; ++i)
+      if (fw_counts[i] > 0)
+        f[fl::kFunctionWordBase + i] = fw_counts[i] / num_words;
+    for (int i = 0; i < fl::kNumMisspellings; ++i)
+      if (ms_counts[i] > 0)
+        f[fl::kMisspellingBase + i] = ms_counts[i] / num_words;
   }
 
   // ---- POS tags & bigrams ----
-  const std::vector<PosTag> tags = tagger_.Tag(tokens);
-  if (!tags.empty()) {
-    std::unordered_map<int, int> tag_counts, bigram_counts;
-    for (PosTag t : tags) ++tag_counts[static_cast<int>(t)];
-    for (size_t i = 1; i < tags.size(); ++i)
-      ++bigram_counts[PosBigramId(tags[i - 1], tags[i])];
-    const double num_tags = static_cast<double>(tags.size());
-    for (const auto& [t, c] : tag_counts)
-      f.Set(fl::kPosTagBase + t, c / num_tags);
-    if (tags.size() > 1) {
-      const double num_bigrams = static_cast<double>(tags.size() - 1);
-      for (const auto& [b, c] : bigram_counts)
-        f.Set(fl::kPosBigramBase + b, c / num_bigrams);
+  if (!tokens.empty()) {
+    int tag_counts[kNumPosTags] = {};
+    int bigram_counts[kNumPosBigrams] = {};
+    PosTag prev = PosTag::kPunct;  // Sentence-start sentinel.
+    for (size_t i = 0; i < tokens.size(); ++i) {
+      const PosTag tag =
+          tagger_.TagToken(tokens[i], lower_of(tokens[i].text), prev);
+      ++tag_counts[static_cast<int>(tag)];
+      if (i > 0) ++bigram_counts[PosBigramId(prev, tag)];
+      prev = tag;
+    }
+    const double num_tags = static_cast<double>(tokens.size());
+    for (int t = 0; t < kNumPosTags; ++t)
+      if (tag_counts[t] > 0) f[fl::kPosTagBase + t] = tag_counts[t] / num_tags;
+    if (tokens.size() > 1) {
+      const double num_bigrams = static_cast<double>(tokens.size() - 1);
+      for (int b = 0; b < kNumPosBigrams; ++b)
+        if (bigram_counts[b] > 0)
+          f[fl::kPosBigramBase + b] = bigram_counts[b] / num_bigrams;
     }
   }
 
-  return f;
+  const auto nonzero = static_cast<size_t>(
+      std::count_if(f.begin(), f.end(), [](double v) { return v != 0.0; }));
+  std::vector<std::pair<int, double>> entries;
+  entries.reserve(nonzero);
+  for (int id = 0; id < fl::kTotalFeatures; ++id)
+    if (f[static_cast<size_t>(id)] != 0.0)
+      entries.emplace_back(id, f[static_cast<size_t>(id)]);
+  return SparseVector::FromSortedEntries(std::move(entries));
 }
 
 }  // namespace dehealth

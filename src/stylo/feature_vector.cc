@@ -1,6 +1,7 @@
 #include "stylo/feature_vector.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 
 namespace dehealth {
@@ -21,6 +22,19 @@ auto FindEntryConst(const std::vector<std::pair<int, double>>& v, int id) {
 }
 
 }  // namespace
+
+SparseVector SparseVector::FromSortedEntries(
+    std::vector<std::pair<int, double>> entries) {
+  assert(std::adjacent_find(entries.begin(), entries.end(),
+                            [](const auto& a, const auto& b) {
+                              return a.first >= b.first;
+                            }) == entries.end());
+  assert(std::none_of(entries.begin(), entries.end(),
+                      [](const auto& e) { return e.second == 0.0; }));
+  SparseVector v;
+  v.entries_ = std::move(entries);
+  return v;
+}
 
 void SparseVector::Set(int id, double value) {
   auto it = FindEntry(entries_, id);
@@ -92,7 +106,31 @@ void SparseVector::Scale(double factor) {
 }
 
 void SparseVector::AddVector(const SparseVector& other) {
-  for (const auto& [id, v] : other.entries_) Add(id, v);
+  // Merged into a per-thread scratch list, then copied back, so entries_
+  // grows to exactly the size it needs and a fold allocates only when a
+  // vector gains ids. A shared id gets Add's `old + v` and is erased when
+  // that is zero; a zero in `other` changes nothing, as in Add.
+  thread_local std::vector<std::pair<int, double>> merged;
+  merged.clear();
+  auto a = entries_.begin();
+  auto b = other.entries_.begin();
+  while (b != other.entries_.end()) {
+    if (a != entries_.end() && a->first < b->first) {
+      merged.push_back(*a++);
+    } else if (a != entries_.end() && a->first == b->first) {
+      if (b->second == 0.0)
+        merged.push_back(*a);
+      else if (const double sum = a->second + b->second; sum != 0.0)
+        merged.emplace_back(a->first, sum);
+      ++a;
+      ++b;
+    } else {
+      if (b->second != 0.0) merged.push_back(*b);
+      ++b;
+    }
+  }
+  merged.insert(merged.end(), a, entries_.end());
+  entries_.assign(merged.begin(), merged.end());
 }
 
 std::vector<double> SparseVector::ToDense(int dims) const {

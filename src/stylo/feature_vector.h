@@ -14,6 +14,11 @@ class SparseVector {
  public:
   SparseVector() = default;
 
+  /// Adopts `entries`, which must already be what Set would build: ids
+  /// strictly ascending, no zero values.
+  static SparseVector FromSortedEntries(
+      std::vector<std::pair<int, double>> entries);
+
   /// Sets feature `id` to `value`. Setting 0 removes the entry.
   void Set(int id, double value);
 
@@ -45,7 +50,8 @@ class SparseVector {
   /// In-place scaling by `factor`.
   void Scale(double factor);
 
-  /// In-place accumulation: *this += other.
+  /// In-place accumulation: *this += other, as Add(id, v) for every entry
+  /// of `other`, done in one merge of the two id lists.
   void AddVector(const SparseVector& other);
 
   /// Densifies into a length-`dims` vector (ids >= dims are dropped).

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cassert>
+#include <string>
+#include <utility>
 
 #include "common/string_utils.h"
+#include "text/word_table.h"
 
 namespace dehealth {
 
@@ -150,27 +153,60 @@ constexpr const char* kMisspellings[] = {
     "seperate", "succesful",
 };
 
-std::vector<std::string> MakeSorted(const char* const* begin, size_t count) {
-  std::vector<std::string> out(begin, begin + count);
-  std::sort(out.begin(), out.end());
-  assert(std::adjacent_find(out.begin(), out.end()) == out.end() &&
+/// A lexicon sorted for its public index order, plus a hash from each
+/// entry to that index, built once.
+struct Lexicon {
+  std::vector<std::string> sorted;
+  WordTable index;
+};
+
+template <size_t N>
+const Lexicon& BuildLexicon(const char* const (&words)[N]) {
+  std::vector<std::string> sorted(words, words + N);
+  std::sort(sorted.begin(), sorted.end());
+  assert(std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end() &&
          "lexicon entries must be unique");
-  return out;
+  std::vector<std::pair<std::string_view, int>> indexed;
+  for (const char* word : words)
+    indexed.emplace_back(
+        word, static_cast<int>(std::lower_bound(sorted.begin(), sorted.end(),
+                                                word) -
+                               sorted.begin()));
+  return *new Lexicon{std::move(sorted), WordTable(indexed)};
 }
 
-int SortedIndex(const std::vector<std::string>& lex, std::string_view word) {
-  const std::string lower = ToLowerAscii(word);
-  auto it = std::lower_bound(lex.begin(), lex.end(), lower);
-  if (it != lex.end() && *it == lower) return static_cast<int>(it - lex.begin());
-  return -1;
+template <size_t N>
+constexpr size_t LongestEntry(const char* const (&words)[N]) {
+  size_t longest = 0;
+  for (const char* w : words)
+    longest = std::max(longest, std::char_traits<char>::length(w));
+  return longest;
+}
+
+/// Index of `word`, lowercased into a stack buffer, in `lex`; -1 when it is
+/// absent or longer than the longest entry.
+template <size_t kLongest>
+int LookUp(const Lexicon& lex, std::string_view word) {
+  if (word.size() > kLongest) return -1;
+  char lower[kLongest];
+  for (size_t i = 0; i < word.size(); ++i) lower[i] = LowerAsciiChar(word[i]);
+  return lex.index.Find(std::string_view(lower, word.size()));
+}
+
+const Lexicon& FunctionWords() {
+  static const Lexicon& lex = BuildLexicon(kFunctionWords);
+  return lex;
+}
+
+const Lexicon& Misspellings() {
+  static const Lexicon& lex = BuildLexicon(kMisspellings);
+  return lex;
 }
 
 }  // namespace
 
 const std::vector<std::string>& FunctionWordLexicon() {
-  static const auto& lex = *new std::vector<std::string>(MakeSorted(
-      kFunctionWords, sizeof(kFunctionWords) / sizeof(kFunctionWords[0])));
-  return lex;
+  return FunctionWords().sorted;
 }
 
 bool IsFunctionWord(std::string_view word) {
@@ -178,19 +214,17 @@ bool IsFunctionWord(std::string_view word) {
 }
 
 int FunctionWordIndex(std::string_view word) {
-  return SortedIndex(FunctionWordLexicon(), word);
+  return LookUp<LongestEntry(kFunctionWords)>(FunctionWords(), word);
 }
 
 const std::vector<std::string>& MisspellingLexicon() {
-  static const auto& lex = *new std::vector<std::string>(MakeSorted(
-      kMisspellings, sizeof(kMisspellings) / sizeof(kMisspellings[0])));
-  return lex;
+  return Misspellings().sorted;
 }
 
 bool IsMisspelling(std::string_view word) { return MisspellingIndex(word) >= 0; }
 
 int MisspellingIndex(std::string_view word) {
-  return SortedIndex(MisspellingLexicon(), word);
+  return LookUp<LongestEntry(kMisspellings)>(Misspellings(), word);
 }
 
 }  // namespace dehealth

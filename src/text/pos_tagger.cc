@@ -1,16 +1,17 @@
 #include "text/pos_tagger.h"
 
-#include <cctype>
-#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "common/string_utils.h"
+#include "text/word_table.h"
 
 namespace dehealth {
 
 namespace {
 
-const std::unordered_map<std::string, PosTag>& ClosedClassLexicon() {
-  static const auto& lex = *new std::unordered_map<std::string, PosTag>{
+const WordTable& ClosedClassLexicon() {
+  static const std::pair<std::string_view, PosTag> kEntries[] = {
       // Determiners.
       {"the", PosTag::kDT}, {"a", PosTag::kDT}, {"an", PosTag::kDT},
       {"this", PosTag::kDT}, {"that", PosTag::kDT}, {"these", PosTag::kDT},
@@ -133,11 +134,13 @@ const std::unordered_map<std::string, PosTag>& ClosedClassLexicon() {
       {"many", PosTag::kJJ}, {"few", PosTag::kJJ}, {"much", PosTag::kJJ},
       {"several", PosTag::kJJ}, {"own", PosTag::kJJ},
   };
+  static const WordTable& lex = *new WordTable([] {
+    std::vector<std::pair<std::string_view, int>> words;
+    for (const auto& [word, tag] : kEntries)
+      words.emplace_back(word, static_cast<int>(tag));
+    return words;
+  }());
   return lex;
-}
-
-bool EndsWithLower(const std::string& s, std::string_view suffix) {
-  return EndsWith(s, suffix);
 }
 
 }  // namespace
@@ -183,50 +186,61 @@ const char* PosTagName(PosTag tag) {
 
 PosTagger::PosTagger() = default;
 
-PosTag PosTagger::TagWord(const std::string& lower,
-                          const std::string& original, PosTag prev) const {
-  const auto& lex = ClosedClassLexicon();
-  auto it = lex.find(lower);
-  if (it != lex.end()) {
+PosTag PosTagger::TagWord(std::string_view lower, std::string_view original,
+                          PosTag prev) const {
+  if (const int tag = ClosedClassLexicon().Find(lower); tag >= 0) {
     // Context fix: "that"/"this" after a preposition or verb reading stays
     // DT; "there" only EX before a be-verb — too costly to look ahead, so we
     // accept the lexicon reading. One cheap adjustment: possessive pronoun vs
     // personal pronoun for "her" handled by the lexicon (PRP$ reading).
-    return it->second;
+    return static_cast<PosTag>(tag);
   }
   // Morphological heuristics, most specific first.
-  if (EndsWithLower(lower, "ing") && lower.size() > 4) return PosTag::kVBG;
-  if (EndsWithLower(lower, "ed") && lower.size() > 3) return PosTag::kVBD;
-  if (EndsWithLower(lower, "ly") && lower.size() > 3) return PosTag::kRB;
-  if (EndsWithLower(lower, "ous") || EndsWithLower(lower, "ful") ||
-      EndsWithLower(lower, "ible") || EndsWithLower(lower, "able") ||
-      EndsWithLower(lower, "ive") || EndsWithLower(lower, "ical") ||
-      EndsWithLower(lower, "less"))
+  if (EndsWith(lower, "ing") && lower.size() > 4) return PosTag::kVBG;
+  if (EndsWith(lower, "ed") && lower.size() > 3) return PosTag::kVBD;
+  if (EndsWith(lower, "ly") && lower.size() > 3) return PosTag::kRB;
+  if (EndsWith(lower, "ous") || EndsWith(lower, "ful") ||
+      EndsWith(lower, "ible") || EndsWith(lower, "able") ||
+      EndsWith(lower, "ive") || EndsWith(lower, "ical") ||
+      EndsWith(lower, "less"))
     return PosTag::kJJ;
-  if (EndsWithLower(lower, "er") && lower.size() > 4 &&
+  if (EndsWith(lower, "er") && lower.size() > 4 &&
       prev == PosTag::kRB)
     return PosTag::kJJR;
-  if (EndsWithLower(lower, "est") && lower.size() > 4) return PosTag::kJJS;
-  if (EndsWithLower(lower, "tion") || EndsWithLower(lower, "sion") ||
-      EndsWithLower(lower, "ment") || EndsWithLower(lower, "ness") ||
-      EndsWithLower(lower, "ity") || EndsWithLower(lower, "ance") ||
-      EndsWithLower(lower, "ence"))
+  if (EndsWith(lower, "est") && lower.size() > 4) return PosTag::kJJS;
+  if (EndsWith(lower, "tion") || EndsWith(lower, "sion") ||
+      EndsWith(lower, "ment") || EndsWith(lower, "ness") ||
+      EndsWith(lower, "ity") || EndsWith(lower, "ance") ||
+      EndsWith(lower, "ence"))
     return PosTag::kNN;
   // Proper noun: capitalized and not sentence-initial-only heuristic — we
   // treat any capitalized non-lexicon word as NNP.
-  if (!original.empty() &&
-      std::isupper(static_cast<unsigned char>(original[0])))
-    return PosTag::kNNP;
+  if (!original.empty() && IsAsciiUpper(original[0])) return PosTag::kNNP;
   // Verb reading after "to" or a modal.
   if (prev == PosTag::kTO || prev == PosTag::kMD) return PosTag::kVB;
   // 3rd-person verb vs plural noun for trailing -s: after a pronoun, prefer
   // the verb reading; otherwise plural noun.
-  if (EndsWithLower(lower, "s") && lower.size() > 3 &&
-      !EndsWithLower(lower, "ss")) {
+  if (EndsWith(lower, "s") && lower.size() > 3 &&
+      !EndsWith(lower, "ss")) {
     if (prev == PosTag::kPRP || prev == PosTag::kNNP) return PosTag::kVBZ;
     return PosTag::kNNS;
   }
   return PosTag::kNN;
+}
+
+PosTag PosTagger::TagToken(const Token& token, std::string_view lower,
+                           PosTag prev) const {
+  switch (token.kind) {
+    case TokenKind::kNumber:
+      return PosTag::kCD;
+    case TokenKind::kPunctuation:
+      return PosTag::kPunct;
+    case TokenKind::kSpecial:
+      return PosTag::kSym;
+    case TokenKind::kWord:
+    default:
+      return TagWord(lower, token.text, prev);
+  }
 }
 
 std::vector<PosTag> PosTagger::Tag(const std::vector<Token>& tokens) const {
@@ -234,24 +248,8 @@ std::vector<PosTag> PosTagger::Tag(const std::vector<Token>& tokens) const {
   tags.reserve(tokens.size());
   PosTag prev = PosTag::kPunct;  // Sentence-start sentinel.
   for (const Token& t : tokens) {
-    PosTag tag;
-    switch (t.kind) {
-      case TokenKind::kNumber:
-        tag = PosTag::kCD;
-        break;
-      case TokenKind::kPunctuation:
-        tag = PosTag::kPunct;
-        break;
-      case TokenKind::kSpecial:
-        tag = PosTag::kSym;
-        break;
-      case TokenKind::kWord:
-      default:
-        tag = TagWord(ToLowerAscii(t.text), t.text, prev);
-        break;
-    }
-    tags.push_back(tag);
-    prev = tag;
+    prev = TagToken(t, ToLowerAscii(t.text), prev);
+    tags.push_back(prev);
   }
   return tags;
 }

@@ -1,7 +1,6 @@
 #ifndef DEHEALTH_TEXT_POS_TAGGER_H_
 #define DEHEALTH_TEXT_POS_TAGGER_H_
 
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -72,8 +71,14 @@ class PosTagger {
   /// Tokenizes then tags raw text.
   std::vector<PosTag> TagText(std::string_view text) const;
 
+  /// Tags one token given its ASCII-lowercased text and the tag of the
+  /// token before it (kPunct at the start of a text). Tag() is this over a
+  /// sequence; callers that already hold the lowercase text use it directly.
+  PosTag TagToken(const Token& token, std::string_view lower,
+                  PosTag prev) const;
+
  private:
-  PosTag TagWord(const std::string& lower, const std::string& original,
+  PosTag TagWord(std::string_view lower, std::string_view original,
                  PosTag prev) const;
 };
 

@@ -1,14 +1,10 @@
 #include "text/tokenizer.h"
 
-#include <cctype>
+#include "common/string_utils.h"
 
 namespace dehealth {
 
 namespace {
-
-bool IsLetter(char c) { return std::isalpha(static_cast<unsigned char>(c)); }
-bool IsDigit(char c) { return std::isdigit(static_cast<unsigned char>(c)); }
-bool IsSpace(char c) { return std::isspace(static_cast<unsigned char>(c)); }
 
 bool IsPunctuationChar(char c) {
   switch (c) {
@@ -35,26 +31,25 @@ WordShape ClassifyWordShape(std::string_view word) {
   if (word.empty()) return WordShape::kOther;
   bool any_lower = false, any_upper = false, all_letters = true;
   for (char c : word) {
-    if (!IsLetter(c)) {
+    if (!IsAsciiLetter(c)) {
       // Internal apostrophes do not change the shape class.
       if (c == '\'') continue;
       all_letters = false;
       break;
     }
-    if (std::islower(static_cast<unsigned char>(c))) any_lower = true;
-    if (std::isupper(static_cast<unsigned char>(c))) any_upper = true;
+    if (IsAsciiLower(c)) any_lower = true;
+    if (IsAsciiUpper(c)) any_upper = true;
   }
   if (!all_letters) return WordShape::kOther;
   if (!any_upper) return WordShape::kAllLower;
   if (!any_lower) return WordShape::kAllUpper;
-  const bool first_upper = std::isupper(static_cast<unsigned char>(word[0]));
+  const bool first_upper = IsAsciiUpper(word[0]);
   if (first_upper) {
     // "Monday" vs "WebMD": first-upper means the only uppercase letter is
     // the initial one.
     bool interior_upper = false;
     for (size_t i = 1; i < word.size(); ++i)
-      if (std::isupper(static_cast<unsigned char>(word[i])))
-        interior_upper = true;
+      if (IsAsciiUpper(word[i])) interior_upper = true;
     return interior_upper ? WordShape::kCamel : WordShape::kFirstUpper;
   }
   return WordShape::kCamel;
@@ -62,35 +57,35 @@ WordShape ClassifyWordShape(std::string_view word) {
 
 std::vector<Token> Tokenize(std::string_view text) {
   std::vector<Token> tokens;
+  tokens.reserve(text.size() / 4 + 1);
   size_t i = 0;
   const size_t n = text.size();
   while (i < n) {
     const char c = text[i];
-    if (IsSpace(c)) {
+    if (IsAsciiSpace(c)) {
       ++i;
       continue;
     }
-    if (IsLetter(c)) {
+    if (IsAsciiLetter(c)) {
       size_t j = i + 1;
       while (j < n &&
-             (IsLetter(text[j]) ||
+             (IsAsciiLetter(text[j]) ||
               // Keep internal apostrophes: don't, it's.
-              (text[j] == '\'' && j + 1 < n && IsLetter(text[j + 1])))) {
+              (text[j] == '\'' && j + 1 < n && IsAsciiLetter(text[j + 1])))) {
         ++j;
       }
-      tokens.push_back({std::string(text.substr(i, j - i)), TokenKind::kWord});
+      tokens.push_back({text.substr(i, j - i), TokenKind::kWord});
       i = j;
       continue;
     }
-    if (IsDigit(c)) {
+    if (IsAsciiDigit(c)) {
       size_t j = i + 1;
-      while (j < n && IsDigit(text[j])) ++j;
-      tokens.push_back(
-          {std::string(text.substr(i, j - i)), TokenKind::kNumber});
+      while (j < n && IsAsciiDigit(text[j])) ++j;
+      tokens.push_back({text.substr(i, j - i), TokenKind::kNumber});
       i = j;
       continue;
     }
-    tokens.push_back({std::string(1, c), IsPunctuationChar(c)
+    tokens.push_back({text.substr(i, 1), IsPunctuationChar(c)
                                              ? TokenKind::kPunctuation
                                              : TokenKind::kSpecial});
     ++i;
@@ -100,65 +95,61 @@ std::vector<Token> Tokenize(std::string_view text) {
 
 std::vector<std::string> TokenizeWords(std::string_view text) {
   std::vector<std::string> words;
-  for (auto& t : Tokenize(text))
-    if (t.kind == TokenKind::kWord) words.push_back(std::move(t.text));
+  for (const Token& t : Tokenize(text))
+    if (t.kind == TokenKind::kWord) words.emplace_back(t.text);
   return words;
 }
 
-std::vector<std::string> SplitSentences(std::string_view text) {
-  std::vector<std::string> sentences;
-  std::string current;
+namespace {
+
+/// Appends text[begin, end) to `out`, left-trimmed, unless it is blank.
+void PushTrimmed(std::string_view text, size_t begin, size_t end,
+                 std::vector<std::string_view>* out) {
+  const size_t b = text.substr(begin, end - begin).find_first_not_of(" \t\n\r");
+  if (b != std::string_view::npos)
+    out->push_back(text.substr(begin + b, end - begin - b));
+}
+
+}  // namespace
+
+std::vector<std::string_view> SplitSentences(std::string_view text) {
+  std::vector<std::string_view> sentences;
+  size_t start = 0;
   for (size_t i = 0; i < text.size(); ++i) {
     const char c = text[i];
-    current += c;
     if (c == '.' || c == '!' || c == '?') {
       // Absorb consecutive terminators and closing quotes: "What?!".
       size_t j = i + 1;
       while (j < text.size() && (text[j] == '.' || text[j] == '!' ||
                                  text[j] == '?' || text[j] == '"' ||
                                  text[j] == '\'')) {
-        current += text[j];
         ++j;
       }
+      PushTrimmed(text, start, j, &sentences);
+      start = j;
       i = j - 1;
-      // Trim and keep non-empty sentences.
-      size_t b = current.find_first_not_of(" \t\n\r");
-      if (b != std::string::npos) sentences.push_back(current.substr(b));
-      current.clear();
     }
   }
-  size_t b = current.find_first_not_of(" \t\n\r");
-  if (b != std::string::npos) sentences.push_back(current.substr(b));
+  PushTrimmed(text, start, text.size(), &sentences);
   return sentences;
 }
 
-std::vector<std::string> SplitParagraphs(std::string_view text) {
-  std::vector<std::string> paragraphs;
-  std::string current;
-  size_t i = 0;
-  while (i <= text.size()) {
-    const bool at_end = i == text.size();
+std::vector<std::string_view> SplitParagraphs(std::string_view text) {
+  std::vector<std::string_view> paragraphs;
+  size_t start = 0;
+  for (size_t i = 0; i < text.size(); ++i) {
     // A blank line (two consecutive newlines, possibly with spaces between)
-    // ends a paragraph.
-    bool para_break = false;
-    if (!at_end && text[i] == '\n') {
-      size_t j = i + 1;
-      while (j < text.size() && (text[j] == ' ' || text[j] == '\t')) ++j;
-      if (j < text.size() && text[j] == '\n') {
-        para_break = true;
-        i = j;  // Skip to the second newline; loop ++ advances past it.
-      }
+    // ends a paragraph; the next one starts after the second newline.
+    if (text[i] != '\n') continue;
+    size_t j = i + 1;
+    while (j < text.size() && (text[j] == ' ' || text[j] == '\t')) ++j;
+    if (j < text.size() && text[j] == '\n') {
+      PushTrimmed(text, start, i, &paragraphs);
+      start = j + 1;
+      i = j;
     }
-    if (at_end || para_break) {
-      size_t b = current.find_first_not_of(" \t\n\r");
-      if (b != std::string::npos) paragraphs.push_back(current.substr(b));
-      current.clear();
-      if (at_end) break;
-    } else {
-      current += text[i];
-    }
-    ++i;
   }
+  PushTrimmed(text, start, text.size(), &paragraphs);
   return paragraphs;
 }
 

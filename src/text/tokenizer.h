@@ -15,9 +15,10 @@ enum class TokenKind {
   kSpecial,      // @ # $ % ^ & * _ + = / \ | < > ~ ` [ ] { }
 };
 
-/// A token plus its classification.
+/// A token plus its classification. `text` views the tokenized text, which
+/// must outlive the token.
 struct Token {
-  std::string text;
+  std::string_view text;
   TokenKind kind;
 
   bool operator==(const Token& other) const = default;
@@ -47,11 +48,12 @@ std::vector<std::string> TokenizeWords(std::string_view text);
 
 /// Splits text into sentences on ./!/? boundaries (quote- and
 /// whitespace-tolerant). A trailing fragment without a terminator counts as a
-/// sentence.
-std::vector<std::string> SplitSentences(std::string_view text);
+/// sentence. Each sentence views a contiguous, left-trimmed range of `text`.
+std::vector<std::string_view> SplitSentences(std::string_view text);
 
-/// Splits text into paragraphs on blank lines.
-std::vector<std::string> SplitParagraphs(std::string_view text);
+/// Splits text into paragraphs on blank lines. Each paragraph views a
+/// contiguous, left-trimmed range of `text`.
+std::vector<std::string_view> SplitParagraphs(std::string_view text);
 
 }  // namespace dehealth
 

@@ -58,6 +58,18 @@ if(NOT first_run STREQUAL second_run)
   message(FATAL_ERROR "snapshot-reusing run changed predictions")
 endif()
 
+# --threads reaches feature extraction too, and no thread count may change
+# an answer: one thread must write the bytes of two and of the default.
+run_cli(0 attack --anonymized "${WORK_DIR}/anon.jsonl"
+        --auxiliary "${WORK_DIR}/aux.jsonl" --k 5 --learner centroid
+        --threads 1 --out "${WORK_DIR}/pred_t1.csv")
+file(READ "${WORK_DIR}/pred_t1.csv" one_thread_run)
+if(NOT one_thread_run STREQUAL first_run OR
+   NOT one_thread_run STREQUAL second_run)
+  message(FATAL_ERROR "--threads 1 predictions differ from --threads 2 or "
+          "the default thread count")
+endif()
+
 # --- observability: tracing and metrics must not perturb the attack -----
 # A traced run (Chrome trace + Prometheus metrics dump) must produce a
 # predictions CSV byte-identical to the untraced run above, and both
@@ -77,9 +89,12 @@ file(READ "${WORK_DIR}/attack_trace.json" trace_json)
 if(NOT trace_json MATCHES "\"traceEvents\"")
   message(FATAL_ERROR "--trace-out did not write a Chrome trace document")
 endif()
-if(NOT trace_json MATCHES "build_uda_graph")
-  message(FATAL_ERROR "trace is missing the pipeline's phase spans")
-endif()
+foreach(span build_uda_graph extract_posts fold_profiles correlation_graph
+        load_forum_dataset)
+  if(NOT trace_json MATCHES "\"${span}\"")
+    message(FATAL_ERROR "trace is missing the pipeline's ${span} span")
+  endif()
+endforeach()
 file(READ "${WORK_DIR}/attack_metrics.prom" metrics_prom)
 if(NOT metrics_prom MATCHES "# TYPE dehealth_core_uda_builds_total counter")
   message(FATAL_ERROR "--metrics-out did not write Prometheus exposition")

@@ -27,6 +27,10 @@ DeHealthConfig JobConfig(const std::string& dir, int shard_size = 3) {
   DeHealthConfig config;
   config.top_k = 5;
   config.refined.learner = LearnerKind::kNearestCentroid;
+  // Keeps JobDeathTest's forked children serial. The fixture's
+  // BuildUdaGraph has already started the global thread pool, a forked
+  // child has none of its workers, and a ParallelFor over more than one
+  // thread would wait on them forever.
   config.num_threads = 1;
   config.job_dir = dir;
   config.job_shard_size = shard_size;
@@ -52,6 +56,9 @@ void ExpectSameAttackResult(const DeHealthResult& job,
 class JobTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
+    // JobDeathTest shares this fixture; in a run of the whole binary its
+    // suite reuses the scenario instead of leaking this one.
+    if (golden_ != nullptr) return;
     auto forum = GenerateForum(WebMdLikeConfig(30, 41));
     ASSERT_TRUE(forum.ok());
     auto split = MakeClosedWorldScenario(forum->dataset, 0.5, 13);

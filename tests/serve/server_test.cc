@@ -39,6 +39,9 @@ std::vector<int> AllUsers(int n) {
 class ServeEngineTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
+    // ServeServerTest shares this fixture; in a run of the whole binary its
+    // suite reuses the scenario instead of leaking this one.
+    if (aux_ != nullptr) return;
     auto forum = GenerateForum(WebMdLikeConfig(40, 23));
     ASSERT_TRUE(forum.ok());
     auto scenario = MakeClosedWorldScenario(forum->dataset, 0.5, 11);

@@ -1,7 +1,12 @@
 #include "stylo/extractor.h"
 
+#include <bit>
+#include <cstdint>
+#include <string>
+
 #include <gtest/gtest.h>
 
+#include "io/byte_codec.h"
 #include "stylo/feature_layout.h"
 
 namespace dehealth {
@@ -151,6 +156,66 @@ TEST_F(ExtractorTest, AllIdsWithinLayout) {
     EXPECT_GE(id, 0);
     EXPECT_LT(id, fl::kTotalFeatures);
     EXPECT_NE(v, 0.0);
+  }
+}
+
+// A 2,000-word post mixing case, apostrophes, digits, misspellings,
+// function words, sentence terminators and paragraph breaks.
+std::string LongPost() {
+  static const char* const kWords[] = {
+      "the",     "Doctor",    "said",    "I",      "shouldn't",
+      "take",    "500mg",     "of",      "ibuprofen", "because",
+      "it",      "recieve",   "WebMD",   "HIV",    "definately",
+      "walking", "happiness", "quickly", "Monday", "pain"};
+  std::string text;
+  for (int i = 0; i < 2000; ++i) {
+    if (i > 0) text += (i % 97 == 0) ? "\n\n" : " ";
+    text += kWords[(i * 7 + i / 20) % 20];
+    if (i % 13 == 12)
+      text += '.';
+    else if (i % 29 == 28)
+      text += "?!";
+    else if (i % 11 == 10)
+      text += ',';
+  }
+  return text;
+}
+
+TEST_F(ExtractorTest, EdgeCasesMatchPinnedValues) {
+  // Inputs the forum generator never writes. The literals were taken from
+  // the extractor before it was rewritten to count into fixed arrays, so
+  // any drift in tokenizing, lowercasing, lookups or emission shows here
+  // as well as in the forum-level pins.
+  struct Pinned {
+    std::string text;
+    uint64_t hash;
+  };
+  const Pinned corpus[] = {
+      {"", 0x47fe0d7eaf8e51e3ULL},
+      {"   ", 0x1775e34c0dd979aaULL},
+      {"\t\n \n", 0x1724d34c0d950752ULL},
+      {"x\v\f. \v", 0x6d5850d1eeb62e24ULL},
+      {"First line.\r\n\r\nSecond paragraph here.\r\nSame para.\n\n\nEnd",
+       0x702355359bae8924ULL},
+      {"H\xc3\xa9llo w\xc3\xb6rld", 0x6f8ead6f73ee3de4ULL},
+      {"supercalifragilisticexpialidocious antidisestablishmentarianism "
+       "and pneumonoultramicroscopicsilicovolcanoconiosis",
+       0x44459dd98e1ae725ULL},
+      {"'quoted' rock'n'roll don't", 0x9bb7ad2362b6af4bULL},
+      {"What?! Really... \"Yes.\"", 0xc0ae1ef04ea49a7dULL},
+      {"5mg 1,234 @5pm #tag", 0xaebfa8f13b8cbff2ULL},
+      {"HIV WebMD iPhone Monday", 0x58ee2746c67cb02dULL},
+      {LongPost(), 0x5bf01f65ece78f05ULL},
+  };
+  for (const Pinned& pinned : corpus) {
+    SCOPED_TRACE(pinned.text.substr(0, 40));
+    const SparseVector f = extractor_.ExtractPost(pinned.text);
+    uint64_t h = Fnv1aValue(kFnv1aBasis, static_cast<uint64_t>(f.NumNonZero()));
+    for (const auto& [id, value] : f.entries()) {
+      h = Fnv1aValue(h, id);
+      h = Fnv1aValue(h, std::bit_cast<uint64_t>(value));
+    }
+    EXPECT_EQ(h, pinned.hash) << std::hex << "0x" << h;
   }
 }
 
