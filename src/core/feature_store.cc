@@ -1,11 +1,16 @@
 #include "core/feature_store.h"
 
 #include <algorithm>
+#include <bit>
+#include <cassert>
 #include <cmath>
+#include <string>
 
 #include "common/math_utils.h"
+#include "common/parallel.h"
 #include "core/feature_store_kernels.h"
 #include "obs/standard_metrics.h"
+#include "obs/trace.h"
 
 namespace dehealth {
 
@@ -13,21 +18,47 @@ namespace {
 
 using internal::BlockKernelArgs;
 using internal::BlockKernelFn;
+using internal::kAttrIds;
+using internal::kAttrWords;
 using internal::kScoreBlockWidth;
 
 static_assert(FeatureStore::kBlockWidth == kScoreBlockWidth,
               "store block width and kernel block width must agree");
 
-/// Attribute weights in [0, 2^26] whose per-user totals stay <= 2^52 keep
-/// every partial sum of the merge an exact integer < 2^53: summation is
-/// then order-free, which is what licenses the union-via-totals shortcut
-/// and the dense-lookup scan. Non-IDF weights (raw post counts) always
-/// qualify; IDF-scaled weights (irrational logs) never do.
-constexpr double kMaxExactWeight = 67108864.0;         // 2^26
-constexpr double kMaxExactTotal = 4503599627370496.0;  // 2^52
+/// A block's union bitmap followed by one bitmap per lane.
+constexpr size_t kAttrBitsPerBlock =
+    static_cast<size_t>(1 + kScoreBlockWidth) * kAttrWords;
+
+/// Integer attribute weights in [0, 2^26] keep every partial sum of the
+/// merge an exact integer: a list holds at most kAttrIds of them, so sums
+/// stay below 2^37, far inside the 2^53 where doubles hold every integer.
+/// Summation is then order-free, which is what licenses the union-via-
+/// totals shortcut and the `block & query` walk. Non-IDF weights (raw
+/// post counts) always qualify; IDF-scaled weights (irrational logs) never
+/// do.
+constexpr double kMaxExactWeight = 67108864.0;  // 2^26
+static_assert(static_cast<double>(kAttrIds) * kMaxExactWeight * 2 <
+                  9007199254740992.0,  // 2^53
+              "both sides' totals must add without rounding");
 
 bool WeightIsExactInteger(double w) {
-  return w >= 0.0 && w <= kMaxExactWeight && std::floor(w) == w;
+  // The range test comes first, so the truncating cast is always defined.
+  return w >= 0.0 && w <= kMaxExactWeight &&
+         static_cast<double>(static_cast<int64_t>(w)) == w;
+}
+
+/// Sets each id's bit in `bits` and returns Σ weights in ascending id order
+/// (the merge's own order); clears *exact when the list leaves the
+/// exact-integer regime.
+double MarkAttributes(const std::vector<std::pair<int, double>>& attributes,
+                      uint64_t* bits, bool* exact) {
+  double total = 0.0;
+  for (const auto& [id, weight] : attributes) {
+    bits[id / 64] |= uint64_t{1} << (id % 64);
+    total += weight;
+    if (!WeightIsExactInteger(weight)) *exact = false;
+  }
+  return total;
 }
 
 /// sqrt of the ascending-order sum of squares — the exact bits
@@ -54,12 +85,45 @@ double CosineLane(const double* q, int q_len, double q_norm,
   return dot / (q_norm * v_norm);
 }
 
+/// The scalar tier's attribute accumulators, one per lane.
+struct ScalarAttrLanes {
+  double min_sum[kScoreBlockWidth] = {};
+  double max_sum[kScoreBlockWidth] = {};
+
+  void Min(double q, const double* row) {
+    for (int l = 0; l < kScoreBlockWidth; ++l)
+      min_sum[l] += std::min(q, row[l]);
+  }
+  void MinMax(double q, const double* row) {
+    for (int l = 0; l < kScoreBlockWidth; ++l) {
+      max_sum[l] += std::max(q, row[l]);
+      min_sum[l] += std::min(q, row[l]);
+    }
+  }
+};
+
+/// All-+0.0 lane weights: the row of an id the block lacks.
+constexpr double kAbsentRow[kScoreBlockWidth] = {};
+
 }  // namespace
 
 namespace internal {
 
 void ScoreBlockScalar(const BlockKernelArgs& a, double out[kScoreBlockWidth]) {
+  ScalarAttrLanes lanes;
+  WalkAttributes(a, kAbsentRow, lanes);
   for (int l = 0; l < kScoreBlockWidth; ++l) {
+    // s^a exactly as the golden merge finishes it: set Jaccard plus
+    // weighted Jaccard, each term skipped on a zero denominator.
+    const double shared = SharedAttributes(a, l);
+    const double set_union = (a.q_attr_count + a.attr_count[l]) - shared;
+    const double weight_union =
+        a.attrs_exact ? (a.q_attr_total + a.attr_total[l]) - lanes.min_sum[l]
+                      : lanes.max_sum[l];
+    double attr_sim = 0.0;
+    if (set_union > 0) attr_sim += shared / set_union;
+    if (weight_union > 0) attr_sim += lanes.min_sum[l] / weight_union;
+
     const double degree_sim =
         (MinMaxRatio(a.q_degree, a.degree[l]) +
          MinMaxRatio(a.q_weighted_degree, a.weighted_degree[l])) +
@@ -70,18 +134,46 @@ void ScoreBlockScalar(const BlockKernelArgs& a, double out[kScoreBlockWidth]) {
                    a.hop_norm[l], l) +
         CosineLane(a.q_whop, a.q_whop_len, a.q_whop_norm, a.whop,
                    a.whop_stride, a.whop_norm[l], l);
-    out[l] = (a.c1 * degree_sim + a.c2 * distance_sim) + a.c3 * a.attr_sim[l];
+    out[l] = (a.c1 * degree_sim + a.c2 * distance_sim) + a.c3 * attr_sim;
   }
 }
 
 }  // namespace internal
 
-FeatureStore FeatureStore::Build(const std::vector<UserFeatures>& users) {
+bool IsWalkableWeight(double weight) {
+  // `weight >= 0.0` is false for NaN; -0.0 compares equal to 0.0, so its
+  // sign bit is read.
+  return weight >= 0.0 && !std::isinf(weight) && !std::signbit(weight);
+}
+
+Status CheckWalkableAttributes(
+    const std::vector<std::pair<int, double>>& attributes, const char* what) {
+  int previous = -1;
+  for (const auto& [id, weight] : attributes) {
+    if (id < 0 || id >= kAttrIds)
+      return Status::InvalidArgument(std::string(what) +
+                                     ": attribute id out of range");
+    if (id <= previous)
+      return Status::InvalidArgument(
+          std::string(what) + ": attribute ids not strictly ascending");
+    if (!IsWalkableWeight(weight))
+      return Status::InvalidArgument(
+          std::string(what) +
+          ": attribute weight negative, NaN, infinite or -0.0");
+    previous = id;
+  }
+  return Status::OK();
+}
+
+FeatureStore FeatureStore::Build(const std::vector<UserFeatures>& users,
+                                 int num_threads) {
+  obs::Span span("core", "feature_store_build");
   FeatureStore store;
   const int n = static_cast<int>(users.size());
   store.num_users_ = n;
   store.num_blocks_ = (n + kBlockWidth - 1) / kBlockWidth;
-  const size_t padded = static_cast<size_t>(store.num_blocks_) * kBlockWidth;
+  const auto num_blocks = static_cast<size_t>(store.num_blocks_);
+  const size_t padded = num_blocks * kBlockWidth;
 
   for (const UserFeatures& u : users) {
     store.hop_stride_ =
@@ -97,15 +189,12 @@ FeatureStore FeatureStore::Build(const std::vector<UserFeatures>& users) {
   store.hop_norm_.assign(padded, 0.0);
   store.whop_norm_.assign(padded, 0.0);
   store.ncs_norm_.assign(padded, 0.0);
-  store.ncs_offset_.assign(static_cast<size_t>(store.num_blocks_), 0);
-  store.ncs_stride_.assign(static_cast<size_t>(store.num_blocks_), 0);
-  store.attr_offset_.assign(static_cast<size_t>(n) + 1, 0);
-  store.attr_total_.assign(static_cast<size_t>(n), 0.0);
-
-  size_t total_attrs = 0;
-  for (const UserFeatures& u : users) total_attrs += u.attributes.size();
-  store.attr_id_.reserve(total_attrs);
-  store.attr_weight_.reserve(total_attrs);
+  store.ncs_offset_.assign(num_blocks, 0);
+  store.ncs_stride_.assign(num_blocks, 0);
+  store.attr_bits_.assign(num_blocks * kAttrBitsPerBlock, 0);
+  store.attr_rows_.resize(num_blocks);
+  store.attr_count_.assign(padded, 0.0);
+  store.attr_total_.assign(padded, 0.0);
 
   // Per-block NCS strides first so the packed extent is known up front.
   size_t ncs_total = 0;
@@ -124,51 +213,87 @@ FeatureStore FeatureStore::Build(const std::vector<UserFeatures>& users) {
   }
   store.ncs_.assign(ncs_total, 0.0);
 
-  for (int v = 0; v < n; ++v) {
-    const UserFeatures& u = users[static_cast<size_t>(v)];
-    const int b = v / kBlockWidth;
-    const int lane = v % kBlockWidth;
-    store.degree_[static_cast<size_t>(v)] = u.degree;
-    store.weighted_degree_[static_cast<size_t>(v)] = u.weighted_degree;
+  // Blocks pack in parallel, each writing only its own slots, so the store
+  // is the same for any thread count: every lane's vectors, norms and
+  // attribute bitmap, set size and total; then the union bitmap, and one
+  // row of lane weights per union id in ascending id order (an id's row is
+  // its rank among the union's set bits).
+  std::vector<uint8_t> block_exact(num_blocks, 1);
+  ParallelFor(
+      0, store.num_blocks_,
+      [&](int64_t b) {
+        const auto block = static_cast<size_t>(b);
+        uint64_t* block_bits = store.attr_bits_.data() +
+                               block * kAttrBitsPerBlock;
+        bool exact = true;
+        for (int lane = 0; lane < kBlockWidth; ++lane) {
+          const size_t v = block * kBlockWidth + static_cast<size_t>(lane);
+          if (v >= static_cast<size_t>(n)) break;
+          const UserFeatures& u = users[v];
+          store.degree_[v] = u.degree;
+          store.weighted_degree_[v] = u.weighted_degree;
+          double* hop_base = store.hop_.data() +
+                             block * kBlockWidth *
+                                 static_cast<size_t>(store.hop_stride_);
+          for (size_t i = 0; i < u.hop.size(); ++i)
+            hop_base[i * kScoreBlockWidth + static_cast<size_t>(lane)] =
+                u.hop[i];
+          double* whop_base = store.whop_.data() +
+                              block * kBlockWidth *
+                                  static_cast<size_t>(store.whop_stride_);
+          for (size_t i = 0; i < u.weighted_hop.size(); ++i)
+            whop_base[i * kScoreBlockWidth + static_cast<size_t>(lane)] =
+                u.weighted_hop[i];
+          double* ncs_base = store.ncs_.data() + store.ncs_offset_[block];
+          for (size_t i = 0; i < u.ncs.size(); ++i)
+            ncs_base[i * kScoreBlockWidth + static_cast<size_t>(lane)] =
+                u.ncs[i];
 
-    double* hop_base = store.hop_.data() +
-                       static_cast<size_t>(b) * kBlockWidth *
-                           static_cast<size_t>(store.hop_stride_);
-    for (size_t i = 0; i < u.hop.size(); ++i)
-      hop_base[i * kScoreBlockWidth + static_cast<size_t>(lane)] = u.hop[i];
-    double* whop_base = store.whop_.data() +
-                        static_cast<size_t>(b) * kBlockWidth *
-                            static_cast<size_t>(store.whop_stride_);
-    for (size_t i = 0; i < u.weighted_hop.size(); ++i)
-      whop_base[i * kScoreBlockWidth + static_cast<size_t>(lane)] =
-          u.weighted_hop[i];
-    double* ncs_base =
-        store.ncs_.data() + store.ncs_offset_[static_cast<size_t>(b)];
-    for (size_t i = 0; i < u.ncs.size(); ++i)
-      ncs_base[i * kScoreBlockWidth + static_cast<size_t>(lane)] = u.ncs[i];
+          store.hop_norm_[v] = VectorNorm(u.hop);
+          store.whop_norm_[v] = VectorNorm(u.weighted_hop);
+          store.ncs_norm_[v] = VectorNorm(u.ncs);
 
-    store.hop_norm_[static_cast<size_t>(v)] = VectorNorm(u.hop);
-    store.whop_norm_[static_cast<size_t>(v)] = VectorNorm(u.weighted_hop);
-    store.ncs_norm_[static_cast<size_t>(v)] = VectorNorm(u.ncs);
+          assert(CheckWalkableAttributes(u.attributes, "FeatureStore").ok());
+          store.attr_count_[v] = static_cast<double>(u.attributes.size());
+          store.attr_total_[v] = MarkAttributes(
+              u.attributes,
+              block_bits + static_cast<size_t>(1 + lane) * kAttrWords,
+              &exact);
+        }
+        block_exact[block] = exact ? 1 : 0;
 
-    double total = 0.0;
-    for (const auto& [id, weight] : u.attributes) {
-      store.attr_id_.push_back(id);
-      store.attr_weight_.push_back(weight);
-      store.max_attr_id_ = std::max(store.max_attr_id_, id);
-      total += weight;
-      // Negative ids can't index the dense query table; they also force
-      // the merge path.
-      if (id < 0 || !WeightIsExactInteger(weight)) store.attrs_exact_ = false;
-    }
-    if (total > kMaxExactTotal) store.attrs_exact_ = false;
-    store.attr_total_[static_cast<size_t>(v)] = total;
-    store.attr_offset_[static_cast<size_t>(v) + 1] = store.attr_id_.size();
+        uint32_t row_of[kAttrWords * 64] = {};
+        uint32_t rows = 0;
+        for (int w = 0; w < kAttrWords; ++w) {
+          for (int lane = 1; lane <= kBlockWidth; ++lane)
+            block_bits[w] |= block_bits[lane * kAttrWords + w];
+          for (uint64_t bits = block_bits[w]; bits != 0; bits &= bits - 1)
+            row_of[w * 64 + std::countr_zero(bits)] = rows++;
+        }
+        std::vector<double>& block_rows = store.attr_rows_[block];
+        block_rows.assign(size_t{rows} * kBlockWidth, 0.0);
+        for (int lane = 0; lane < kBlockWidth; ++lane) {
+          const size_t v = block * kBlockWidth + static_cast<size_t>(lane);
+          if (v >= static_cast<size_t>(n)) break;
+          for (const auto& [id, weight] : users[v].attributes)
+            block_rows[row_of[id] * size_t{kBlockWidth} +
+                       static_cast<size_t>(lane)] = weight;
+        }
+      },
+      num_threads);
+
+  size_t union_rows = 0;
+  for (size_t b = 0; b < num_blocks; ++b) {
+    union_rows += store.attr_rows_[b].size() / kBlockWidth;
+    if (block_exact[b] == 0) store.attrs_exact_ = false;
   }
+  span.SetArg("users", n);
+  span.SetArg("union_rows", static_cast<int64_t>(union_rows));
   return store;
 }
 
 ScoreQuery FeatureStore::MakeQuery(const UserFeatures& query) const {
+  assert(CheckWalkableAttributes(query.attributes, "ScoreQuery").ok());
   ScoreQuery q;
   q.user = &query;
   q.ncs_norm = VectorNorm(query.ncs);
@@ -176,91 +301,14 @@ ScoreQuery FeatureStore::MakeQuery(const UserFeatures& query) const {
   q.whop_norm = VectorNorm(query.weighted_hop);
 
   q.attrs_exact = attrs_exact_;
-  double total = 0.0;
-  for (const auto& [id, weight] : query.attributes) {
-    total += weight;
-    if (!WeightIsExactInteger(weight)) q.attrs_exact = false;
-  }
-  if (total > kMaxExactTotal) q.attrs_exact = false;
-  q.attr_total = total;
-  if (q.attrs_exact && max_attr_id_ >= 0) {
-    q.attr_weight.assign(static_cast<size_t>(max_attr_id_) + 1, 0.0);
-    q.attr_present.assign(static_cast<size_t>(max_attr_id_) + 1, 0);
-    for (const auto& [id, weight] : query.attributes) {
-      if (id < 0 || id > max_attr_id_) continue;  // can't match any stored id
-      q.attr_weight[static_cast<size_t>(id)] = weight;
-      q.attr_present[static_cast<size_t>(id)] = 1;
-    }
-  }
+  q.attr_count = static_cast<double>(query.attributes.size());
+  q.attr_bits.assign(kAttrWords, 0);
+  q.attr_total =
+      MarkAttributes(query.attributes, q.attr_bits.data(), &q.attrs_exact);
+  q.attr_weight.assign(kAttrIds, 0.0);
+  for (const auto& [id, weight] : query.attributes)
+    q.attr_weight[static_cast<size_t>(id)] = weight;
   return q;
-}
-
-double FeatureStore::AttrSimilarity(const ScoreQuery& q, int v) const {
-  const size_t begin = attr_offset_[static_cast<size_t>(v)];
-  const size_t end = attr_offset_[static_cast<size_t>(v) + 1];
-  const size_t b_len = end - begin;
-  const auto& a = q.user->attributes;
-  if (a.empty() && b_len == 0) return 0.0;
-
-  if (q.attrs_exact && !q.attr_present.empty()) {
-    // Exact-integer fast path: every sum below is an exact integer, so the
-    // merge's accumulation order is immaterial and the union follows from
-    // the precomputed totals — bitwise equal to the branchy merge, at one
-    // table lookup per candidate attribute. Matched mins still accumulate
-    // in ascending-id order, exactly like the merge.
-    // Branchless on purpose: the presence test is a coin flip on real
-    // data, so a branch mispredicts constantly. Absent ids hold a +0.0
-    // query weight, and min(+0.0, w) adds +0.0 to a non-negative
-    // accumulator — bitwise neutral — while attr_present is the 0/1
-    // intersection increment itself.
-    size_t inter = 0;
-    double weight_inter = 0.0;
-    for (size_t k = begin; k < end; ++k) {
-      const auto id = static_cast<size_t>(attr_id_[k]);
-      inter += q.attr_present[id];
-      weight_inter += std::min(q.attr_weight[id], attr_weight_[k]);
-    }
-    const double weight_union =
-        (q.attr_total + attr_total_[static_cast<size_t>(v)]) - weight_inter;
-    const size_t set_union = a.size() + b_len - inter;
-    double sim = 0.0;
-    if (set_union > 0)
-      sim += static_cast<double>(inter) / static_cast<double>(set_union);
-    if (weight_union > 0) sim += weight_inter / weight_union;
-    return sim;
-  }
-
-  // General path (IDF-scaled or otherwise non-integral weights): the golden
-  // merge of FlattenedAttributeSimilarity, operation for operation, over
-  // the CSR arrays.
-  size_t set_intersection = 0;
-  double weight_intersection = 0.0, weight_union = 0.0;
-  size_t i = 0, j = begin;
-  while (i < a.size() && j < end) {
-    if (a[i].first < attr_id_[j]) {
-      weight_union += a[i].second;
-      ++i;
-    } else if (attr_id_[j] < a[i].first) {
-      weight_union += attr_weight_[j];
-      ++j;
-    } else {
-      ++set_intersection;
-      weight_intersection += std::min(a[i].second, attr_weight_[j]);
-      weight_union += std::max(a[i].second, attr_weight_[j]);
-      ++i;
-      ++j;
-    }
-  }
-  for (; i < a.size(); ++i) weight_union += a[i].second;
-  for (; j < end; ++j) weight_union += attr_weight_[j];
-
-  const size_t set_union = a.size() + b_len - set_intersection;
-  double sim = 0.0;
-  if (set_union > 0)
-    sim += static_cast<double>(set_intersection) /
-           static_cast<double>(set_union);
-  if (weight_union > 0) sim += weight_intersection / weight_union;
-  return sim;
 }
 
 namespace {
@@ -303,19 +351,21 @@ void FeatureStore::ScoreRow(const SimilarityConfig& config,
   args.q_whop = user.weighted_hop.data();
   args.q_whop_len = static_cast<int>(user.weighted_hop.size());
   args.q_whop_norm = q.whop_norm;
+  args.q_attr_weight = q.attr_weight.data();
+  args.q_attr_bits = q.attr_bits.data();
+  args.q_attr_count = q.attr_count;
+  args.q_attr_total = q.attr_total;
+  args.attrs_exact = q.attrs_exact;
   args.hop_stride = hop_stride_;
   args.whop_stride = whop_stride_;
   args.c1 = config.c1;
   args.c2 = config.c2;
   args.c3 = config.c3;
 
-  double attr_tmp[kScoreBlockWidth];
   double score_tmp[kScoreBlockWidth];
   for (int b = 0; b < num_blocks_; ++b) {
     const int base = b * kBlockWidth;
     const int width = std::min(kBlockWidth, num_users_ - base);
-    for (int l = 0; l < kBlockWidth; ++l)
-      attr_tmp[l] = l < width ? AttrSimilarity(q, base + l) : 0.0;
 
     args.degree = degree_.data() + base;
     args.weighted_degree = weighted_degree_.data() + base;
@@ -328,7 +378,12 @@ void FeatureStore::ScoreRow(const SimilarityConfig& config,
     args.hop_norm = hop_norm_.data() + base;
     args.whop_norm = whop_norm_.data() + base;
     args.ncs_norm = ncs_norm_.data() + base;
-    args.attr_sim = attr_tmp;
+    args.attr_union =
+        attr_bits_.data() + static_cast<size_t>(b) * kAttrBitsPerBlock;
+    args.attr_lane_bits = args.attr_union + kAttrWords;
+    args.attr_rows = attr_rows_[static_cast<size_t>(b)].data();
+    args.attr_count = attr_count_.data() + base;
+    args.attr_total = attr_total_.data() + base;
 
     kernel(args, score_tmp);
     for (int l = 0; l < width; ++l) out[base + l] = score_tmp[l];

@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/status.h"
 #include "core/similarity.h"
 #include "core/simd_dispatch.h"
 
@@ -13,26 +14,36 @@ namespace dehealth {
 
 /// Per-query precomputation shared by every FeatureStore scoring call: the
 /// three vector norms (so the kernel divides by the same sqrt bits the
-/// scalar path computes per pair, once instead of once per candidate) and,
-/// when the attribute weights on both sides are exact small integers, a
-/// dense weight-by-id lookup table that turns the O(|A_u|+|A_v|) branchy
-/// merge into an O(|A_v|) scan. Borrows the query's features — they must
-/// outlive the ScoreQuery.
+/// scalar path computes per pair, once instead of once per candidate) and
+/// the query's attributes as the walk reads them — a presence bitmap and a
+/// dense weight by id. Borrows the query's features — they must outlive the
+/// ScoreQuery.
 struct ScoreQuery {
   const UserFeatures* user = nullptr;
   double ncs_norm = 0.0;
   double hop_norm = 0.0;
   double whop_norm = 0.0;
-  /// True when every query attribute weight is an exact non-negative small
-  /// integer (see FeatureStore::attrs_exact()); required for the dense
-  /// fast path, which relies on exact (order-free) summation.
+  /// True when every query and stored attribute weight is an exact small
+  /// integer (see FeatureStore::attrs_exact()): the kernel then walks only
+  /// the ids both sides hold and takes the union from the totals.
   bool attrs_exact = false;
-  double attr_total = 0.0;
-  /// Dense query weight by attribute id, sized to the store's max id + 1;
-  /// attr_present[id] distinguishes "absent" from a zero weight.
+  double attr_count = 0.0;  // |A_u|
+  double attr_total = 0.0;  // Σ weights in ascending id order
+  /// Presence bitmap and weight by id (+0.0 where the query lacks the
+  /// id), sized for every stylometric feature id.
+  std::vector<uint64_t> attr_bits;
   std::vector<double> attr_weight;
-  std::vector<uint8_t> attr_present;
 };
+
+/// True when the attribute walk can add `weight`: finite, non-negative and
+/// not -0.0 (DESIGN.md "Score kernel" says why the walk needs each).
+bool IsWalkableWeight(double weight);
+
+/// OK when `attributes` can be scored by the attribute walk: ids strictly
+/// ascending in [0, kTotalFeatures) and every weight IsWalkableWeight.
+/// Else InvalidArgument naming the first defect, prefixed with `what`.
+Status CheckWalkableAttributes(
+    const std::vector<std::pair<int, double>>& attributes, const char* what);
 
 /// Cache-blocked SoA mirror of one side's per-user similarity features,
 /// laid out for the batched score kernel:
@@ -44,9 +55,10 @@ struct ScoreQuery {
 ///    accumulation, so SIMD lanes can run candidates in lockstep;
 ///  - per-user norms are precomputed once (sqrt of the same ascending-order
 ///    sum of squares the scalar kernel forms per pair);
-///  - attribute lists are CSR-packed ((id, weight) runs behind a prefix
-///    offset array) with per-user totals for the exact-integer union
-///    shortcut.
+///  - attributes are laid out per block for the attribute walk: a bitmap
+///    of every id any lane holds, one row of kBlockWidth lane weights per
+///    such id in ascending order (+0.0 where a lane lacks the id), one
+///    presence bitmap per lane, and per-lane set sizes and weight totals.
 ///
 /// Scores from ScoreRow are bitwise-identical to
 /// CombinedStructuralScore on the original features for every SimdMode —
@@ -58,22 +70,26 @@ class FeatureStore {
 
   FeatureStore() = default;
 
-  /// Packs one side's features (typically the auxiliary side). Copies all
-  /// vector/attribute data; `users` may be discarded afterwards.
-  static FeatureStore Build(const std::vector<UserFeatures>& users);
+  /// Packs one side's features (typically the auxiliary side) across
+  /// `num_threads` threads (0 = all hardware threads; the store is the same
+  /// for any value). Copies all vector/attribute data; `users` may be
+  /// discarded afterwards. Every attribute list must pass
+  /// CheckWalkableAttributes.
+  static FeatureStore Build(const std::vector<UserFeatures>& users,
+                            int num_threads = 0);
 
   int num_users() const { return num_users_; }
   int num_blocks() const { return num_blocks_; }
   /// True when every stored attribute weight is an exact non-negative
-  /// integer <= 2^26 with per-user totals <= 2^52 (always the case without
-  /// IDF scaling, where weights are raw post counts) — the regime in which
-  /// floating-point summation is exact and the dense-lookup attribute path
-  /// is bitwise-equal to the merge.
+  /// integer <= 2^26 (always the case without IDF scaling, where weights
+  /// are raw post counts) — the regime in which floating-point summation
+  /// is exact, so the union follows from the totals and the walk need only
+  /// visit the ids both sides hold.
   bool attrs_exact() const { return attrs_exact_; }
-  int max_attribute_id() const { return max_attr_id_; }
 
   /// Precomputes the per-query state for ScoreRow. `query` must outlive
-  /// the returned ScoreQuery.
+  /// the returned ScoreQuery, and its attribute list must pass
+  /// CheckWalkableAttributes.
   ScoreQuery MakeQuery(const UserFeatures& query) const;
 
   /// Scores `query` against every stored user into out[0..num_users()),
@@ -101,18 +117,15 @@ class FeatureStore {
   std::vector<double> hop_norm_;
   std::vector<double> whop_norm_;
   std::vector<double> ncs_norm_;
-  // CSR-packed attributes (ids ascending within a user).
-  std::vector<size_t> attr_offset_;  // [num_users + 1]
-  std::vector<int32_t> attr_id_;
-  std::vector<double> attr_weight_;
-  std::vector<double> attr_total_;   // [num_users]
+  // Attribute walk layout. Each block owns (1 + kBlockWidth) bitmaps of
+  // internal::kAttrWords words — the union of its lanes' ids, then one per
+  // lane — and its rows of kBlockWidth lane weights, one per union id in
+  // ascending order.
+  std::vector<uint64_t> attr_bits_;
+  std::vector<std::vector<double>> attr_rows_;  // [num_blocks]
+  std::vector<double> attr_count_;  // padded like degree_
+  std::vector<double> attr_total_;  // padded like degree_
   bool attrs_exact_ = true;
-  int max_attr_id_ = -1;
-
-  /// s^a of `query` vs stored user v — dense fast path when both sides are
-  /// exact-integer, else the golden two-pointer merge. Bitwise equal to
-  /// FlattenedAttributeSimilarity either way.
-  double AttrSimilarity(const ScoreQuery& query, int v) const;
 };
 
 }  // namespace dehealth

@@ -4,9 +4,9 @@
 // through to the scalar kernel.
 //
 // Bitwise-identity rules (see feature_store_kernels.h): vectorize across
-// candidate lanes only, sequential ascending-order accumulation per lane,
-// explicit mul/add intrinsics (never contracted to FMA), zero denominators
-// blended to 1.0 before the divide.
+// candidate lanes only, sequential ascending-order accumulation per lane
+// (the attribute walk included), explicit mul/add intrinsics (never
+// contracted to FMA), zero denominators blended to 1.0 before the divide.
 
 #include "core/feature_store_kernels.h"
 
@@ -62,7 +62,48 @@ inline __m256d CosineVec(const double* q, int q_len, double q_norm,
   return _mm256_div_pd(dot, denom);
 }
 
+/// The AVX2 tier's attribute accumulators: lanes [h*4, h*4+4) in
+/// element h. Inputs are non-negative and never -0.0 or NaN (FromData
+/// rejects them), so _mm256_min_pd/_mm256_max_pd agree with std::min/
+/// std::max bitwise.
+struct Avx2AttrLanes {
+  __m256d min_sum[kHalves] = {_mm256_setzero_pd(), _mm256_setzero_pd()};
+  __m256d max_sum[kHalves] = {_mm256_setzero_pd(), _mm256_setzero_pd()};
+
+  void Min(double q, const double* row) {
+    const __m256d qv = _mm256_set1_pd(q);
+    for (int h = 0; h < kHalves; ++h)
+      min_sum[h] = _mm256_add_pd(
+          min_sum[h], _mm256_min_pd(qv, _mm256_loadu_pd(row + h * kVec)));
+  }
+  void MinMax(double q, const double* row) {
+    const __m256d qv = _mm256_set1_pd(q);
+    for (int h = 0; h < kHalves; ++h) {
+      const __m256d v = _mm256_loadu_pd(row + h * kVec);
+      max_sum[h] = _mm256_add_pd(max_sum[h], _mm256_max_pd(qv, v));
+      min_sum[h] = _mm256_add_pd(min_sum[h], _mm256_min_pd(qv, v));
+    }
+  }
+};
+
+/// `num / den` with a zero denominator blended to 1.0. A Jaccard union is
+/// zero only when its intersection is, so `num` is +0.0 there and the
+/// quotient is the +0.0 the golden merge leaves for a skipped term.
+inline __m256d JaccardTerm(__m256d num, __m256d den) {
+  const __m256d zero = _mm256_cmp_pd(den, _mm256_setzero_pd(), _CMP_EQ_OQ);
+  return _mm256_div_pd(num,
+                       _mm256_blendv_pd(den, _mm256_set1_pd(1.0), zero));
+}
+
+alignas(32) constexpr double kAbsentRow[kScoreBlockWidth] = {};
+
 void ScoreBlockAvx2(const BlockKernelArgs& a, double out[kScoreBlockWidth]) {
+  Avx2AttrLanes lanes;
+  WalkAttributes(a, kAbsentRow, lanes);
+  alignas(32) double shared[kScoreBlockWidth] = {};
+  for (int l = 0; l < kScoreBlockWidth; ++l)
+    shared[l] = SharedAttributes(a, l);
+
   for (int h = 0; h < kHalves; ++h) {
     const __m256d r1 = MinMaxRatioVec(_mm256_set1_pd(a.q_degree),
                                       _mm256_loadu_pd(a.degree + h * kVec));
@@ -77,7 +118,25 @@ void ScoreBlockAvx2(const BlockKernelArgs& a, double out[kScoreBlockWidth]) {
     const __m256d whop = CosineVec(a.q_whop, a.q_whop_len, a.q_whop_norm,
                                    a.whop, a.whop_stride, a.whop_norm, h);
     const __m256d distance_sim = _mm256_add_pd(hop, whop);
-    const __m256d attr = _mm256_loadu_pd(a.attr_sim + h * kVec);
+
+    // s^a: set Jaccard + weighted Jaccard. Adding a skipped (+0.0) term to
+    // the other, non-negative one leaves it as the scalar path has it.
+    const __m256d shared_v = _mm256_load_pd(shared + h * kVec);
+    const __m256d set_union = _mm256_sub_pd(
+        _mm256_add_pd(_mm256_set1_pd(a.q_attr_count),
+                      _mm256_loadu_pd(a.attr_count + h * kVec)),
+        shared_v);
+    const __m256d weight_union =
+        a.attrs_exact
+            ? _mm256_sub_pd(
+                  _mm256_add_pd(_mm256_set1_pd(a.q_attr_total),
+                                _mm256_loadu_pd(a.attr_total + h * kVec)),
+                  lanes.min_sum[h])
+            : lanes.max_sum[h];
+    const __m256d attr =
+        _mm256_add_pd(JaccardTerm(shared_v, set_union),
+                      JaccardTerm(lanes.min_sum[h], weight_union));
+
     const __m256d score = _mm256_add_pd(
         _mm256_add_pd(_mm256_mul_pd(_mm256_set1_pd(a.c1), degree_sim),
                       _mm256_mul_pd(_mm256_set1_pd(a.c2), distance_sim)),

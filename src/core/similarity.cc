@@ -1,8 +1,8 @@
 #include "core/similarity.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
-#include <unordered_map>
 
 #include "common/math_utils.h"
 #include "common/parallel.h"
@@ -59,15 +59,17 @@ double FlattenedAttributeSimilarityImpl(
   return sim;
 }
 
-/// The IDF of attribute `id` in `table` (default_weight when unseen).
-double IdfOf(const IdfTable& table, int id) {
-  const auto it = std::lower_bound(
-      table.weights.begin(), table.weights.end(), id,
-      [](const std::pair<int, double>& entry, int key) {
-        return entry.first < key;
-      });
-  return it != table.weights.end() && it->first == id ? it->second
-                                                      : table.default_weight;
+/// `table` by attribute id: one dense vector per call instead of a binary
+/// search per attribute. Ids past the table's largest (and every id it
+/// lacks) read default_weight, which is what the table means for them.
+std::vector<double> IdfById(const IdfTable& table) {
+  std::vector<double> by_id(
+      table.weights.empty() ? 0 : static_cast<size_t>(
+                                      table.weights.back().first) + 1,
+      table.default_weight);
+  for (const auto& [id, weight] : table.weights)
+    by_id[static_cast<size_t>(id)] = weight;
+  return by_id;
 }
 
 }  // namespace
@@ -85,17 +87,21 @@ double FlattenedAttributeSimilarity(
 }
 
 IdfTable ComputeIdfTable(const UdaGraph& auxiliary) {
-  std::unordered_map<int, int> document_frequency;
+  std::vector<int> document_frequency;  // by attribute id
   for (const UserProfile& profile : auxiliary.profiles)
-    for (const auto& [id, weight] : profile.attributes())
-      ++document_frequency[id];
+    for (const auto& [id, weight] : profile.attributes()) {
+      assert(id >= 0);
+      if (static_cast<size_t>(id) >= document_frequency.size())
+        document_frequency.resize(static_cast<size_t>(id) + 1, 0);
+      ++document_frequency[static_cast<size_t>(id)];
+    }
   const double n2 = static_cast<double>(auxiliary.num_users());
   IdfTable table;
-  table.weights.reserve(document_frequency.size());
-  for (const auto& [id, df] : document_frequency)
-    table.weights.emplace_back(
-        id, std::log((1.0 + n2) / (1.0 + static_cast<double>(df))));
-  std::sort(table.weights.begin(), table.weights.end());
+  for (size_t id = 0; id < document_frequency.size(); ++id)
+    if (const int df = document_frequency[id]; df > 0)
+      table.weights.emplace_back(
+          static_cast<int>(id),
+          std::log((1.0 + n2) / (1.0 + static_cast<double>(df))));
   table.default_weight = std::log((1.0 + n2) / (1.0 + 0.0));
   return table;
 }
@@ -105,21 +111,38 @@ std::vector<UserFeatures> ComputeUserFeatures(const UdaGraph& side,
                                               int num_threads,
                                               const IdfTable* idf) {
   const int n = side.num_users();
+  obs::Span span("core", "user_features");
+  span.SetArg("users", n);
   const LandmarkIndex landmarks(side.graph, num_landmarks, num_threads);
+  const std::vector<double> idf_by_id =
+      idf == nullptr ? std::vector<double>() : IdfById(*idf);
   std::vector<UserFeatures> users(static_cast<size_t>(n));
-  for (NodeId u = 0; u < n; ++u) {
-    UserFeatures& f = users[static_cast<size_t>(u)];
-    f.degree = side.graph.Degree(u);
-    f.weighted_degree = side.graph.WeightedDegree(u);
-    f.ncs = side.graph.NcsVector(u);
-    f.hop = landmarks.HopVector(u);
-    f.weighted_hop = landmarks.WeightedVector(u);
-    const auto& attributes = side.profiles[static_cast<size_t>(u)].attributes();
-    f.attributes.reserve(attributes.size());
-    for (const auto& [id, weight] : attributes)
-      f.attributes.emplace_back(
-          id, idf == nullptr ? weight : weight * IdfOf(*idf, id));
-  }
+  // Each user fills only its own slot: identical for any thread count.
+  ParallelFor(
+      0, n,
+      [&](int64_t i) {
+        const auto u = static_cast<NodeId>(i);
+        UserFeatures& f = users[static_cast<size_t>(u)];
+        f.degree = side.graph.Degree(u);
+        f.weighted_degree = side.graph.WeightedDegree(u);
+        f.ncs = side.graph.NcsVector(u);
+        f.hop = landmarks.HopVector(u);
+        f.weighted_hop = landmarks.WeightedVector(u);
+        const auto& attributes =
+            side.profiles[static_cast<size_t>(u)].attributes();
+        f.attributes.reserve(attributes.size());
+        for (const auto& [id, weight] : attributes) {
+          if (idf == nullptr) {
+            f.attributes.emplace_back(id, weight);
+            continue;
+          }
+          const auto at = static_cast<size_t>(id);
+          f.attributes.emplace_back(
+              id, weight * (at < idf_by_id.size() ? idf_by_id[at]
+                                                  : idf->default_weight));
+        }
+      },
+      num_threads);
   return users;
 }
 
@@ -190,7 +213,8 @@ std::vector<std::vector<double>> StructuralSimilarity::ComputeMatrix() const {
   // Pack the auxiliary side into the blocked SoA store once, then score
   // whole rows through the batched kernel — bitwise-identical to calling
   // Combined() per pair (tests/core/feature_store_test.cc pins this).
-  const FeatureStore store = FeatureStore::Build(users_[1]);
+  const FeatureStore store =
+      FeatureStore::Build(users_[1], config_.num_threads);
 
   // Row-parallel: each task owns exactly one preallocated row, so the
   // result is bitwise-identical for any thread count.

@@ -1,6 +1,6 @@
 #include "index/candidate_index.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "io/byte_codec.h"
 
@@ -59,24 +59,29 @@ StatusOr<CandidateIndex> CandidateIndex::Build(
   data.users = ComputeUserFeatures(auxiliary, data.num_landmarks,
                                    config.num_threads, IdfOrNull(data));
   data.shard_total = static_cast<uint32_t>(data.users.size());
-  StatusOr<CandidateIndex> index = FromData(std::move(data));
+  StatusOr<CandidateIndex> index =
+      FromData(std::move(data), config.num_threads);
   if (index.ok()) index->set_simd_mode(config.simd);
   return index;
 }
 
-StatusOr<CandidateIndex> CandidateIndex::FromData(CandidateIndexData data) {
+StatusOr<CandidateIndex> CandidateIndex::FromData(CandidateIndexData data,
+                                                  int num_threads) {
+  // The score kernel's attribute walk reproduces the golden merge only for
+  // strictly ascending in-range ids and non-negative, finite, non-(-0.0)
+  // weights (DESIGN.md "Score kernel"); the query side is scaled by the
+  // IDF table, so it is held to the same rule.
   for (const UserFeatures& f : data.users) {
-    if (!std::is_sorted(f.attributes.begin(), f.attributes.end(),
-                        [](const auto& a, const auto& b) {
-                          return a.first < b.first;
-                        }))
-      return Status::InvalidArgument(
-          "CandidateIndex: attribute list not sorted by id");
+    DEHEALTH_RETURN_IF_ERROR(
+        CheckWalkableAttributes(f.attributes, "CandidateIndex"));
     if (f.degree < 0.0)
       return Status::InvalidArgument("CandidateIndex: negative degree");
   }
-  if (!std::is_sorted(data.idf.weights.begin(), data.idf.weights.end()))
-    return Status::InvalidArgument("CandidateIndex: idf table not sorted");
+  DEHEALTH_RETURN_IF_ERROR(
+      CheckWalkableAttributes(data.idf.weights, "CandidateIndex idf table"));
+  if (!IsWalkableWeight(data.idf.default_weight))
+    return Status::InvalidArgument(
+        "CandidateIndex: idf default weight negative, NaN, infinite or -0.0");
   // Hand-built unsharded data may leave shard_total at its zero default;
   // an unsharded index's universe is its own user list.
   if (data.shard_count == 1 && data.shard_begin == 0 && data.shard_total == 0)
@@ -88,7 +93,7 @@ StatusOr<CandidateIndex> CandidateIndex::FromData(CandidateIndexData data) {
     return Status::InvalidArgument(
         "CandidateIndex: shard range exceeds universe size");
   CandidateIndex index(std::move(data));
-  index.store_ = FeatureStore::Build(index.data_.users);
+  index.store_ = FeatureStore::Build(index.data_.users, num_threads);
   return index;
 }
 

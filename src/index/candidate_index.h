@@ -63,8 +63,12 @@ class CandidateIndex {
                                         const SimilarityConfig& config);
 
   /// Wraps deserialized snapshot data, rebuilding the derived feature
-  /// store. InvalidArgument when the data is internally inconsistent.
-  static StatusOr<CandidateIndex> FromData(CandidateIndexData data);
+  /// store across `num_threads` threads (0 = all hardware threads).
+  /// InvalidArgument when the data is internally inconsistent or holds
+  /// attributes the score kernel cannot reproduce (CheckWalkableAttributes,
+  /// on every user and on the IDF table).
+  static StatusOr<CandidateIndex> FromData(CandidateIndexData data,
+                                           int num_threads = 0);
 
   int num_auxiliary() const { return static_cast<int>(data_.users.size()); }
   const CandidateIndexData& data() const { return data_; }

@@ -59,7 +59,10 @@ Status ReadWeightedIds(ByteReader& reader,
 }  // namespace
 
 std::string EncodeIndexSnapshot(const CandidateIndex& index) {
-  const CandidateIndexData& data = index.data();
+  return EncodeIndexSnapshot(index.data());
+}
+
+std::string EncodeIndexSnapshot(const CandidateIndexData& data) {
   std::string out = BeginFrame(kMagic, kVersion);
   Put(out, data.c1);
   Put(out, data.c2);
@@ -88,7 +91,8 @@ std::string EncodeIndexSnapshot(const CandidateIndex& index) {
 }
 
 StatusOr<CandidateIndex> DecodeIndexSnapshot(const std::string& bytes,
-                                             const std::string& path) {
+                                             const std::string& path,
+                                             int num_threads) {
   StatusOr<ByteReader> frame =
       OpenFrame(bytes, kMagic, kVersion, "index snapshot", path);
   if (!frame.ok()) return frame.status();
@@ -132,7 +136,7 @@ StatusOr<CandidateIndex> DecodeIndexSnapshot(const std::string& bytes,
       static_cast<uint64_t>(data.shard_begin) + num_users >
           data.shard_total)
     return reader.Fail("shard range exceeds universe size");
-  return CandidateIndex::FromData(std::move(data));
+  return CandidateIndex::FromData(std::move(data), num_threads);
 }
 
 Status SaveIndexSnapshot(const CandidateIndex& index,
@@ -141,14 +145,15 @@ Status SaveIndexSnapshot(const CandidateIndex& index,
   return WriteStringToFileAtomic(EncodeIndexSnapshot(index), path);
 }
 
-StatusOr<CandidateIndex> LoadIndexSnapshot(const std::string& path) {
+StatusOr<CandidateIndex> LoadIndexSnapshot(const std::string& path,
+                                           int num_threads) {
   DEHEALTH_RETURN_IF_ERROR(InjectFaultPoint("snapshot.load"));
   StatusOr<std::string> bytes = ReadFileToString(path);
   if (!bytes.ok()) return bytes.status();
   // Simulated snapshot corruption: the checksum/bounds-checked decoder
   // must answer with a Status (load-or-rebuild then recovers), never UB.
   InjectDataFault("snapshot.load.data", &*bytes);
-  return DecodeIndexSnapshot(*bytes, path);
+  return DecodeIndexSnapshot(*bytes, path, num_threads);
 }
 
 StatusOr<CandidateIndex> LoadOrBuildIndex(const std::string& path,
@@ -156,7 +161,8 @@ StatusOr<CandidateIndex> LoadOrBuildIndex(const std::string& path,
                                           const SimilarityConfig& config) {
   if (!path.empty()) {
     obs::Span span("index", "snapshot_load");
-    StatusOr<CandidateIndex> loaded = LoadIndexSnapshot(path);
+    StatusOr<CandidateIndex> loaded =
+        LoadIndexSnapshot(path, config.num_threads);
     if (loaded.ok()) {
       const CandidateIndexData& data = loaded->data();
       const bool config_matches =

@@ -20,13 +20,18 @@ namespace dehealth {
 
 /// Serializes the index's persistent data to the snapshot byte format.
 std::string EncodeIndexSnapshot(const CandidateIndex& index);
+/// The same for bare data, which the encoder does not validate: a decode
+/// of the bytes runs CandidateIndex::FromData's checks.
+std::string EncodeIndexSnapshot(const CandidateIndexData& data);
 
 /// Parses snapshot bytes back into an index. `path` is context only — it
 /// names the originating file in error messages (every decode error also
 /// carries the byte offset where parsing failed); pass "" for in-memory
-/// buffers.
+/// buffers. `num_threads` packs the index's feature store (0 = all
+/// hardware threads).
 StatusOr<CandidateIndex> DecodeIndexSnapshot(const std::string& bytes,
-                                             const std::string& path = "");
+                                             const std::string& path = "",
+                                             int num_threads = 0);
 
 /// Writes `index` to `path` atomically (`<path>.tmp` + fsync + rename, see
 /// WriteStringToFileAtomic): a crash mid-save can never leave a truncated
@@ -35,7 +40,8 @@ Status SaveIndexSnapshot(const CandidateIndex& index,
                          const std::string& path);
 
 /// Reads and decodes the snapshot at `path`.
-StatusOr<CandidateIndex> LoadIndexSnapshot(const std::string& path);
+StatusOr<CandidateIndex> LoadIndexSnapshot(const std::string& path,
+                                           int num_threads = 0);
 
 /// The load-or-rebuild entry point the pipeline uses: when `path` is empty,
 /// always builds from `auxiliary`. Otherwise tries to load `path` and

@@ -171,6 +171,8 @@ Span::~Span() {
   event.depth = depth_;
   event.arg_name = arg_name_;
   event.arg_value = arg_value_;
+  event.arg2_name = arg2_name_;
+  event.arg2_value = arg2_value_;
   ThreadBuffer& buffer = LocalBuffer();
   event.tid = buffer.tid;
   if (buffer.depth > 0) --buffer.depth;
@@ -197,9 +199,15 @@ void AppendEventJson(std::string& out, const TraceEvent& e, bool chrome) {
   }
   out += buffer;
   if (e.arg_name != nullptr) {
-    std::snprintf(buffer, sizeof(buffer),
-                  ",\"args\":{\"%s\":%" PRId64 "}", e.arg_name, e.arg_value);
+    std::snprintf(buffer, sizeof(buffer), ",\"args\":{\"%s\":%" PRId64,
+                  e.arg_name, e.arg_value);
     out += buffer;
+    if (e.arg2_name != nullptr) {
+      std::snprintf(buffer, sizeof(buffer), ",\"%s\":%" PRId64, e.arg2_name,
+                    e.arg2_value);
+      out += buffer;
+    }
+    out += '}';
   }
   out += '}';
 }

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -21,8 +22,10 @@ struct TraceEvent {
   uint64_t duration_ns = 0;
   uint32_t tid = 0;          // tracer-assigned, dense from 0
   uint32_t depth = 0;        // nesting depth within the thread
-  const char* arg_name = nullptr;  // optional single integer argument
+  const char* arg_name = nullptr;  // optional integer arguments
   int64_t arg_value = 0;
+  const char* arg2_name = nullptr;
+  int64_t arg2_value = 0;
 };
 
 /// True when the process tracer is recording. One relaxed atomic load —
@@ -107,12 +110,19 @@ class Span {
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
-  /// Attaches one integer argument (e.g. a batch size). `name` must be a
-  /// string literal. No-op when tracing is off.
+  /// Attaches an integer argument (e.g. a batch size). A span holds two:
+  /// a name already set gets the new value, and any other name fills the
+  /// second slot. `name` must be a string literal. No-op when tracing is
+  /// off.
   void SetArg(const char* name, int64_t value) {
     if (!active_) return;
-    arg_name_ = name;
-    arg_value_ = value;
+    if (arg_name_ == nullptr || std::strcmp(arg_name_, name) == 0) {
+      arg_name_ = name;
+      arg_value_ = value;
+    } else {
+      arg2_name_ = name;
+      arg2_value_ = value;
+    }
   }
 
  private:
@@ -120,6 +130,8 @@ class Span {
   const char* name_ = nullptr;
   const char* arg_name_ = nullptr;
   int64_t arg_value_ = 0;
+  const char* arg2_name_ = nullptr;
+  int64_t arg2_value_ = 0;
   uint64_t start_ns_ = 0;
   uint32_t depth_ = 0;
   bool active_ = false;

@@ -68,7 +68,8 @@ StatusOr<CandidateIndex> LoadOrBuildShardIndex(
           ? ""
           : ShardSnapshotPath(snapshot_path, shard_index, shard_count);
   if (!path.empty()) {
-    StatusOr<CandidateIndex> loaded = LoadIndexSnapshot(path);
+    StatusOr<CandidateIndex> loaded =
+        LoadIndexSnapshot(path, config.num_threads);
     if (loaded.ok() &&
         ShardSnapshotMatches(loaded->data(), config,
                              FingerprintForIndex(auxiliary), range,
@@ -91,7 +92,8 @@ StatusOr<CandidateIndex> LoadOrBuildShardIndex(
   StatusOr<CandidateIndex> full = CandidateIndex::Build(auxiliary, config);
   if (!full.ok()) return full.status();
   StatusOr<CandidateIndex> shard = CandidateIndex::FromData(
-      SliceIndexData(full->data(), range, shard_index, shard_count));
+      SliceIndexData(full->data(), range, shard_index, shard_count),
+      config.num_threads);
   if (!shard.ok()) return shard.status();
   shard->set_simd_mode(config.simd);
   obs::GetIndexMetrics().snapshot_rebuilds->Increment();

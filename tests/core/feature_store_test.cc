@@ -3,18 +3,22 @@
 // BITWISE-identical to the golden per-pair CombinedStructuralScore — on
 // synthetic edge-case features (empty/odd/non-multiple-of-8 vector
 // lengths, mismatched hop lengths, all-zero norms, empty attribute lists,
-// non-integral weights) and on generated forums, across 1/4/8 threads.
+// non-integral weights), on the attribute walk's edge cases (zero weights,
+// query ids outside the block's, disjoint blocks and lanes, the
+// exact-integer boundary) and on generated forums, across 1/4/8 threads.
 
 #include "core/feature_store.h"
 
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/parallel.h"
 #include "core/similarity.h"
 #include "core/simd_dispatch.h"
 #include "datagen/forum_generator.h"
@@ -37,29 +41,38 @@ const SimdMode kAllModes[] = {SimdMode::kScalar, SimdMode::kAvx2,
 }
 
 /// Asserts ScoreRow reproduces the golden kernel bitwise for every SIMD
-/// tier.
+/// tier, with the store built and the rows scored on 1, 4 and 8 threads.
 void ExpectStoreMatchesGolden(const std::vector<UserFeatures>& queries,
                               const std::vector<UserFeatures>& candidates,
                               const SimilarityConfig& base_config) {
-  const FeatureStore store = FeatureStore::Build(candidates);
-  ASSERT_EQ(store.num_users(), static_cast<int>(candidates.size()));
-
-  for (size_t qi = 0; qi < queries.size(); ++qi) {
-    SCOPED_TRACE("query=" + std::to_string(qi));
-    std::vector<double> golden(candidates.size());
-    for (size_t v = 0; v < candidates.size(); ++v)
-      golden[v] =
+  const size_t n = candidates.size();
+  std::vector<double> golden(queries.size() * n);
+  for (size_t qi = 0; qi < queries.size(); ++qi)
+    for (size_t v = 0; v < n; ++v)
+      golden[qi * n + v] =
           CombinedStructuralScore(base_config, queries[qi], candidates[v]);
 
-    const ScoreQuery q = store.MakeQuery(queries[qi]);
+  for (const int threads : {1, 4, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const FeatureStore store = FeatureStore::Build(candidates, threads);
+    ASSERT_EQ(store.num_users(), static_cast<int>(n));
     for (const SimdMode mode : kAllModes) {
       SCOPED_TRACE(std::string("simd=") + SimdModeName(mode));
       SimilarityConfig config = base_config;
       config.simd = mode;
-      std::vector<double> row(candidates.size(), -1.0);
-      store.ScoreRow(config, q, row.data());
-      for (size_t v = 0; v < candidates.size(); ++v)
-        EXPECT_TRUE(BitsEqual(golden[v], row[v])) << "candidate " << v;
+      std::vector<double> rows(queries.size() * n, -1.0);
+      ParallelFor(
+          0, static_cast<int64_t>(queries.size()),
+          [&](int64_t qi) {
+            const auto q = static_cast<size_t>(qi);
+            store.ScoreRow(config, store.MakeQuery(queries[q]),
+                           rows.data() + q * n);
+          },
+          threads);
+      for (size_t qi = 0; qi < queries.size(); ++qi)
+        for (size_t v = 0; v < n; ++v)
+          EXPECT_TRUE(BitsEqual(golden[qi * n + v], rows[qi * n + v]))
+              << "query " << qi << ", candidate " << v;
     }
   }
 }
@@ -106,7 +119,7 @@ TEST(FeatureStoreTest, EdgeCaseShapesMatchGoldenBitwise) {
   candidates.push_back({2.0, 2.0, {1.0}, {1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 2.0},
                         {0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.25},
                         {{0, 1.0}, {7, 4.0}}});
-  // 6: non-integral (IDF-like) weights — forces the merge path store-wide.
+  // 6: non-integral (IDF-like) weights — the general walk store-wide.
   candidates.push_back(
       {4.0, 4.5, {2.0, 2.0}, {1.0, 3.0}, {0.5, 1.5},
        {{1, 0.69314718055994531}, {5, 2.3025850929940457}}});
@@ -161,6 +174,143 @@ TEST(FeatureStoreTest, CandidateCountsAroundBlockWidth) {
     queries.push_back({2.0, 3.0, {1.0, 2.0}, {1.0, 1.0, 2.0},
                        {0.25, 0.5, 0.25}, {{2, 1.0}, {12, 2.0}}});
     ExpectStoreMatchesGolden(queries, candidates, SimilarityConfig{});
+  }
+}
+
+/// A user with no graph features and the given attribute list.
+UserFeatures WithAttributes(std::vector<std::pair<int, double>> attributes) {
+  UserFeatures u;
+  u.degree = 1.0;
+  u.weighted_degree = 1.0;
+  u.hop = {1.0};
+  u.weighted_hop = {1.0};
+  u.attributes = std::move(attributes);
+  return u;
+}
+
+TEST(FeatureStoreTest, AttributeWalkEdgeCasesMatchGoldenBitwise) {
+  // Two 8-lane blocks and a 3-lane remainder. Ids run from 40 to 1200 so
+  // that query ids fall below and above every stored id.
+  for (const bool integral : {true, false}) {
+    SCOPED_TRACE(integral ? "exact-integer walk" : "general walk");
+    // IDF-like weights take the general (`block | query`) walk; integer
+    // weights the exact (`block & query`) one.
+    const auto w = [&](double base) {
+      return integral ? base : base * 0.6931471805599453;
+    };
+    std::vector<UserFeatures> candidates;
+    // Block 0: lanes whose ids do not overlap, none shared with query 1;
+    // lane 2 holds an id whose weight is exactly +0.0 (an attribute every
+    // auxiliary user has scales by IDF log(1) = 0).
+    for (int lane = 0; lane < 8; ++lane) {
+      std::vector<std::pair<int, double>> attributes;
+      for (int k = 0; k < 3; ++k)
+        attributes.emplace_back(40 + 10 * lane + k, w(1.0 + lane + k));
+      if (lane == 2) attributes.emplace_back(130, 0.0);
+      candidates.push_back(WithAttributes(std::move(attributes)));
+    }
+    // Block 1: overlapping lanes around the shared ids 500..507, one empty
+    // lane, and a lane with a +0.0 weight on an id the query also holds.
+    for (int lane = 0; lane < 8; ++lane) {
+      std::vector<std::pair<int, double>> attributes;
+      if (lane == 3) {
+        candidates.push_back(WithAttributes({}));
+        continue;
+      }
+      for (int k = lane; k < 8; ++k)
+        attributes.emplace_back(500 + k, w(2.0 + k));
+      if (lane == 5) attributes.emplace_back(900, 0.0);
+      attributes.emplace_back(1200, w(3.0));
+      candidates.push_back(WithAttributes(std::move(attributes)));
+    }
+    // Remainder block: one id each.
+    for (int lane = 0; lane < 3; ++lane)
+      candidates.push_back(WithAttributes({{600 + lane, w(1.0)}}));
+
+    std::vector<UserFeatures> queries;
+    // Ids below and above every stored id, plus shared ones.
+    queries.push_back(WithAttributes({{0, w(2.0)},
+                                      {3, w(1.0)},
+                                      {41, w(1.0)},
+                                      {503, w(4.0)},
+                                      {900, w(2.0)},
+                                      {1200, w(3.0)},
+                                      {1500, w(5.0)},
+                                      {1757, w(1.0)}}));
+    // Shares no id with block 0 (or with any stored user).
+    queries.push_back(WithAttributes({{1, w(1.0)}, {1700, w(2.0)}}));
+    // Only zero weights: the weighted union is 0 against some lanes.
+    queries.push_back(WithAttributes({{130, 0.0}, {900, 0.0}}));
+    // No attributes at all.
+    queries.push_back(WithAttributes({}));
+
+    const FeatureStore store = FeatureStore::Build(candidates);
+    EXPECT_EQ(store.attrs_exact(), integral);
+    ExpectStoreMatchesGolden(queries, candidates, SimilarityConfig{});
+  }
+}
+
+TEST(FeatureStoreTest, ExactIntegerBoundaryPicksTheWalkAndStaysBitwise) {
+  constexpr double k2p26 = 67108864.0;
+  const std::vector<UserFeatures> at_bound = {
+      WithAttributes({{5, k2p26}, {9, 1.0}}), WithAttributes({{9, 3.0}})};
+  // 2^26 is still an exact-integer weight: the `&` walk and the union from
+  // the totals.
+  {
+    const FeatureStore store = FeatureStore::Build(at_bound);
+    EXPECT_TRUE(store.attrs_exact());
+    const UserFeatures query = WithAttributes({{5, k2p26}, {9, 2.0}});
+    EXPECT_TRUE(store.MakeQuery(query).attrs_exact);
+    ExpectStoreMatchesGolden({query}, at_bound, SimilarityConfig{});
+  }
+  // One past it — in the store or in the query — moves to the `|` walk, as
+  // does an integer weight whose list total would pass 2^52.
+  for (const double big : {k2p26 + 1.0, 4503599627370498.0}) {
+    SCOPED_TRACE("weight=" + std::to_string(big));
+    const std::vector<UserFeatures> past = {
+        WithAttributes({{5, big}, {9, 1.0}}), WithAttributes({{9, 3.0}})};
+    const FeatureStore store = FeatureStore::Build(past);
+    EXPECT_FALSE(store.attrs_exact());
+    const UserFeatures query = WithAttributes({{5, 2.0}, {9, 2.0}});
+    ExpectStoreMatchesGolden({query}, past, SimilarityConfig{});
+
+    const FeatureStore exact_store = FeatureStore::Build(at_bound);
+    const UserFeatures big_query = WithAttributes({{5, big}, {9, 2.0}});
+    EXPECT_FALSE(exact_store.MakeQuery(big_query).attrs_exact);
+    ExpectStoreMatchesGolden({big_query}, at_bound, SimilarityConfig{});
+  }
+  // A store holding one non-integer weight sends an integer query to the
+  // `|` walk too: here the union taken from the totals would round
+  // differently from the merge's ordered sum.
+  {
+    const std::vector<UserFeatures> irrational = {WithAttributes(
+        {{1, 0.3}, {3, 2.302585092994046}, {6, 0.7}, {7, 0.1}})};
+    const FeatureStore store = FeatureStore::Build(irrational);
+    const UserFeatures query = WithAttributes({{3, 2.0}});
+    EXPECT_FALSE(store.MakeQuery(query).attrs_exact);
+    ExpectStoreMatchesGolden({query}, irrational, SimilarityConfig{});
+  }
+}
+
+TEST(FeatureStoreTest, CheckWalkableAttributesRejectsEachDefect) {
+  EXPECT_TRUE(CheckWalkableAttributes({}, "t").ok());
+  EXPECT_TRUE(
+      CheckWalkableAttributes({{0, 0.0}, {1757, 2.5}}, "t").ok());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<std::vector<std::pair<int, double>>> bad = {
+      {{3, 1.0}, {3, 2.0}},  // duplicate id
+      {{4, 1.0}, {3, 2.0}},  // descending
+      {{-1, 1.0}},           // below the id space
+      {{1758, 1.0}},         // past it
+      {{3, -1.0}},           // negative
+      {{3, nan}},
+      {{3, inf}},
+      {{3, -0.0}},
+  };
+  for (size_t i = 0; i < bad.size(); ++i) {
+    const Status status = CheckWalkableAttributes(bad[i], "t");
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << "case " << i;
   }
 }
 

@@ -6,6 +6,7 @@
 #include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -344,6 +345,83 @@ TEST(IndexLoadOrBuildTest, RecoversFromInjectedLoadFaults) {
   FaultInjector::Global().Reset();
   ASSERT_FALSE(failed.ok());
   EXPECT_EQ(failed.status().code(), StatusCode::kInternal);
+}
+
+TEST(IndexLoadOrBuildTest, QuarantinesAndRebuildsDataTheKernelCannotScore) {
+  // Well-framed snapshots whose data the score kernel's attribute walk
+  // cannot reproduce bitwise (DESIGN.md "Score kernel"): each decodes to
+  // InvalidArgument, and load-or-rebuild quarantines it and rebuilds.
+  const Scenario s = MakeScenario(24, 11);
+  const ScopedTempDir tmp;
+  const std::string file = tmp.File("dehealth_index_unwalkable.dhix");
+  SimilarityConfig sim;
+  sim.idf_weight_attributes = true;
+  auto built = LoadOrBuildIndex(file, s.auxiliary, sim);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  auto clean = ReadFileToString(file);
+  ASSERT_TRUE(clean.ok());
+  const CandidateIndexData& good = built->data();
+  ASSERT_GE(good.users[0].attributes.size(), 2u);
+  ASSERT_GE(good.idf.weights.size(), 2u);
+
+  using Defect = void (*)(CandidateIndexData*);
+  const struct {
+    const char* what;
+    Defect apply;
+  } defects[] = {
+      {"duplicate attribute id",
+       [](CandidateIndexData* d) {
+         auto& a = d->users[0].attributes;
+         a[1].first = a[0].first;
+       }},
+      {"negative attribute id",
+       [](CandidateIndexData* d) { d->users[0].attributes[0].first = -1; }},
+      {"attribute id past the feature space",
+       [](CandidateIndexData* d) {
+         d->users[0].attributes.back().first = 1758;
+       }},
+      {"negative weight",
+       [](CandidateIndexData* d) { d->users[0].attributes[0].second = -1.0; }},
+      {"NaN weight",
+       [](CandidateIndexData* d) {
+         d->users[0].attributes[0].second =
+             std::numeric_limits<double>::quiet_NaN();
+       }},
+      {"infinite weight",
+       [](CandidateIndexData* d) {
+         d->users[0].attributes[0].second =
+             std::numeric_limits<double>::infinity();
+       }},
+      {"-0.0 weight",
+       [](CandidateIndexData* d) { d->users[0].attributes[0].second = -0.0; }},
+      {"idf ids not strictly ascending",
+       [](CandidateIndexData* d) {
+         auto& w = d->idf.weights;
+         w[1].first = w[0].first;
+         w[1].second = w[0].second + 1.0;  // still sorted as pairs
+       }},
+  };
+  for (const auto& defect : defects) {
+    SCOPED_TRACE(defect.what);
+    CandidateIndexData data = good;
+    defect.apply(&data);
+    const std::string bytes = EncodeIndexSnapshot(data);
+    auto decoded = DecodeIndexSnapshot(bytes);
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument)
+        << decoded.status().ToString();
+
+    ASSERT_TRUE(WriteStringToFile(bytes, file).ok());
+    auto recovered = LoadOrBuildIndex(file, s.auxiliary, sim);
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    EXPECT_EQ(recovered->num_auxiliary(), s.auxiliary.num_users());
+    auto quarantined = ReadFileToString(file + ".quarantined");
+    ASSERT_TRUE(quarantined.ok()) << quarantined.status().ToString();
+    EXPECT_EQ(*quarantined, bytes);
+    auto rebuilt = ReadFileToString(file);
+    ASSERT_TRUE(rebuilt.ok());
+    EXPECT_EQ(*rebuilt, *clean);
+  }
 }
 
 TEST(IndexLoadOrBuildTest, UnwritablePathSurfacesError) {

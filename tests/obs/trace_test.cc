@@ -112,6 +112,26 @@ TEST(FormatTraceTest, JsonlOneObjectPerLine) {
             "\"dur_us\":2.000,\"tid\":3,\"depth\":1}\n");
 }
 
+TEST_F(TraceTest, SpanHoldsTwoArguments) {
+  Tracer::Global().StartForTest();
+  {
+    Span span("cat", "pack");
+    span.SetArg("users", 8);
+    span.SetArg("rows", 3);
+    span.SetArg("users", 9);  // a name already set keeps its slot
+  }
+  const std::vector<TraceEvent> events = Tracer::Global().DrainForTest();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_STREQ(events[0].arg_name, "users");
+  EXPECT_EQ(events[0].arg_value, 9);
+  EXPECT_STREQ(events[0].arg2_name, "rows");
+  EXPECT_EQ(events[0].arg2_value, 3);
+  const std::string line = FormatTrace(events, /*chrome=*/false);
+  const std::string args = ",\"args\":{\"users\":9,\"rows\":3}}\n";
+  ASSERT_GE(line.size(), args.size());
+  EXPECT_EQ(line.substr(line.size() - args.size()), args);
+}
+
 TEST(FormatTraceTest, ChromeTraceEventDocument) {
   TraceEvent e;
   e.category = "cat";
