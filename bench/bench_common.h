@@ -13,9 +13,9 @@ namespace dehealth::bench {
 
 /// Prints the process-global metrics registry (non-zero metrics only) to
 /// stderr at exit, so every bench binary reports the instrumentation
-/// snapshot it ran under — e.g. the exact-evaluation count behind a
-/// BENCH_index.json number. Safe at exit: Registry::Global() is a leaked
-/// singleton that outlives static destructors.
+/// snapshot it ran under — e.g. the exact-evaluation count behind a Top-K
+/// table. Safe at exit: Registry::Global() is a leaked singleton that
+/// outlives static destructors.
 inline void PrintMetricsSnapshot() {
   const std::string summary = obs::Registry::Global().RenderNonZeroSummary();
   if (summary.empty()) return;

@@ -29,6 +29,7 @@
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/flag_catalog.h"
@@ -122,7 +123,9 @@ int CmdDump(QueryClient& client, const std::string& out_path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
+  // The command word comes first: "--port N stats" would otherwise fail
+  // as "requires --port".
+  if (argc < 2 || std::string_view(argv[1]).starts_with("--")) {
     std::fprintf(stderr,
                  "usage: dehealth_query "
                  "<topk|refined|filtered|stats|metrics|dump|load-segment|"

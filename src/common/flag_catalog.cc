@@ -156,7 +156,7 @@ Status RejectUnknownFlags(const FlagParser& flags) {
                      [&name](const FlagDoc& doc) { return name == doc.name; }))
       return Status::InvalidArgument("unknown flag --" + name +
                                      " (see docs/OPERATIONS.md)");
-  return Status::OK();
+  return flags.status();
 }
 
 std::set<std::string> AttackBooleanFlags() {

@@ -34,9 +34,11 @@ struct FlagDoc {
 const std::vector<FlagDoc>& FlagCatalog();
 
 /// InvalidArgument ("unknown flag --name ...") for the first `--name` on
-/// the command line that FlagCatalog() does not list. All five binaries
-/// call it before reading their flags, so a misspelled or retired flag
-/// exits 1 instead of silently doing nothing.
+/// the command line that FlagCatalog() does not list; otherwise
+/// flags.status(), the parser's own verdict on a malformed command line.
+/// All five binaries call it before reading their flags, so a misspelled
+/// or retired flag, a missing value or a stray token exits 1 instead of
+/// silently doing nothing.
 Status RejectUnknownFlags(const FlagParser& flags);
 
 /// The value-less flags of the catalog, what dehealth_cli, dehealth_serve

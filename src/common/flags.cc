@@ -1,23 +1,46 @@
 #include "common/flags.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <climits>
 #include <cstdlib>
+#include <utility>
 
 namespace dehealth {
 
+namespace {
+
+bool IsFlag(const std::string& token) { return token.rfind("--", 0) == 0; }
+
+}  // namespace
+
 FlagParser::FlagParser(int argc, char** argv, int first,
                        std::set<std::string> boolean_flags) {
+  // The first error is the one reported; the rest may be its fallout.
+  auto fail = [this](std::string message) {
+    if (status_.ok()) status_ = Status::InvalidArgument(std::move(message));
+  };
   for (int i = first; i < argc; ++i) {
     const std::string token = argv[i];
-    if (token.rfind("--", 0) != 0) continue;
+    if (!IsFlag(token)) {
+      fail("unexpected argument '" + token + "'");
+      continue;
+    }
     const std::string name = token.substr(2);
+    if (std::find(names_.begin(), names_.end(), name) != names_.end())
+      fail(token + " given twice");
     names_.push_back(name);
     if (boolean_flags.count(name) > 0) {  // boolean: no value
       flags_.insert(name);
       continue;
     }
-    if (i + 1 < argc) values_[name] = argv[++i];
+    if (i + 1 == argc || IsFlag(argv[i + 1])) {
+      fail(token + " expects a value");
+      continue;
+    }
+    const std::string value = argv[++i];
+    if (value.empty()) fail(token + " expects a value");
+    values_[name] = value;
   }
 }
 

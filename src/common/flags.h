@@ -10,15 +10,23 @@
 
 namespace dehealth {
 
-/// Minimal "--flag value" command-line parser shared by the CLI binaries
-/// (dehealth_cli, dehealth_serve, dehealth_query); flags may appear in any
-/// order. Numeric lookups parse strictly: trailing garbage, overflow, or an
-/// empty value fail with InvalidArgument instead of silently becoming 0
-/// (atoi-style). Flags listed in `boolean_flags` take no value ("--idf").
+/// Minimal "--flag value" command-line parser shared by the five binaries;
+/// flags may appear in any order. Flags listed in `boolean_flags` take no
+/// value ("--idf"). The parser fails closed: a flag whose value is missing,
+/// empty or another "--flag", a flag given twice, and a token that is
+/// neither a flag nor a flag's value make status() an InvalidArgument.
+/// Numeric lookups parse strictly: trailing garbage or overflow fail with
+/// InvalidArgument instead of silently becoming 0 (atoi-style).
 class FlagParser {
  public:
+  /// Parses argv[first..argc).
   FlagParser(int argc, char** argv, int first,
              std::set<std::string> boolean_flags = {});
+
+  /// OK, or the first malformed flag or token on the command line:
+  /// "--seed expects a value", "unexpected argument '5'" or
+  /// "--k given twice". RejectUnknownFlags returns it.
+  const Status& status() const { return status_; }
 
   /// Value of "--key", or `fallback` when absent.
   std::string Get(const std::string& key,
@@ -41,6 +49,7 @@ class FlagParser {
   std::map<std::string, std::string> values_;
   std::set<std::string> flags_;
   std::vector<std::string> names_;
+  Status status_;
 };
 
 }  // namespace dehealth

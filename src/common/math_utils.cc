@@ -107,19 +107,9 @@ void Histogram::Add(double value) {
   ++total_;
 }
 
-double Histogram::BinCenter(size_t bin) const {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + width * (static_cast<double>(bin) + 0.5);
-}
-
 double Histogram::Fraction(size_t bin) const {
   if (total_ == 0) return 0.0;
   return static_cast<double>(counts_[bin]) / static_cast<double>(total_);
-}
-
-double LogBinomial(int n, int k) {
-  assert(n >= 0 && k >= 0 && k <= n);
-  return std::lgamma(n + 1.0) - std::lgamma(k + 1.0) - std::lgamma(n - k + 1.0);
 }
 
 double Clamp(double x, double lo, double hi) {

@@ -57,8 +57,6 @@ class Histogram {
   size_t bin_count() const { return counts_.size(); }
   size_t count(size_t bin) const { return counts_[bin]; }
   size_t total() const { return total_; }
-  /// Center of bucket `bin`.
-  double BinCenter(size_t bin) const;
   /// Fraction of all observations in bucket `bin` (0 if empty histogram).
   double Fraction(size_t bin) const;
 
@@ -68,9 +66,6 @@ class Histogram {
   std::vector<size_t> counts_;
   size_t total_ = 0;
 };
-
-/// Natural-log binomial coefficient ln(C(n, k)) via lgamma.
-double LogBinomial(int n, int k);
 
 /// Clamps x into [lo, hi].
 double Clamp(double x, double lo, double hi);

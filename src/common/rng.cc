@@ -102,36 +102,6 @@ double Rng::NextGaussian(double mean, double stddev) {
   return mean + stddev * NextGaussian();
 }
 
-int Rng::NextPoisson(double mean) {
-  assert(mean > 0.0);
-  if (mean > 64.0) {
-    // Normal approximation with continuity correction.
-    double x = std::round(NextGaussian(mean, std::sqrt(mean)));
-    return x < 0.0 ? 0 : static_cast<int>(x);
-  }
-  const double limit = std::exp(-mean);
-  double prod = NextDouble();
-  int count = 0;
-  while (prod > limit) {
-    prod *= NextDouble();
-    ++count;
-  }
-  return count;
-}
-
-int Rng::NextZipf(int n, double s) {
-  assert(n >= 1 && s > 0.0);
-  double total = 0.0;
-  for (int i = 1; i <= n; ++i) total += std::pow(i, -s);
-  double target = NextDouble() * total;
-  double acc = 0.0;
-  for (int i = 1; i <= n; ++i) {
-    acc += std::pow(i, -s);
-    if (acc >= target) return i;
-  }
-  return n;
-}
-
 size_t Rng::NextCategorical(const std::vector<double>& weights) {
   assert(!weights.empty());
   double total = 0.0;

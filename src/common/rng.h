@@ -50,16 +50,6 @@ class Rng {
   /// Normal with given mean and standard deviation (stddev >= 0).
   double NextGaussian(double mean, double stddev);
 
-  /// Poisson-distributed count with the given mean (> 0). Uses Knuth's
-  /// product method for small means and normal approximation above 64.
-  int NextPoisson(double mean);
-
-  /// Zipf-distributed rank in [1, n] with exponent `s` > 0, via inverse-CDF
-  /// over precomputed weights would be O(n); this uses rejection-free
-  /// cumulative search on demand and is intended for n up to ~1e6.
-  /// Prefer `ZipfSampler` for repeated draws.
-  int NextZipf(int n, double s);
-
   /// Draws an index in [0, weights.size()) with probability proportional to
   /// weights[i]. All weights must be >= 0 and sum to > 0.
   size_t NextCategorical(const std::vector<double>& weights);

@@ -26,39 +26,11 @@ std::string ToLowerAscii(std::string_view s) {
   return out;
 }
 
-bool IsAlphaAscii(std::string_view s) {
-  if (s.empty()) return false;
-  for (char c : s)
-    if (!std::isalpha(static_cast<unsigned char>(c))) return false;
-  return true;
-}
-
-bool IsDigitAscii(std::string_view s) {
-  if (s.empty()) return false;
-  for (char c : s)
-    if (!std::isdigit(static_cast<unsigned char>(c))) return false;
-  return true;
-}
-
 std::string_view TrimAscii(std::string_view s) {
   size_t b = 0, e = s.size();
   while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
   while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
   return s.substr(b, e - b);
-}
-
-std::string JoinStrings(const std::vector<std::string>& pieces,
-                        std::string_view sep) {
-  std::string out;
-  for (size_t i = 0; i < pieces.size(); ++i) {
-    if (i > 0) out += sep;
-    out += pieces[i];
-  }
-  return out;
-}
-
-bool StartsWith(std::string_view s, std::string_view prefix) {
-  return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
 }
 
 std::string StrFormat(const char* fmt, ...) {

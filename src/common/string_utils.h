@@ -28,22 +28,11 @@ inline char LowerAsciiChar(char c) {
   return IsAsciiUpper(c) ? static_cast<char>(c - 'A' + 'a') : c;
 }
 
-/// True if every character is an ASCII letter (and s non-empty).
-bool IsAlphaAscii(std::string_view s);
-
-/// True if every character is an ASCII digit (and s non-empty).
-bool IsDigitAscii(std::string_view s);
-
 /// Removes leading/trailing ASCII whitespace.
 std::string_view TrimAscii(std::string_view s);
 
-/// Joins pieces with a separator.
-std::string JoinStrings(const std::vector<std::string>& pieces,
-                        std::string_view sep);
-
-/// True if `s` starts with `prefix` / ends with `suffix`. EndsWith is
-/// inline: the POS tagger's suffix rules call it for every word.
-bool StartsWith(std::string_view s, std::string_view prefix);
+/// True if `s` ends with `suffix`. Inline: the POS tagger's suffix rules
+/// call it for every word.
 inline bool EndsWith(std::string_view s, std::string_view suffix) {
   return s.size() >= suffix.size() &&
          s.substr(s.size() - suffix.size()) == suffix;

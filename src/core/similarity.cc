@@ -15,50 +15,6 @@ namespace dehealth {
 
 namespace {
 
-// Shared merge-join over (id, weight) lists sorted by id. Templated on the
-// weight type so the int overload runs the identical expression tree over
-// doubles (each weight cast at use) without materializing converted copies
-// — the old int overload heap-allocated two vectors per call, which
-// dominated scoring cost for high-attribute users.
-template <typename W1, typename W2>
-double FlattenedAttributeSimilarityImpl(
-    const std::vector<std::pair<int, W1>>& a,
-    const std::vector<std::pair<int, W2>>& b) {
-  if (a.empty() && b.empty()) return 0.0;
-  size_t set_intersection = 0;
-  double weight_intersection = 0.0, weight_union = 0.0;
-  size_t i = 0, j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i].first < b[j].first) {
-      weight_union += static_cast<double>(a[i].second);
-      ++i;
-    } else if (b[j].first < a[i].first) {
-      weight_union += static_cast<double>(b[j].second);
-      ++j;
-    } else {
-      ++set_intersection;
-      weight_intersection += std::min(static_cast<double>(a[i].second),
-                                      static_cast<double>(b[j].second));
-      weight_union += std::max(static_cast<double>(a[i].second),
-                               static_cast<double>(b[j].second));
-      ++i;
-      ++j;
-    }
-  }
-  for (; i < a.size(); ++i)
-    weight_union += static_cast<double>(a[i].second);
-  for (; j < b.size(); ++j)
-    weight_union += static_cast<double>(b[j].second);
-
-  const size_t set_union = a.size() + b.size() - set_intersection;
-  double sim = 0.0;
-  if (set_union > 0)
-    sim += static_cast<double>(set_intersection) /
-           static_cast<double>(set_union);
-  if (weight_union > 0) sim += weight_intersection / weight_union;
-  return sim;
-}
-
 /// `table` by attribute id: one dense vector per call instead of a binary
 /// search per attribute. Ids past the table's largest (and every id it
 /// lacks) read default_weight, which is what the table means for them.
@@ -77,13 +33,35 @@ std::vector<double> IdfById(const IdfTable& table) {
 double FlattenedAttributeSimilarity(
     const std::vector<std::pair<int, double>>& a,
     const std::vector<std::pair<int, double>>& b) {
-  return FlattenedAttributeSimilarityImpl(a, b);
-}
+  if (a.empty() && b.empty()) return 0.0;
+  size_t set_intersection = 0;
+  double weight_intersection = 0.0, weight_union = 0.0;
+  size_t i = 0, j = 0;
+  while (i < a.size() && j < b.size()) {
+    if (a[i].first < b[j].first) {
+      weight_union += a[i].second;
+      ++i;
+    } else if (b[j].first < a[i].first) {
+      weight_union += b[j].second;
+      ++j;
+    } else {
+      ++set_intersection;
+      weight_intersection += std::min(a[i].second, b[j].second);
+      weight_union += std::max(a[i].second, b[j].second);
+      ++i;
+      ++j;
+    }
+  }
+  for (; i < a.size(); ++i) weight_union += a[i].second;
+  for (; j < b.size(); ++j) weight_union += b[j].second;
 
-double FlattenedAttributeSimilarity(
-    const std::vector<std::pair<int, int>>& a,
-    const std::vector<std::pair<int, int>>& b) {
-  return FlattenedAttributeSimilarityImpl(a, b);
+  const size_t set_union = a.size() + b.size() - set_intersection;
+  double sim = 0.0;
+  if (set_union > 0)
+    sim += static_cast<double>(set_intersection) /
+           static_cast<double>(set_union);
+  if (weight_union > 0) sim += weight_intersection / weight_union;
+  return sim;
 }
 
 IdfTable ComputeIdfTable(const UdaGraph& auxiliary) {
@@ -158,27 +136,6 @@ StructuralSimilarity::StructuralSimilarity(const UdaGraph& anonymized,
                                   config_.num_threads, scale);
   users_[1] = ComputeUserFeatures(auxiliary, config_.num_landmarks,
                                   config_.num_threads, scale);
-}
-
-double StructuralSimilarity::DegreeSimilarity(NodeId u, NodeId v) const {
-  const UserFeatures& a = users_[0][static_cast<size_t>(u)];
-  const UserFeatures& b = users_[1][static_cast<size_t>(v)];
-  return MinMaxRatio(a.degree, b.degree) +
-         MinMaxRatio(a.weighted_degree, b.weighted_degree) +
-         CosineSimilarity(a.ncs, b.ncs);
-}
-
-double StructuralSimilarity::DistanceSimilarity(NodeId u, NodeId v) const {
-  const UserFeatures& a = users_[0][static_cast<size_t>(u)];
-  const UserFeatures& b = users_[1][static_cast<size_t>(v)];
-  return CosineSimilarity(a.hop, b.hop) +
-         CosineSimilarity(a.weighted_hop, b.weighted_hop);
-}
-
-double StructuralSimilarity::AttrSimilarity(NodeId u, NodeId v) const {
-  return FlattenedAttributeSimilarity(
-      users_[0][static_cast<size_t>(u)].attributes,
-      users_[1][static_cast<size_t>(v)].attributes);
 }
 
 double CombinedStructuralScore(const SimilarityConfig& config,

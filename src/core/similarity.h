@@ -85,25 +85,21 @@ double CombinedStructuralScore(const SimilarityConfig& config,
 
 /// Precomputes every anonymized and auxiliary user's features (landmark
 /// proximity vectors, NCS vectors, attribute lists) and scores pairs of
-/// them. The three components are exposed separately (the theory benches
-/// and the ablation bench sweep them independently).
+/// them. One component alone is Combined() under a config that weights
+/// the other two 0: for finite x >= 0, 0·x is +0, so the sum is bitwise
+/// that component.
 class StructuralSimilarity {
  public:
   /// Copies what it needs: the graphs may be discarded afterwards.
   StructuralSimilarity(const UdaGraph& anonymized, const UdaGraph& auxiliary,
                        SimilarityConfig config = {});
 
-  /// s^d: min/max degree ratio + min/max weighted-degree ratio +
-  /// cos(D_u, D_v). Range [0, 3].
-  double DegreeSimilarity(NodeId u, NodeId v) const;
-
-  /// s^s: cos(H_u(S1), H_v(S2)) + cos(WH_u(S1), WH_v(S2)). Range [0, 2].
-  double DistanceSimilarity(NodeId u, NodeId v) const;
-
-  /// s^a: Jaccard + weighted Jaccard over attribute sets. Range [0, 2].
-  double AttrSimilarity(NodeId u, NodeId v) const;
-
-  /// c1·s^d + c2·s^s + c3·s^a.
+  /// c1·s^d + c2·s^s + c3·s^a, where
+  ///  - s^d = min/max degree ratio + min/max weighted-degree ratio +
+  ///    cos(D_u, D_v), range [0, 3];
+  ///  - s^s = cos(H_u(S1), H_v(S2)) + cos(WH_u(S1), WH_v(S2)), range [0, 2];
+  ///  - s^a = FlattenedAttributeSimilarity of the attribute lists,
+  ///    range [0, 2].
   double Combined(NodeId u, NodeId v) const;
 
   /// Full similarity matrix: result[u][v] = Combined(u, v). O(n1·n2) —
@@ -123,15 +119,12 @@ class StructuralSimilarity {
   std::vector<UserFeatures> users_[2];
 };
 
-/// Standalone weighted-Jaccard attribute similarity over flattened
-/// attribute lists (sorted by id). Exposed for testing.
-double FlattenedAttributeSimilarity(
-    const std::vector<std::pair<int, int>>& a,
-    const std::vector<std::pair<int, int>>& b);
-
-/// Real-weighted variant (used internally when IDF scaling is on):
-/// set Jaccard over the ids plus min/max weighted Jaccard over the
-/// (already scaled) weights.
+/// The paper's attribute similarity s^a over two (id, weight) lists
+/// sorted by id:
+///   |A(u) ∩ A(v)| / |A(u) ∪ A(v)| + Σ min(l_u, l_v) / Σ max(l_u, l_v),
+/// set Jaccard over the ids plus min/max weighted Jaccard over the weights
+/// (post counts, IDF-scaled when IDF is on). Range [0, 2]; two empty
+/// lists score 0. CombinedStructuralScore's s^a term.
 double FlattenedAttributeSimilarity(
     const std::vector<std::pair<int, double>>& a,
     const std::vector<std::pair<int, double>>& b);

@@ -54,14 +54,4 @@ GraphSummary SummarizeGraph(const CorrelationGraph& graph) {
   return s;
 }
 
-std::vector<int> DegreeHistogram(const CorrelationGraph& graph) {
-  int max_degree = 0;
-  for (NodeId u = 0; u < graph.num_nodes(); ++u)
-    max_degree = std::max(max_degree, graph.Degree(u));
-  std::vector<int> hist(static_cast<size_t>(max_degree) + 1, 0);
-  for (NodeId u = 0; u < graph.num_nodes(); ++u)
-    ++hist[static_cast<size_t>(graph.Degree(u))];
-  return hist;
-}
-
 }  // namespace dehealth

@@ -31,10 +31,6 @@ GraphSummary SummarizeGraph(const CorrelationGraph& graph);
 /// neighbor pairs. 0 for degree < 2.
 double LocalClusteringCoefficient(const CorrelationGraph& graph, NodeId u);
 
-/// Degree histogram: result[d] = number of nodes with degree d
-/// (length max_degree + 1; a single zero entry for an empty graph).
-std::vector<int> DegreeHistogram(const CorrelationGraph& graph);
-
 }  // namespace dehealth
 
 #endif  // DEHEALTH_GRAPH_GRAPH_STATS_H_

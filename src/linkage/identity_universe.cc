@@ -5,19 +5,6 @@
 
 namespace dehealth {
 
-const char* ServiceName(Service s) {
-  switch (s) {
-    case Service::kHealthForum: return "HealthForum";
-    case Service::kOtherHealthForum: return "OtherHealthForum";
-    case Service::kSocialA: return "SocialA";
-    case Service::kSocialB: return "SocialB";
-    case Service::kSocialC: return "SocialC";
-    case Service::kDirectory: return "Directory";
-    case Service::kServiceCount: break;
-  }
-  return "?";
-}
-
 namespace {
 
 constexpr const char* kFirstNames[] = {

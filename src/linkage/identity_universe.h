@@ -25,7 +25,6 @@ enum class Service {
 };
 
 inline constexpr int kNumServices = static_cast<int>(Service::kServiceCount);
-const char* ServiceName(Service s);
 
 /// What an account's avatar depicts — the AvatarLink pre-filter excludes
 /// everything but kHumanSelf (the paper's four exclusion conditions).

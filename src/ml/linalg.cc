@@ -8,18 +8,6 @@ namespace dehealth {
 Matrix::Matrix(size_t rows, size_t cols, double fill)
     : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
 
-std::vector<double> Matrix::MatVec(const std::vector<double>& v) const {
-  assert(v.size() == cols_);
-  std::vector<double> out(rows_, 0.0);
-  for (size_t r = 0; r < rows_; ++r) {
-    double acc = 0.0;
-    const double* row = &data_[r * cols_];
-    for (size_t c = 0; c < cols_; ++c) acc += row[c] * v[c];
-    out[r] = acc;
-  }
-  return out;
-}
-
 std::vector<double> Matrix::TransposeMatVec(
     const std::vector<double>& v) const {
   assert(v.size() == rows_);

@@ -22,9 +22,6 @@ class Matrix {
   double& At(size_t r, size_t c) { return data_[r * cols_ + c]; }
   double At(size_t r, size_t c) const { return data_[r * cols_ + c]; }
 
-  /// this * v ; v.size() must equal cols().
-  std::vector<double> MatVec(const std::vector<double>& v) const;
-
   /// this^T * v ; v.size() must equal rows().
   std::vector<double> TransposeMatVec(const std::vector<double>& v) const;
 

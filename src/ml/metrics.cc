@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <cstddef>
-#include <utility>
 
 namespace dehealth {
 
@@ -14,15 +13,6 @@ double Accuracy(const std::vector<int>& predicted,
   for (size_t i = 0; i < predicted.size(); ++i)
     if (predicted[i] == expected[i]) ++correct;
   return static_cast<double>(correct) / static_cast<double>(predicted.size());
-}
-
-std::map<std::pair<int, int>, int> ConfusionMatrix(
-    const std::vector<int>& predicted, const std::vector<int>& expected) {
-  assert(predicted.size() == expected.size());
-  std::map<std::pair<int, int>, int> confusion;
-  for (size_t i = 0; i < predicted.size(); ++i)
-    ++confusion[{expected[i], predicted[i]}];
-  return confusion;
 }
 
 double OpenWorldCounts::Accuracy() const {

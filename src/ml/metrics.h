@@ -2,8 +2,6 @@
 #define DEHEALTH_ML_METRICS_H_
 
 #include <cstddef>
-#include <map>
-#include <utility>
 #include <vector>
 
 namespace dehealth {
@@ -12,10 +10,6 @@ namespace dehealth {
 /// Vectors must have equal length; 0 for empty input.
 double Accuracy(const std::vector<int>& predicted,
                 const std::vector<int>& expected);
-
-/// Confusion counts keyed by (expected, predicted).
-std::map<std::pair<int, int>, int> ConfusionMatrix(
-    const std::vector<int>& predicted, const std::vector<int>& expected);
 
 /// Open-world DA accounting, following Section V-B of the paper.
 /// `kNotPresent` encodes the paper's ⊥ ("the user does not appear in the

@@ -147,13 +147,6 @@ double BinarySvm::Decision(const std::vector<double>& x) const {
   return acc;
 }
 
-int BinarySvm::NumSupportVectors() const {
-  int count = 0;
-  for (double a : alpha_)
-    if (a > 0.0) ++count;
-  return count;
-}
-
 SmoSvmClassifier::SmoSvmClassifier(SvmConfig config) : config_(config) {}
 
 Status SmoSvmClassifier::Fit(const Dataset& data) {

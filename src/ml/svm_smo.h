@@ -51,9 +51,6 @@ class BinarySvm {
     return Decision(x) >= 0.0 ? 1 : -1;
   }
 
-  /// Number of support vectors (alphas > 0 after training).
-  int NumSupportVectors() const;
-
   const SvmConfig& config() const { return config_; }
 
  private:

@@ -120,24 +120,6 @@ std::string LabelSample(const std::string& line, const std::string& value) {
 
 }  // namespace
 
-StatusOr<std::vector<BackendAddress>> ParseBackendList(
-    const std::string& spec) {
-  std::vector<BackendAddress> backends;
-  size_t pos = 0;
-  while (pos <= spec.size()) {
-    size_t comma = spec.find(',', pos);
-    if (comma == std::string::npos) comma = spec.size();
-    const std::string entry = spec.substr(pos, comma - pos);
-    pos = comma + 1;
-    StatusOr<BackendAddress> address = ParseHostPort(entry, spec);
-    if (!address.ok()) return address.status();
-    backends.push_back(std::move(address).value());
-  }
-  if (backends.empty())
-    return Status::InvalidArgument("--backends: no backends listed");
-  return backends;
-}
-
 StatusOr<std::vector<std::vector<BackendAddress>>> ParseBackendGroups(
     const std::string& spec) {
   std::vector<std::vector<BackendAddress>> groups;

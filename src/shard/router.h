@@ -22,12 +22,6 @@ struct BackendAddress {
   int port = 0;
 };
 
-/// Parses a comma-separated "host:port,host:port,..." list (what
-/// dehealth_router's --backends flag carried before replica groups). A
-/// bare "host" is rejected — every backend needs an explicit port.
-StatusOr<std::vector<BackendAddress>> ParseBackendList(
-    const std::string& spec);
-
 /// Parses a replicated fleet spec: ',' separates shard groups, '|'
 /// separates replicas within a group —
 ///   "a:1|b:1,c:1|d:1"  = 2 shards, 2 replicas each

@@ -133,11 +133,4 @@ void SparseVector::AddVector(const SparseVector& other) {
   entries_.assign(merged.begin(), merged.end());
 }
 
-std::vector<double> SparseVector::ToDense(int dims) const {
-  std::vector<double> dense(static_cast<size_t>(dims), 0.0);
-  for (const auto& [id, v] : entries_)
-    if (id >= 0 && id < dims) dense[static_cast<size_t>(id)] = v;
-  return dense;
-}
-
 }  // namespace dehealth

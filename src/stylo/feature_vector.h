@@ -54,9 +54,6 @@ class SparseVector {
   /// of `other`, done in one merge of the two id lists.
   void AddVector(const SparseVector& other);
 
-  /// Densifies into a length-`dims` vector (ids >= dims are dropped).
-  std::vector<double> ToDense(int dims) const;
-
   bool operator==(const SparseVector& other) const = default;
 
  private:

@@ -43,14 +43,6 @@ class UserProfile {
   SparseVector sum_features_;
 };
 
-/// The paper's attribute similarity
-///   s^a_{uv} = |A(u) ∩ A(v)| / |A(u) ∪ A(v)|
-///            + |WA(u) ∩ WA(v)| / |WA(u) ∪ WA(v)|,
-/// i.e. plain Jaccard over attribute sets plus weighted Jaccard over
-/// (attribute, weight) multisets with min/max semantics. Range [0, 2].
-/// Two empty profiles score 0.
-double AttributeSimilarity(const UserProfile& u, const UserProfile& v);
-
 }  // namespace dehealth
 
 #endif  // DEHEALTH_STYLO_USER_PROFILE_H_

@@ -121,6 +121,15 @@ run_cli(1 attack --anonymized "${WORK_DIR}/anon.jsonl"
 if(NOT RUN_ERR MATCHES "unknown flag")
   message(FATAL_ERROR "retired --max-candidates error unclear: ${RUN_ERR}")
 endif()
+# A malformed command line fails closed: a flag with no value used to read
+# as its default.
+run_cli(1 generate --users 50 --out "${WORK_DIR}/g.jsonl" --seed)
+if(NOT RUN_ERR MATCHES "--seed expects a value")
+  message(FATAL_ERROR "missing flag value error unclear: ${RUN_ERR}")
+endif()
+if(EXISTS "${WORK_DIR}/g.jsonl")
+  message(FATAL_ERROR "a malformed generate still wrote its output")
+endif()
 # In-process sharding is retired: splitting the universe is the fleet's
 # job (--shard-count behind the router).
 run_cli(1 attack --anonymized "${WORK_DIR}/anon.jsonl"

@@ -23,6 +23,7 @@ TEST(FlagParserTest, ReadsStringValuesInAnyOrder) {
   EXPECT_EQ(flags.Get("out"), "a.csv");
   EXPECT_EQ(flags.Get("host"), "::1");
   EXPECT_EQ(flags.Get("missing", "fallback"), "fallback");
+  EXPECT_TRUE(flags.status().ok()) << flags.status().ToString();
 }
 
 TEST(FlagParserTest, FirstIndexSkipsSubcommandWords) {
@@ -82,6 +83,62 @@ TEST(FlagParserTest, UnknownFlagsAreRejected) {
         << st.ToString();
   }
   EXPECT_FALSE(RejectUnknownFlags(Parse({"--k", "5", "--bogus"})).ok());
+}
+
+/// RejectUnknownFlags' verdict on `argv` (parsed from index 2, with the
+/// catalog's boolean flags) must be InvalidArgument containing `message`.
+void ExpectMalformed(std::vector<const char*> argv,
+                     const std::string& message) {
+  const FlagParser flags = Parse(argv, 2, AttackBooleanFlags());
+  EXPECT_EQ(flags.status().code(), StatusCode::kInvalidArgument) << message;
+  EXPECT_NE(flags.status().message().find(message), std::string::npos)
+      << flags.status().ToString();
+  const Status st = RejectUnknownFlags(flags);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << message;
+  EXPECT_NE(st.message().find(message), std::string::npos) << st.ToString();
+}
+
+TEST(FlagParserTest, MalformedCommandLinesFailClosed) {
+  // A trailing flag with no value used to read as its default.
+  ExpectMalformed({"prog", "generate", "--users", "50", "--out", "g.jsonl",
+                   "--seed"},
+                  "--seed expects a value");
+  // A flag as another flag's value used to become it (a file named
+  // "--seed"), dropping the 5.
+  ExpectMalformed({"prog", "generate", "--users", "50", "--out", "--seed",
+                   "5"},
+                  "--out expects a value");
+  ExpectMalformed({"prog", "attack", "--out", "--idf"},
+                  "--out expects a value");
+  // An empty value used to read as the default.
+  ExpectMalformed({"prog", "attack", "--k", ""}, "--k expects a value");
+  // A repeated flag used to keep its last value.
+  ExpectMalformed({"prog", "attack", "--k", "5", "--k", "7"},
+                  "--k given twice");
+  ExpectMalformed({"prog", "attack", "--idf", "--k", "5", "--idf"},
+                  "--idf given twice");
+  // A token that is neither a flag nor a flag's value used to be skipped.
+  ExpectMalformed({"prog", "generate", "--users", "50", "5"},
+                  "unexpected argument '5'");
+  ExpectMalformed({"prog", "attack", "--idf", "10"},
+                  "unexpected argument '10'");
+}
+
+TEST(FlagParserTest, FirstMalformedTokenIsReported) {
+  ExpectMalformed({"prog", "attack", "stray", "--k", "5", "--k", "7"},
+                  "unexpected argument 'stray'");
+  ExpectMalformed({"prog", "attack", "--k", "5", "--k", "7", "stray"},
+                  "--k given twice");
+}
+
+TEST(FlagParserTest, UnknownFlagIsReportedBeforeMalformedOnes) {
+  // "--bogus" is both unknown and missing its value: naming it unknown
+  // says more.
+  const Status st = RejectUnknownFlags(
+      Parse({"prog", "attack", "--k", "5", "--k", "6", "--bogus"}, 2));
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(st.message().find("unknown flag --bogus"), std::string::npos)
+      << st.ToString();
 }
 
 }  // namespace

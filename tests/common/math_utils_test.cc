@@ -149,14 +149,6 @@ TEST(HistogramTest, BinningAndClamping) {
   EXPECT_EQ(h.count(2), 1u);
   EXPECT_EQ(h.count(4), 2u);
   EXPECT_NEAR(h.Fraction(0), 0.4, 1e-12);
-  EXPECT_NEAR(h.BinCenter(0), 1.0, 1e-12);
-  EXPECT_NEAR(h.BinCenter(4), 9.0, 1e-12);
-}
-
-TEST(LogBinomialTest, KnownValues) {
-  EXPECT_NEAR(LogBinomial(5, 2), std::log(10.0), 1e-9);
-  EXPECT_NEAR(LogBinomial(10, 0), 0.0, 1e-9);
-  EXPECT_NEAR(LogBinomial(10, 10), 0.0, 1e-9);
 }
 
 TEST(ClampTest, Basics) {

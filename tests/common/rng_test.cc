@@ -105,34 +105,6 @@ TEST(RngTest, GaussianShifted) {
   EXPECT_NEAR(sum / n, 5.0, 0.1);
 }
 
-TEST(RngTest, PoissonMeanSmall) {
-  Rng rng(23);
-  const int n = 20000;
-  long long total = 0;
-  for (int i = 0; i < n; ++i) total += rng.NextPoisson(3.5);
-  EXPECT_NEAR(static_cast<double>(total) / n, 3.5, 0.1);
-}
-
-TEST(RngTest, PoissonMeanLargeUsesNormalApprox) {
-  Rng rng(29);
-  const int n = 5000;
-  long long total = 0;
-  for (int i = 0; i < n; ++i) {
-    int v = rng.NextPoisson(100.0);
-    EXPECT_GE(v, 0);
-    total += v;
-  }
-  EXPECT_NEAR(static_cast<double>(total) / n, 100.0, 1.5);
-}
-
-TEST(RngTest, ZipfRankOneMostFrequent) {
-  Rng rng(31);
-  std::vector<int> counts(11, 0);
-  for (int i = 0; i < 20000; ++i) ++counts[rng.NextZipf(10, 1.2)];
-  EXPECT_EQ(counts[0], 0);  // ranks start at 1
-  for (int k = 2; k <= 10; ++k) EXPECT_GT(counts[1], counts[k]);
-}
-
 TEST(RngTest, CategoricalRespectsWeights) {
   Rng rng(37);
   std::vector<double> weights = {1.0, 0.0, 3.0};

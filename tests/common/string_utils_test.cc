@@ -32,18 +32,6 @@ TEST(ToLowerAsciiTest, MixedCase) {
   EXPECT_EQ(ToLowerAscii("WebMD Rocks 123"), "webmd rocks 123");
 }
 
-TEST(IsAlphaAsciiTest, Cases) {
-  EXPECT_TRUE(IsAlphaAscii("hello"));
-  EXPECT_FALSE(IsAlphaAscii("hello1"));
-  EXPECT_FALSE(IsAlphaAscii(""));
-}
-
-TEST(IsDigitAsciiTest, Cases) {
-  EXPECT_TRUE(IsDigitAscii("123"));
-  EXPECT_FALSE(IsDigitAscii("12a"));
-  EXPECT_FALSE(IsDigitAscii(""));
-}
-
 TEST(TrimAsciiTest, Cases) {
   EXPECT_EQ(TrimAscii("  hi  "), "hi");
   EXPECT_EQ(TrimAscii("hi"), "hi");
@@ -51,15 +39,7 @@ TEST(TrimAsciiTest, Cases) {
   EXPECT_EQ(TrimAscii("\n\thi\r\n"), "hi");
 }
 
-TEST(JoinStringsTest, Cases) {
-  EXPECT_EQ(JoinStrings({"a", "b", "c"}, ", "), "a, b, c");
-  EXPECT_EQ(JoinStrings({}, ","), "");
-  EXPECT_EQ(JoinStrings({"solo"}, ","), "solo");
-}
-
 TEST(StartsEndsWithTest, Cases) {
-  EXPECT_TRUE(StartsWith("function_word", "function"));
-  EXPECT_FALSE(StartsWith("fn", "function"));
   EXPECT_TRUE(EndsWith("running", "ing"));
   EXPECT_FALSE(EndsWith("g", "ing"));
 }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "stylo/user_profile.h"
+
 namespace dehealth {
 namespace {
 
@@ -30,42 +32,88 @@ UdaGraph MakeUda(int n,
   return uda;
 }
 
+using AttributeList = std::vector<std::pair<int, double>>;
+
 TEST(FlattenedAttributeSimilarityTest, MatchesUserProfileVersion) {
-  const std::vector<std::pair<int, int>> empty;
+  const AttributeList empty;
   EXPECT_EQ(FlattenedAttributeSimilarity(empty, empty), 0.0);
   // Identical: 1 + 1.
-  std::vector<std::pair<int, int>> a = {{1, 2}, {3, 1}};
+  const AttributeList a = {{1, 2}, {3, 1}};
   EXPECT_NEAR(FlattenedAttributeSimilarity(a, a), 2.0, 1e-12);
   // Disjoint: 0.
-  std::vector<std::pair<int, int>> b = {{5, 1}};
+  const AttributeList b = {{5, 1}};
   EXPECT_EQ(FlattenedAttributeSimilarity(a, b), 0.0);
-  // Partial: set 1/3, weights min(2,1)=1 over union 2+1+1=4... compute:
-  // a={1:2, 3:1}, c={1:1, 7:1}: set 1/3; weighted 1/(2+1+1)=0.25.
-  std::vector<std::pair<int, int>> c = {{1, 1}, {7, 1}};
+  // a={1:2, 3:1}, c={1:1, 7:1}: set 1/3; weighted min 1 over max 2+1+1.
+  const AttributeList c = {{1, 1}, {7, 1}};
   EXPECT_NEAR(FlattenedAttributeSimilarity(a, c), 1.0 / 3.0 + 0.25, 1e-12);
 }
 
-TEST(FlattenedAttributeSimilarityTest, IntOverloadBitwiseMatchesDouble) {
-  // The int overload used to convert both lists into freshly allocated
-  // double vectors per call; it now runs the shared merge directly. Assert
-  // it is still bitwise-identical to converting up front and calling the
-  // double overload — with weights whose min/max and accumulation order
-  // exercise every branch of the merge.
-  const std::vector<std::pair<int, int>> ia = {
-      {0, 3}, {2, 7}, {5, 1}, {9, 11}, {14, 2}};
-  const std::vector<std::pair<int, int>> ib = {
-      {1, 4}, {2, 5}, {7, 6}, {9, 13}, {20, 1}};
-  const std::vector<std::pair<int, double>> da(ia.begin(), ia.end());
-  const std::vector<std::pair<int, double>> db(ib.begin(), ib.end());
-  EXPECT_EQ(FlattenedAttributeSimilarity(ia, ib),
-            FlattenedAttributeSimilarity(da, db));
-  EXPECT_EQ(FlattenedAttributeSimilarity(ib, ia),
-            FlattenedAttributeSimilarity(db, da));
-  // One-sided and empty shapes too.
-  const std::vector<std::pair<int, int>> iempty;
-  const std::vector<std::pair<int, double>> dempty;
-  EXPECT_EQ(FlattenedAttributeSimilarity(ia, iempty),
-            FlattenedAttributeSimilarity(da, dempty));
+/// `profile`'s attribute list as ComputeUserFeatures builds it without
+/// IDF: (id, number of the user's posts having the feature), by id.
+AttributeList Attributes(const UserProfile& profile) {
+  return AttributeList(profile.attributes().begin(),
+                       profile.attributes().end());
+}
+
+double ProfileSimilarity(const UserProfile& a, const UserProfile& b) {
+  return FlattenedAttributeSimilarity(Attributes(a), Attributes(b));
+}
+
+TEST(AttributeSimilarityTest, EmptyProfilesScoreZero) {
+  UserProfile a, b;
+  EXPECT_EQ(ProfileSimilarity(a, b), 0.0);
+}
+
+TEST(AttributeSimilarityTest, IdenticalProfilesScoreTwo) {
+  UserProfile a, b;
+  a.AddPost(Vec({{1, 1.0}, {2, 1.0}}));
+  b.AddPost(Vec({{1, 1.0}, {2, 1.0}}));
+  // Jaccard 1 + weighted Jaccard 1.
+  EXPECT_NEAR(ProfileSimilarity(a, b), 2.0, 1e-12);
+}
+
+TEST(AttributeSimilarityTest, DisjointProfilesScoreZero) {
+  UserProfile a, b;
+  a.AddPost(Vec({{1, 1.0}}));
+  b.AddPost(Vec({{2, 1.0}}));
+  EXPECT_EQ(ProfileSimilarity(a, b), 0.0);
+}
+
+TEST(AttributeSimilarityTest, WeightedComponentUsesMinMax) {
+  UserProfile a, b;
+  // a has attribute 1 in 3 posts; b in 1 post.
+  a.AddPost(Vec({{1, 1.0}}));
+  a.AddPost(Vec({{1, 1.0}}));
+  a.AddPost(Vec({{1, 1.0}}));
+  b.AddPost(Vec({{1, 1.0}}));
+  // set Jaccard = 1; weighted = min(3,1)/max(3,1) = 1/3.
+  EXPECT_NEAR(ProfileSimilarity(a, b), 1.0 + 1.0 / 3.0, 1e-12);
+}
+
+TEST(AttributeSimilarityTest, Symmetric) {
+  UserProfile a, b;
+  a.AddPost(Vec({{1, 1.0}, {3, 1.0}}));
+  b.AddPost(Vec({{1, 1.0}, {2, 1.0}}));
+  b.AddPost(Vec({{2, 1.0}}));
+  EXPECT_EQ(ProfileSimilarity(a, b), ProfileSimilarity(b, a));
+}
+
+TEST(AttributeSimilarityTest, PartialOverlap) {
+  UserProfile a, b;
+  a.AddPost(Vec({{1, 1.0}, {2, 1.0}}));
+  b.AddPost(Vec({{2, 1.0}, {3, 1.0}}));
+  // set: |{2}| / |{1,2,3}| = 1/3; weights: min 1 / (1+1+1) = 1/3.
+  EXPECT_NEAR(ProfileSimilarity(a, b), 2.0 / 3.0, 1e-12);
+}
+
+/// Component weights (c1, c2, c3). With two of them 0, Combined() is
+/// bitwise the third component: for finite x >= 0, 0·x is +0.
+SimilarityConfig Weights(double c1, double c2, double c3) {
+  SimilarityConfig config;
+  config.c1 = c1;
+  config.c2 = c2;
+  config.c3 = c3;
+  return config;
 }
 
 class StructuralSimilarityTest : public ::testing::Test {
@@ -85,10 +133,10 @@ class StructuralSimilarityTest : public ::testing::Test {
 };
 
 TEST_F(StructuralSimilarityTest, DegreeSimilarityRange) {
-  StructuralSimilarity sim(anon_, aux_, {});
+  StructuralSimilarity sim(anon_, aux_, Weights(1.0, 0.0, 0.0));
   for (int u = 0; u < 2; ++u)
     for (int v = 0; v < 3; ++v) {
-      const double s = sim.DegreeSimilarity(u, v);
+      const double s = sim.Combined(u, v);
       EXPECT_GE(s, 0.0);
       EXPECT_LE(s, 3.0);
     }
@@ -97,31 +145,30 @@ TEST_F(StructuralSimilarityTest, DegreeSimilarityRange) {
 TEST_F(StructuralSimilarityTest, IdenticalDegreeProfilesScoreHigh) {
   // anon user 0 (degree 1, weight 2) vs aux user 0 (degree 1, weight 2 on
   // edge to 1): ratios 1, 1, cosine 1 => 3.
-  StructuralSimilarity sim(anon_, aux_, {});
-  EXPECT_NEAR(sim.DegreeSimilarity(0, 0), 3.0, 1e-9);
+  StructuralSimilarity sim(anon_, aux_, Weights(1.0, 0.0, 0.0));
+  EXPECT_NEAR(sim.Combined(0, 0), 3.0, 1e-9);
 }
 
 TEST_F(StructuralSimilarityTest, AttributeSimilarityMatchesOverlap) {
-  StructuralSimilarity sim(anon_, aux_, {});
+  StructuralSimilarity sim(anon_, aux_, Weights(0.0, 0.0, 1.0));
   // anon 0 has attributes {1,2}; aux 0 has {1,2} -> 2.0; aux 2 has {9} -> 0.
-  EXPECT_NEAR(sim.AttrSimilarity(0, 0), 2.0, 1e-12);
-  EXPECT_EQ(sim.AttrSimilarity(0, 2), 0.0);
+  EXPECT_NEAR(sim.Combined(0, 0), 2.0, 1e-12);
+  EXPECT_EQ(sim.Combined(0, 2), 0.0);
 }
 
 TEST_F(StructuralSimilarityTest, CombinedUsesWeights) {
-  SimilarityConfig config;
-  config.c1 = 0.0;
-  config.c2 = 0.0;
-  config.c3 = 1.0;
+  const SimilarityConfig config;  // paper weights
   StructuralSimilarity sim(anon_, aux_, config);
-  EXPECT_NEAR(sim.Combined(0, 0), sim.AttrSimilarity(0, 0), 1e-12);
-
-  SimilarityConfig deg_only;
-  deg_only.c1 = 1.0;
-  deg_only.c2 = 0.0;
-  deg_only.c3 = 0.0;
-  StructuralSimilarity sim2(anon_, aux_, deg_only);
-  EXPECT_NEAR(sim2.Combined(0, 0), sim2.DegreeSimilarity(0, 0), 1e-12);
+  StructuralSimilarity degree(anon_, aux_, Weights(1.0, 0.0, 0.0));
+  StructuralSimilarity distance(anon_, aux_, Weights(0.0, 1.0, 0.0));
+  StructuralSimilarity attr(anon_, aux_, Weights(0.0, 0.0, 1.0));
+  for (int u = 0; u < 2; ++u)
+    for (int v = 0; v < 3; ++v)
+      EXPECT_NEAR(sim.Combined(u, v),
+                  config.c1 * degree.Combined(u, v) +
+                      config.c2 * distance.Combined(u, v) +
+                      config.c3 * attr.Combined(u, v),
+                  1e-12);
 }
 
 TEST_F(StructuralSimilarityTest, MatrixShapeAndConsistency) {
@@ -148,12 +195,12 @@ TEST_F(StructuralSimilarityTest, TrueMappingRanksFirst) {
 }
 
 TEST_F(StructuralSimilarityTest, DistanceSimilarityBounded) {
-  SimilarityConfig config;
+  SimilarityConfig config = Weights(0.0, 1.0, 0.0);
   config.num_landmarks = 2;
   StructuralSimilarity sim(anon_, aux_, config);
   for (int u = 0; u < 2; ++u)
     for (int v = 0; v < 3; ++v) {
-      const double s = sim.DistanceSimilarity(u, v);
+      const double s = sim.Combined(u, v);
       EXPECT_GE(s, 0.0);
       EXPECT_LE(s, 2.0);
     }

@@ -10,7 +10,6 @@ TEST(GraphStatsTest, EmptyGraph) {
   auto s = SummarizeGraph(g);
   EXPECT_EQ(s.num_nodes, 0);
   EXPECT_EQ(s.num_components, 0);
-  EXPECT_EQ(DegreeHistogram(g), std::vector<int>{0});
 }
 
 TEST(GraphStatsTest, TriangleIsFullyClustered) {
@@ -51,19 +50,6 @@ TEST(GraphStatsTest, WeightedDegreeMean) {
   g.AddInteraction(0, 1, 3.0);
   auto s = SummarizeGraph(g);
   EXPECT_NEAR(s.mean_weighted_degree, 3.0, 1e-12);  // each side sees 3
-}
-
-TEST(GraphStatsTest, DegreeHistogramCounts) {
-  CorrelationGraph g(5);
-  g.AddInteraction(0, 1);
-  g.AddInteraction(0, 2);
-  g.AddInteraction(0, 3);
-  auto hist = DegreeHistogram(g);
-  ASSERT_EQ(hist.size(), 4u);  // max degree 3
-  EXPECT_EQ(hist[0], 1);       // node 4
-  EXPECT_EQ(hist[1], 3);       // nodes 1, 2, 3
-  EXPECT_EQ(hist[2], 0);
-  EXPECT_EQ(hist[3], 1);  // node 0
 }
 
 TEST(GraphStatsTest, PartialClusteringValue) {

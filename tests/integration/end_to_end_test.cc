@@ -106,13 +106,18 @@ TEST(EndToEndTest, AttributeSimilarityGapSupportsTheoremOne) {
   ASSERT_TRUE(scenario.ok());
   const UdaGraph anon = BuildUdaGraph(scenario->anonymized);
   const UdaGraph aux = BuildUdaGraph(scenario->auxiliary);
-  const StructuralSimilarity sim(anon, aux, {});
+  // c1 = c2 = 0, c3 = 1: Combined() is exactly s^a.
+  SimilarityConfig attr_only;
+  attr_only.c1 = 0.0;
+  attr_only.c2 = 0.0;
+  attr_only.c3 = 1.0;
+  const StructuralSimilarity sim(anon, aux, attr_only);
 
   double true_sum = 0.0, wrong_sum = 0.0;
   int true_count = 0, wrong_count = 0;
   for (int u = 0; u < anon.num_users(); ++u) {
     for (int v = 0; v < aux.num_users(); ++v) {
-      const double s = sim.AttrSimilarity(u, v);
+      const double s = sim.Combined(u, v);
       if (scenario->truth[static_cast<size_t>(u)] == v) {
         true_sum += s;
         ++true_count;

@@ -121,10 +121,5 @@ TEST(BuildIdentityUniverseTest, Deterministic) {
     EXPECT_EQ(a->accounts[i].username, b->accounts[i].username);
 }
 
-TEST(ServiceNameTest, AllNamed) {
-  for (int s = 0; s < kNumServices; ++s)
-    EXPECT_STRNE(ServiceName(static_cast<Service>(s)), "?");
-}
-
 }  // namespace
 }  // namespace dehealth

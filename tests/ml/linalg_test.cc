@@ -16,18 +16,6 @@ TEST(MatrixTest, ConstructionAndAccess) {
   EXPECT_EQ(m.At(0, 1), 7.0);
 }
 
-TEST(MatrixTest, MatVec) {
-  Matrix m(2, 2);
-  m.At(0, 0) = 1.0;
-  m.At(0, 1) = 2.0;
-  m.At(1, 0) = 3.0;
-  m.At(1, 1) = 4.0;
-  auto y = m.MatVec({1.0, 1.0});
-  ASSERT_EQ(y.size(), 2u);
-  EXPECT_EQ(y[0], 3.0);
-  EXPECT_EQ(y[1], 7.0);
-}
-
 TEST(MatrixTest, TransposeMatVec) {
   Matrix m(2, 3);
   m.At(0, 0) = 1.0;

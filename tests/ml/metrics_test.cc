@@ -12,14 +12,6 @@ TEST(AccuracyTest, Basics) {
   EXPECT_EQ(Accuracy({0}, {1}), 0.0);
 }
 
-TEST(ConfusionMatrixTest, CountsPairs) {
-  auto m = ConfusionMatrix({1, 1, 0}, {1, 0, 0});
-  EXPECT_EQ((m[{1, 1}]), 1);
-  EXPECT_EQ((m[{0, 1}]), 1);
-  EXPECT_EQ((m[{0, 0}]), 1);
-  EXPECT_EQ(m.size(), 3u);
-}
-
 TEST(OpenWorldCountsTest, AccuracyAndFpRate) {
   OpenWorldCounts c;
   c.overlapping = 10;

@@ -180,6 +180,71 @@ TEST(DocsTest, EverySpanIsDocumented) {
         << " but no obs::Span in src/ records it";
 }
 
+/// Every `bench_*` target bench/CMakeLists.txt builds.
+std::set<std::string> BenchTargets() {
+  const std::string cmake = ReadDoc("bench/CMakeLists.txt");
+  std::set<std::string> targets;
+  for (const std::string call : {"dehealth_add_bench(", "add_executable("})
+    for (size_t at = cmake.find(call); at != std::string::npos;
+         at = cmake.find(call, at + 1)) {
+      const size_t begin = at + call.size();
+      const std::string name =
+          cmake.substr(begin, cmake.find_first_of(" )", begin) - begin);
+      if (name.rfind("bench_", 0) == 0) targets.insert(name);
+    }
+  return targets;
+}
+
+TEST(DocsTest, EveryBenchAndReportNamedInDocsExists) {
+  // The reader-facing docs may name only benches that bench/CMakeLists.txt
+  // builds and BENCH_*.json reports that are checked in. ROADMAP.md and
+  // CHANGES.md are history, and may name retired ones.
+  const std::set<std::string> targets = BenchTargets();
+  ASSERT_EQ(targets.count("bench_engines"), 1u);
+  const std::string root = DEHEALTH_SOURCE_DIR;
+  std::vector<std::string> docs = {"README.md", "EXPERIMENTS.md",
+                                   "DESIGN.md",
+                                   ".claude/skills/verify/SKILL.md"};
+  for (const auto& entry :
+       std::filesystem::directory_iterator(root + "/docs"))
+    if (entry.path().extension() == ".md")
+      docs.push_back("docs/" + entry.path().filename().string());
+  const std::string name_chars = "abcdefghijklmnopqrstuvwxyz0123456789_";
+  const std::string report_chars =
+      name_chars + "ABCDEFGHIJKLMNOPQRSTUVWXYZ";
+  const std::string path_chars = report_chars + "./-";
+  for (const std::string& doc_path : docs) {
+    const std::string doc = ReadDoc(doc_path);
+    // "bench/bench_x" (also inside "build/bench/bench_x") and "`bench_x`".
+    for (const std::string prefix : {"bench/bench_", "`bench_"})
+      for (size_t at = doc.find(prefix); at != std::string::npos;
+           at = doc.find(prefix, at + 1)) {
+        const size_t begin = at + prefix.size() - 6;  // at "bench_"
+        const size_t end =
+            doc.find_first_not_of(name_chars, at + prefix.size());
+        if (end == at + prefix.size()) continue;  // e.g. `bench_*`
+        if (prefix[0] == '`' && (end == std::string::npos || doc[end] != '`'))
+          continue;
+        const std::string bench = doc.substr(begin, end - begin);
+        EXPECT_EQ(targets.count(bench), 1u)
+            << doc_path << " names " << bench
+            << ", which bench/CMakeLists.txt does not build";
+      }
+    // "BENCH_x.json", with the directory in front of it.
+    for (size_t at = doc.find("BENCH_"); at != std::string::npos;
+         at = doc.find("BENCH_", at + 1)) {
+      const size_t end = doc.find_first_not_of(report_chars, at + 6);
+      if (end == at + 6 || end == std::string::npos ||
+          doc.compare(end, 5, ".json") != 0)
+        continue;
+      const size_t begin = doc.find_last_not_of(path_chars, at) + 1;
+      const std::string report = doc.substr(begin, end + 5 - begin);
+      EXPECT_TRUE(std::filesystem::exists(root + "/" + report))
+          << doc_path << " names " << report << ", which does not exist";
+    }
+  }
+}
+
 TEST(FlagCatalogTest, SortedAndUnique) {
   const std::vector<FlagDoc>& catalog = FlagCatalog();
   ASSERT_FALSE(catalog.empty());

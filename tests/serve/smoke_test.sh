@@ -77,6 +77,13 @@ grep -q "queries" "$WORK/stats.out" ||
 "$QUERY" topk --port "$PORT" --users 0,1,2 >/dev/null
 "$QUERY" refined --port "$PORT" --users 3 >/dev/null
 
+# --- the command word comes first: a leading flag prints usage ----------
+RC=0
+"$QUERY" --port "$PORT" metrics >/dev/null 2>"$WORK/order.err" || RC=$?
+[ "$RC" -eq 1 ] || fail "dehealth_query --port N metrics exited $RC (expected 1)"
+grep -q "usage: dehealth_query" "$WORK/order.err" ||
+  fail "dehealth_query --port N metrics printed no usage: $(cat "$WORK/order.err")"
+
 # --- SIGTERM must drain gracefully and exit 0 ---------------------------
 kill -TERM "$SERVER_PID"
 RC=0

@@ -162,23 +162,6 @@ UdaGraph* RouterTest::aux_ = nullptr;
 UdaGraph* RouterTest::other_anon_ = nullptr;
 UdaGraph* RouterTest::other_aux_ = nullptr;
 
-TEST_F(RouterTest, ParseBackendList) {
-  auto two = ParseBackendList("127.0.0.1:19001,localhost:19002");
-  ASSERT_TRUE(two.ok());
-  ASSERT_EQ(two->size(), 2u);
-  EXPECT_EQ((*two)[0].host, "127.0.0.1");
-  EXPECT_EQ((*two)[0].port, 19001);
-  EXPECT_EQ((*two)[1].host, "localhost");
-  EXPECT_EQ((*two)[1].port, 19002);
-  EXPECT_FALSE(ParseBackendList("").ok());
-  EXPECT_FALSE(ParseBackendList("hostonly").ok());
-  EXPECT_FALSE(ParseBackendList("host:").ok());
-  EXPECT_FALSE(ParseBackendList(":123").ok());
-  EXPECT_FALSE(ParseBackendList("host:abc").ok());
-  EXPECT_FALSE(ParseBackendList("host:70000").ok());
-  EXPECT_FALSE(ParseBackendList("a:1,,b:2").ok());
-}
-
 TEST_F(RouterTest, MergedAnswersBitwiseMatchUnshardedServer) {
   auto unsharded = QueryEngine::Create(*anon_, *aux_, SliceConfig(0, 1));
   ASSERT_TRUE(unsharded.ok()) << unsharded.status().ToString();
@@ -424,6 +407,14 @@ TEST_F(RouterTest, ParseBackendGroups) {
   EXPECT_EQ((*replicated)[0][1].port, 2);
   EXPECT_EQ((*replicated)[1][2].host, "e");
 
+  auto two = ParseBackendGroups("127.0.0.1:19001,localhost:19002");
+  ASSERT_TRUE(two.ok());
+  ASSERT_EQ(two->size(), 2u);
+  EXPECT_EQ((*two)[0][0].host, "127.0.0.1");
+  EXPECT_EQ((*two)[0][0].port, 19001);
+  EXPECT_EQ((*two)[1][0].host, "localhost");
+  EXPECT_EQ((*two)[1][0].port, 19002);
+
   // A PR 7 flat spec parses as unreplicated groups, unchanged.
   auto flat = ParseBackendGroups("a:1,b:2");
   ASSERT_TRUE(flat.ok());
@@ -437,6 +428,11 @@ TEST_F(RouterTest, ParseBackendGroups) {
   EXPECT_FALSE(ParseBackendGroups("a:1,,b:2").ok());   // empty group
   EXPECT_FALSE(ParseBackendGroups("a:1|b").ok());      // missing port
   EXPECT_FALSE(ParseBackendGroups("a:1|b:70000").ok());
+  EXPECT_FALSE(ParseBackendGroups("hostonly").ok());
+  EXPECT_FALSE(ParseBackendGroups("host:").ok());
+  EXPECT_FALSE(ParseBackendGroups(":123").ok());
+  EXPECT_FALSE(ParseBackendGroups("host:abc").ok());
+  EXPECT_FALSE(ParseBackendGroups("host:70000").ok());
 }
 
 TEST_F(RouterTest, ReplicatedAnswersByteIdenticalUnderEveryKillSchedule) {

@@ -106,16 +106,6 @@ TEST(SparseVectorTest, AddVectorMerges) {
   EXPECT_EQ(a.Get(4), 4.0);
 }
 
-TEST(SparseVectorTest, ToDense) {
-  SparseVector v;
-  v.Set(1, 1.5);
-  v.Set(10, 3.0);  // dropped: beyond dims
-  auto dense = v.ToDense(5);
-  ASSERT_EQ(dense.size(), 5u);
-  EXPECT_EQ(dense[1], 1.5);
-  EXPECT_EQ(dense[0], 0.0);
-}
-
 TEST(SparseVectorTest, Equality) {
   SparseVector a, b;
   a.Set(1, 1.0);

@@ -46,52 +46,5 @@ TEST(UserProfileTest, SumFeatures) {
   EXPECT_NEAR(p.SumFeatures().Get(7), 3.0, 1e-12);
 }
 
-TEST(AttributeSimilarityTest, EmptyProfilesScoreZero) {
-  UserProfile a, b;
-  EXPECT_EQ(AttributeSimilarity(a, b), 0.0);
-}
-
-TEST(AttributeSimilarityTest, IdenticalProfilesScoreTwo) {
-  UserProfile a, b;
-  a.AddPost(MakeVector({{1, 1.0}, {2, 1.0}}));
-  b.AddPost(MakeVector({{1, 1.0}, {2, 1.0}}));
-  // Jaccard 1 + weighted Jaccard 1.
-  EXPECT_NEAR(AttributeSimilarity(a, b), 2.0, 1e-12);
-}
-
-TEST(AttributeSimilarityTest, DisjointProfilesScoreZero) {
-  UserProfile a, b;
-  a.AddPost(MakeVector({{1, 1.0}}));
-  b.AddPost(MakeVector({{2, 1.0}}));
-  EXPECT_EQ(AttributeSimilarity(a, b), 0.0);
-}
-
-TEST(AttributeSimilarityTest, WeightedComponentUsesMinMax) {
-  UserProfile a, b;
-  // a has attribute 1 in 3 posts; b in 1 post.
-  a.AddPost(MakeVector({{1, 1.0}}));
-  a.AddPost(MakeVector({{1, 1.0}}));
-  a.AddPost(MakeVector({{1, 1.0}}));
-  b.AddPost(MakeVector({{1, 1.0}}));
-  // set Jaccard = 1; weighted = min(3,1)/max(3,1) = 1/3.
-  EXPECT_NEAR(AttributeSimilarity(a, b), 1.0 + 1.0 / 3.0, 1e-12);
-}
-
-TEST(AttributeSimilarityTest, Symmetric) {
-  UserProfile a, b;
-  a.AddPost(MakeVector({{1, 1.0}, {3, 1.0}}));
-  b.AddPost(MakeVector({{1, 1.0}, {2, 1.0}}));
-  b.AddPost(MakeVector({{2, 1.0}}));
-  EXPECT_NEAR(AttributeSimilarity(a, b), AttributeSimilarity(b, a), 1e-12);
-}
-
-TEST(AttributeSimilarityTest, PartialOverlap) {
-  UserProfile a, b;
-  a.AddPost(MakeVector({{1, 1.0}, {2, 1.0}}));
-  b.AddPost(MakeVector({{2, 1.0}, {3, 1.0}}));
-  // set: |{2}| / |{1,2,3}| = 1/3; weights: min 1 / (1+1+1) = 1/3.
-  EXPECT_NEAR(AttributeSimilarity(a, b), 2.0 / 3.0, 1e-12);
-}
-
 }  // namespace
 }  // namespace dehealth
