@@ -20,14 +20,11 @@ template <typename Transform>
 UdaGraph MaskUda(const UdaGraph& source, Transform&& transform) {
   UdaGraph masked;
   masked.graph = source.graph;
-  masked.profiles.resize(source.profiles.size());
   masked.post_features.resize(source.post_features.size());
   for (size_t u = 0; u < source.post_features.size(); ++u) {
-    for (const SparseVector& f : source.post_features[u]) {
-      SparseVector m = transform(f);
-      masked.profiles[u].AddPost(m);
-      masked.post_features[u].push_back(std::move(m));
-    }
+    for (const SparseVector& f : source.post_features[u])
+      masked.post_features[u].push_back(transform(f));
+    masked.attributes.push_back(CountAttributes(masked.post_features[u]));
   }
   return masked;
 }

@@ -7,10 +7,10 @@
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_common.h"
+#include "core/uda_graph.h"
 #include "datagen/forum_generator.h"
 #include "stylo/extractor.h"
 #include "stylo/feature_layout.h"
-#include "stylo/user_profile.h"
 
 namespace {
 
@@ -85,9 +85,8 @@ void BM_AttributeAggregation(benchmark::State& state) {
   for (size_t i = 0; i < 50 && i < forum->dataset.posts.size(); ++i)
     vectors.push_back(extractor.ExtractPost(forum->dataset.posts[i].text));
   for (auto _ : state) {
-    UserProfile profile;
-    for (const auto& v : vectors) profile.AddPost(v);
-    benchmark::DoNotOptimize(profile);
+    AttributeCounts attributes = CountAttributes(vectors);
+    benchmark::DoNotOptimize(attributes);
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(vectors.size()));

@@ -300,9 +300,6 @@ int CmdEvaluate(const Args& args) {
   if (!config.index_snapshot_path.empty())
     return Fail("evaluate builds every engine's scores afresh; "
                 "--index-path does not apply");
-  if (config.shard_count > 1)
-    return Fail("evaluate needs the full auxiliary universe; "
-                "--shard-count does not apply");
   if (!config.job_dir.empty())
     return Fail("evaluate is not checkpointable; --job-dir does not apply");
 
@@ -436,8 +433,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   const std::string command = argv[1];
-  const Args args(argc, argv, 2, AttackBooleanFlags());
-  if (Status st = RejectUnknownFlags(args); !st.ok())
+  const Args args(argc, argv, 2, BooleanFlags());
+  if (Status st = RejectUnknownFlags(args, "cli"); !st.ok())
     return Fail(st.ToString());
   // Deterministic fault injection (tests only): "<site>:<kind>:<hit>,..."
   // — see src/common/fault_injection.h for the grammar.

@@ -266,8 +266,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   const std::string command = argv[1];
-  const FlagParser flags(argc, argv, 2, AttackBooleanFlags());
-  if (Status st = RejectUnknownFlags(flags); !st.ok())
+  const FlagParser flags(argc, argv, 2, BooleanFlags());
+  if (Status st = RejectUnknownFlags(flags, "ingest"); !st.ok())
     return Fail(st.ToString());
 
   const std::string fault_spec = flags.Get("fault-spec");

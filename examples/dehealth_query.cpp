@@ -136,8 +136,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   const std::string command = argv[1];
-  const FlagParser flags(argc, argv, 2);
-  if (Status st = RejectUnknownFlags(flags); !st.ok())
+  const FlagParser flags(argc, argv, 2, BooleanFlags());
+  if (Status st = RejectUnknownFlags(flags, "query"); !st.ok())
     return Fail(st.ToString());
 
   auto port_or = flags.GetInt("port", 0);

@@ -66,8 +66,8 @@ int Fail(const std::string& message) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const FlagParser flags(argc, argv, 1, AttackBooleanFlags());
-  if (Status st = RejectUnknownFlags(flags); !st.ok())
+  const FlagParser flags(argc, argv, 1, BooleanFlags());
+  if (Status st = RejectUnknownFlags(flags, "router"); !st.ok())
     return Fail(st.ToString());
 
   const std::string backend_spec = flags.Get("backends");

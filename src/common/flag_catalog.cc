@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/string_utils.h"
+
 namespace dehealth {
 
 const std::vector<FlagDoc>& FlagCatalog() {
@@ -149,17 +151,38 @@ const std::vector<FlagDoc>& FlagCatalog() {
   return *catalog;
 }
 
-Status RejectUnknownFlags(const FlagParser& flags) {
+namespace {
+
+/// True when the first word of some comma-separated item of
+/// `doc.binaries` is `binary`: "cli attack, serve" applies to cli and serve.
+bool AppliesTo(const FlagDoc& doc, std::string_view binary) {
+  for (const std::string& item : SplitString(doc.binaries, ",")) {
+    const std::string_view words = TrimAscii(item);
+    if (words.substr(0, words.find(' ')) == binary) return true;
+  }
+  return false;
+}
+
+}  // namespace
+
+Status RejectUnknownFlags(const FlagParser& flags, std::string_view binary) {
   const std::vector<FlagDoc>& catalog = FlagCatalog();
-  for (const std::string& name : flags.names())
-    if (std::none_of(catalog.begin(), catalog.end(),
-                     [&name](const FlagDoc& doc) { return name == doc.name; }))
+  for (const std::string& name : flags.names()) {
+    const auto doc =
+        std::find_if(catalog.begin(), catalog.end(),
+                     [&name](const FlagDoc& doc) { return name == doc.name; });
+    if (doc == catalog.end())
       return Status::InvalidArgument("unknown flag --" + name +
                                      " (see docs/OPERATIONS.md)");
+    if (!AppliesTo(*doc, binary))
+      return Status::InvalidArgument(
+          "unknown flag --" + name + " for dehealth_" + std::string(binary) +
+          " (it applies to: " + doc->binaries + "; see docs/OPERATIONS.md)");
+  }
   return flags.status();
 }
 
-std::set<std::string> AttackBooleanFlags() {
+std::set<std::string> BooleanFlags() {
   std::set<std::string> flags;
   for (const FlagDoc& doc : FlagCatalog())
     if (doc.boolean) flags.insert(doc.name);

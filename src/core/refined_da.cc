@@ -4,6 +4,7 @@
 #include <cmath>
 #include <memory>
 #include <numeric>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -50,11 +51,8 @@ std::unique_ptr<Classifier> MakeLearner(const RefinedDaConfig& config) {
 class CompactIndex {
  public:
   void Collect(const SparseVector& v) {
-    for (const auto& [id, value] : v.entries()) {
-      if (index_.insert({id, static_cast<int>(index_.size())}).second) {
-        // inserted
-      }
-    }
+    for (const auto& [id, value] : v.entries())
+      index_.insert({id, static_cast<int>(index_.size())});
   }
 
   int dims() const { return static_cast<int>(index_.size()); }
@@ -81,8 +79,87 @@ void AppendStructural(const UdaGraph& side, NodeId user,
   dense[base + 0] = static_cast<double>(side.graph.Degree(user));
   dense[base + 1] = side.graph.WeightedDegree(user);
   dense[base + 2] = std::log(
-      1.0 + static_cast<double>(side.profiles[static_cast<size_t>(user)]
-                                    .num_posts()));
+      1.0 + static_cast<double>(
+                side.post_features[static_cast<size_t>(user)].size()));
+}
+
+/// A learner trained on the posts of a label set, with the compact index
+/// and the scaler its inputs go through.
+struct TrainedModel {
+  int extra_dims = 0;
+  CompactIndex index;
+  StandardScaler scaler;
+  /// Null when no label has a post to train on.
+  std::unique_ptr<Classifier> learner;
+};
+
+/// Trains `model` on every post of every user in `labels`, each labelled
+/// with that auxiliary id. The compact index covers the training posts,
+/// then the posts of `queries` in order, so every post Predict reads has
+/// its columns.
+Status Train(const UdaGraph& auxiliary, const std::vector<int>& labels,
+             std::span<const std::vector<SparseVector>> queries,
+             const RefinedDaConfig& config, TrainedModel& model) {
+  size_t num_samples = 0;
+  for (int v : labels)
+    num_samples += auxiliary.post_features[static_cast<size_t>(v)].size();
+  if (num_samples == 0) return Status();
+
+  for (int v : labels)
+    for (const SparseVector& f :
+         auxiliary.post_features[static_cast<size_t>(v)])
+      model.index.Collect(f);
+  for (const std::vector<SparseVector>& posts : queries)
+    for (const SparseVector& f : posts) model.index.Collect(f);
+
+  model.extra_dims =
+      config.include_structural_features ? kNumStructuralFeatures : 0;
+  Dataset train(static_cast<size_t>(model.index.dims() + model.extra_dims));
+  for (int v : labels)
+    for (const SparseVector& f :
+         auxiliary.post_features[static_cast<size_t>(v)]) {
+      std::vector<double> dense = model.index.Densify(f, model.extra_dims);
+      if (model.extra_dims > 0) AppendStructural(auxiliary, v, dense);
+      DEHEALTH_RETURN_IF_ERROR(train.Add({std::move(dense), v}));
+    }
+
+  DEHEALTH_RETURN_IF_ERROR(model.scaler.Fit(train));
+  const Dataset scaled = model.scaler.TransformDataset(train);
+  std::unique_ptr<Classifier> learner = MakeLearner(config);
+  if (learner == nullptr)
+    return Status::InvalidArgument("RunRefinedDa: unknown learner");
+  DEHEALTH_RETURN_IF_ERROR(learner->Fit(scaled));
+  model.learner = std::move(learner);
+  return Status();
+}
+
+/// The label u's posts point to: their decision scores summed, or their
+/// argmax votes counted under kMajorityVote, then the highest total (the
+/// first on ties). Reads the model only, so users predict in parallel.
+int Predict(const TrainedModel& model, const UdaGraph& anonymized, NodeId u,
+            RefinedDaConfig::PostAggregation aggregation) {
+  const std::vector<int>& classes = model.learner->classes();
+  std::vector<double> total_scores(classes.size(), 0.0);
+  for (const SparseVector& f :
+       anonymized.post_features[static_cast<size_t>(u)]) {
+    std::vector<double> dense = model.index.Densify(f, model.extra_dims);
+    if (model.extra_dims > 0) AppendStructural(anonymized, u, dense);
+    const std::vector<double> decision =
+        model.learner->DecisionScores(model.scaler.Transform(dense));
+    if (aggregation == RefinedDaConfig::PostAggregation::kMajorityVote) {
+      size_t argmax = 0;
+      for (size_t c = 1; c < decision.size(); ++c)
+        if (decision[c] > decision[argmax]) argmax = c;
+      total_scores[argmax] += 1.0;
+    } else {
+      for (size_t c = 0; c < decision.size(); ++c)
+        total_scores[c] += decision[c];
+    }
+  }
+  size_t best = 0;
+  for (size_t c = 1; c < total_scores.size(); ++c)
+    if (total_scores[c] > total_scores[best]) best = c;
+  return classes[best];
 }
 
 /// The mean-verification acceptance test (see the RefinedDaConfig docs):
@@ -133,8 +210,6 @@ Status RefineOneUser(const UdaGraph& anonymized, const UdaGraph& auxiliary,
                      const CandidateSource& scores,
                      const RefinedDaConfig& config, NodeId u,
                      UserOutcome& out) {
-  const int extra_dims =
-      config.include_structural_features ? kNumStructuralFeatures : 0;
   const auto& posts_u = anonymized.post_features[static_cast<size_t>(u)];
   if (posts_u.empty() || candidates[static_cast<size_t>(u)].empty())
     return Status();
@@ -159,72 +234,11 @@ Status RefineOneUser(const UdaGraph& anonymized, const UdaGraph& auxiliary,
     }
   }
 
-  // Assemble sparse training samples: one per auxiliary post, or one
-  // aggregated instance per candidate in user-level mode.
-  std::vector<std::pair<SparseVector, int>> train_sparse;
-  std::vector<SparseVector> query_sparse;
-  if (config.user_level_instances) {
-    for (int v : labels) {
-      const UserProfile& profile =
-          auxiliary.profiles[static_cast<size_t>(v)];
-      if (profile.num_posts() == 0) continue;
-      train_sparse.emplace_back(profile.MeanFeatures(), v);
-    }
-    query_sparse.push_back(
-        anonymized.profiles[static_cast<size_t>(u)].MeanFeatures());
-  } else {
-    for (int v : labels)
-      for (const SparseVector& f :
-           auxiliary.post_features[static_cast<size_t>(v)])
-        train_sparse.emplace_back(f, v);
-    query_sparse.assign(posts_u.begin(), posts_u.end());
-  }
-  if (train_sparse.empty()) return Status();
-
-  CompactIndex index;
-  for (const auto& [f, v] : train_sparse) index.Collect(f);
-  for (const SparseVector& f : query_sparse) index.Collect(f);
-
-  Dataset train(static_cast<size_t>(index.dims() + extra_dims));
-  for (const auto& [f, v] : train_sparse) {
-    std::vector<double> dense = index.Densify(f, extra_dims);
-    if (extra_dims > 0) AppendStructural(auxiliary, v, dense);
-    DEHEALTH_RETURN_IF_ERROR(train.Add({std::move(dense), v}));
-  }
-
-  StandardScaler scaler;
-  DEHEALTH_RETURN_IF_ERROR(scaler.Fit(train));
-  const Dataset scaled = scaler.TransformDataset(train);
-
-  std::unique_ptr<Classifier> learner = MakeLearner(config);
-  if (learner == nullptr)
-    return Status::InvalidArgument("RunRefinedDa: unknown learner");
-  DEHEALTH_RETURN_IF_ERROR(learner->Fit(scaled));
-
-  // Aggregate decision scores over the query vectors (u's posts, or
-  // the single user-level aggregate).
-  const std::vector<int>& classes = learner->classes();
-  std::vector<double> total_scores(classes.size(), 0.0);
-  for (const SparseVector& f : query_sparse) {
-    std::vector<double> dense = index.Densify(f, extra_dims);
-    if (extra_dims > 0) AppendStructural(anonymized, u, dense);
-    const std::vector<double> decision =
-        learner->DecisionScores(scaler.Transform(dense));
-    if (config.aggregation ==
-        RefinedDaConfig::PostAggregation::kMajorityVote) {
-      size_t argmax = 0;
-      for (size_t c = 1; c < decision.size(); ++c)
-        if (decision[c] > decision[argmax]) argmax = c;
-      total_scores[argmax] += 1.0;
-    } else {
-      for (size_t c = 0; c < decision.size(); ++c)
-        total_scores[c] += decision[c];
-    }
-  }
-  size_t best = 0;
-  for (size_t c = 1; c < total_scores.size(); ++c)
-    if (total_scores[c] > total_scores[best]) best = c;
-  const int predicted = classes[best];
+  TrainedModel model;
+  DEHEALTH_RETURN_IF_ERROR(
+      Train(auxiliary, labels, std::span(&posts_u, 1), config, model));
+  if (model.learner == nullptr) return Status();
+  const int predicted = Predict(model, anonymized, u, config.aggregation);
 
   // Verification.
   if (config.verification == VerificationScheme::kFalseAddition &&
@@ -346,89 +360,22 @@ StatusOr<RefinedDaResult> RunRefinedDaShared(const UdaGraph& anonymized,
   const std::vector<int>& labels = candidates.front();
   if (labels.empty()) return result;
 
-  const int extra_dims =
-      config.include_structural_features ? kNumStructuralFeatures : 0;
-
-  // Shared training samples (per post, or one aggregate per candidate in
-  // user-level mode) and per-user query vectors.
-  std::vector<std::pair<SparseVector, int>> train_sparse;
-  std::vector<std::vector<SparseVector>> queries(static_cast<size_t>(n1));
-  if (config.user_level_instances) {
-    for (int v : labels) {
-      const UserProfile& profile =
-          auxiliary.profiles[static_cast<size_t>(v)];
-      if (profile.num_posts() == 0) continue;
-      train_sparse.emplace_back(profile.MeanFeatures(), v);
-    }
-    for (NodeId u = 0; u < n1; ++u)
-      if (anonymized.profiles[static_cast<size_t>(u)].num_posts() > 0)
-        queries[static_cast<size_t>(u)].push_back(
-            anonymized.profiles[static_cast<size_t>(u)].MeanFeatures());
-  } else {
-    for (int v : labels)
-      for (const SparseVector& f :
-           auxiliary.post_features[static_cast<size_t>(v)])
-        train_sparse.emplace_back(f, v);
-    for (NodeId u = 0; u < n1; ++u)
-      queries[static_cast<size_t>(u)].assign(
-          anonymized.post_features[static_cast<size_t>(u)].begin(),
-          anonymized.post_features[static_cast<size_t>(u)].end());
-  }
-  if (train_sparse.empty()) return result;
-
-  CompactIndex index;
-  for (const auto& [f, v] : train_sparse) index.Collect(f);
-  for (const auto& user_queries : queries)
-    for (const SparseVector& f : user_queries) index.Collect(f);
-
-  Dataset train(static_cast<size_t>(index.dims() + extra_dims));
-  for (const auto& [f, v] : train_sparse) {
-    std::vector<double> dense = index.Densify(f, extra_dims);
-    if (extra_dims > 0) AppendStructural(auxiliary, v, dense);
-    DEHEALTH_RETURN_IF_ERROR(train.Add({std::move(dense), v}));
-  }
-
-  StandardScaler scaler;
-  DEHEALTH_RETURN_IF_ERROR(scaler.Fit(train));
-  const Dataset scaled = scaler.TransformDataset(train);
-  std::unique_ptr<Classifier> learner = MakeLearner(config);
-  if (learner == nullptr)
-    return Status::InvalidArgument("RunRefinedDaShared: unknown learner");
-  DEHEALTH_RETURN_IF_ERROR(learner->Fit(scaled));
+  TrainedModel model;
+  DEHEALTH_RETURN_IF_ERROR(
+      Train(auxiliary, labels, anonymized.post_features, config, model));
+  if (model.learner == nullptr) return result;
 
   // Classification of each anonymized user against the one shared learner
   // is read-only on the model, so the per-user loop parallelizes with
   // per-slot writes.
-  const std::vector<int>& classes = learner->classes();
   std::vector<UserOutcome> outcomes(static_cast<size_t>(n1));
   ParallelFor(
       0, n1,
       [&](int64_t ui) {
         const NodeId u = static_cast<NodeId>(ui);
-        const auto& user_queries = queries[static_cast<size_t>(u)];
-        if (user_queries.empty()) return;
-        std::vector<double> total_scores(classes.size(), 0.0);
-        for (const SparseVector& f : user_queries) {
-          std::vector<double> dense = index.Densify(f, extra_dims);
-          if (extra_dims > 0) AppendStructural(anonymized, u, dense);
-          const std::vector<double> decision =
-              learner->DecisionScores(scaler.Transform(dense));
-          if (config.aggregation ==
-              RefinedDaConfig::PostAggregation::kMajorityVote) {
-            size_t argmax = 0;
-            for (size_t c = 1; c < decision.size(); ++c)
-              if (decision[c] > decision[argmax]) argmax = c;
-            total_scores[argmax] += 1.0;
-          } else {
-            for (size_t c = 0; c < decision.size(); ++c)
-              total_scores[c] += decision[c];
-          }
-        }
-        size_t best = 0;
-        for (size_t c = 1; c < total_scores.size(); ++c)
-          if (total_scores[c] > total_scores[best]) best = c;
-        const int predicted = classes[best];
-
+        if (anonymized.post_features[static_cast<size_t>(u)].empty()) return;
+        const int predicted =
+            Predict(model, anonymized, u, config.aggregation);
         if (config.verification == VerificationScheme::kMeanVerification) {
           std::vector<double> scratch;
           if (!PassesMeanVerification(scores.Row(u, &scratch), labels,

@@ -48,14 +48,6 @@ struct RefinedDaConfig {
   enum class PostAggregation { kScoreSum, kMajorityVote };
   PostAggregation aggregation = PostAggregation::kScoreSum;
 
-  /// Train on ONE aggregated (mean-of-posts) instance per candidate user
-  /// and classify the anonymized user's aggregate vector — the paper's
-  /// Weka-style user-level attribution, where every class has a single
-  /// training example and large candidate sets starve the classifier
-  /// (the Fig. 4/6 regime). When false, every post is a training sample
-  /// and per-post decision scores are summed (a stronger variant).
-  bool user_level_instances = false;
-
   VerificationScheme verification = VerificationScheme::kNone;
   /// The margin r of the mean-verification scheme, applied to similarity
   /// scores above the per-row floor. The paper uses r = 0.25 on its

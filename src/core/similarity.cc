@@ -66,8 +66,8 @@ double FlattenedAttributeSimilarity(
 
 IdfTable ComputeIdfTable(const UdaGraph& auxiliary) {
   std::vector<int> document_frequency;  // by attribute id
-  for (const UserProfile& profile : auxiliary.profiles)
-    for (const auto& [id, weight] : profile.attributes()) {
+  for (const AttributeCounts& attributes : auxiliary.attributes)
+    for (const auto& [id, weight] : attributes) {
       assert(id >= 0);
       if (static_cast<size_t>(id) >= document_frequency.size())
         document_frequency.resize(static_cast<size_t>(id) + 1, 0);
@@ -106,8 +106,8 @@ std::vector<UserFeatures> ComputeUserFeatures(const UdaGraph& side,
         f.ncs = side.graph.NcsVector(u);
         f.hop = landmarks.HopVector(u);
         f.weighted_hop = landmarks.WeightedVector(u);
-        const auto& attributes =
-            side.profiles[static_cast<size_t>(u)].attributes();
+        const AttributeCounts& attributes =
+            side.attributes[static_cast<size_t>(u)];
         f.attributes.reserve(attributes.size());
         for (const auto& [id, weight] : attributes) {
           if (idf == nullptr) {

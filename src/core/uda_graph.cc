@@ -1,22 +1,46 @@
 #include "core/uda_graph.h"
 
+#include <array>
+#include <cassert>
+
 #include "common/parallel.h"
 #include "obs/standard_metrics.h"
 #include "obs/trace.h"
 #include "stylo/extractor.h"
+#include "stylo/feature_layout.h"
 
 namespace dehealth {
+
+AttributeCounts CountAttributes(const std::vector<SparseVector>& posts) {
+  // One dense count per worker thread, all zero between calls: the walk
+  // that emits the counts clears every slot it emits.
+  thread_local std::array<int, feature_layout::kTotalFeatures> counts{};
+  size_t distinct = 0;
+  for (const SparseVector& post : posts)
+    for (const auto& [id, value] : post.entries()) {
+      assert(id >= 0 && id < feature_layout::kTotalFeatures);
+      if (value != 0.0 && counts[static_cast<size_t>(id)]++ == 0) ++distinct;
+    }
+  AttributeCounts attributes;
+  attributes.reserve(distinct);
+  for (size_t id = 0; id < counts.size() && attributes.size() < distinct; ++id)
+    if (int& count = counts[id]; count > 0) {
+      attributes.emplace_back(static_cast<int>(id), count);
+      count = 0;
+    }
+  return attributes;
+}
 
 namespace {
 
 /// Extracts dataset.posts[first, end) and folds them into `uda`, whose
-/// profiles and post_features are already sized to dataset.num_users.
+/// attributes and post_features are already sized to dataset.num_users.
 ///
 /// Two passes, both bitwise-independent of `cpu_threads`: every post is
 /// extracted into its own slot (ExtractPost is a pure function of the
-/// text), then every user folds its slots in ascending post order after
-/// the posts it already holds — the same AddPost sequence a serial loop
-/// over the posts makes.
+/// text), then every user that received posts appends its slots in
+/// ascending post order after the posts it already holds — the list a
+/// serial loop over the posts makes — and recounts its attributes.
 void ExtractAndFold(const ForumDataset& dataset, size_t first, UdaGraph* uda,
                     int cpu_threads) {
   const size_t num_posts = dataset.posts.size() - first;
@@ -51,14 +75,12 @@ void ExtractAndFold(const ForumDataset& dataset, size_t first, UdaGraph* uda,
       0, static_cast<int64_t>(num_users),
       [&](int64_t user) {
         const auto u = static_cast<size_t>(user);
-        UserProfile& profile = uda->profiles[u];
+        if (begin[u] == begin[u + 1]) return;
         std::vector<SparseVector>& posts = uda->post_features[u];
         posts.reserve(posts.size() + (begin[u + 1] - begin[u]));
-        for (size_t k = begin[u]; k < begin[u + 1]; ++k) {
-          SparseVector& features = slots[order[k]];
-          profile.AddPost(features);
-          posts.push_back(std::move(features));
-        }
+        for (size_t k = begin[u]; k < begin[u + 1]; ++k)
+          posts.push_back(std::move(slots[order[k]]));
+        uda->attributes[u] = CountAttributes(posts);
       },
       cpu_threads);
 }
@@ -72,7 +94,7 @@ UdaGraph BuildUdaGraph(const ForumDataset& dataset, int cpu_threads) {
   metrics.uda_builds->Increment();
   metrics.uda_posts->Increment(dataset.posts.size());
   UdaGraph uda;
-  uda.profiles.resize(static_cast<size_t>(dataset.num_users));
+  uda.attributes.resize(static_cast<size_t>(dataset.num_users));
   uda.post_features.resize(static_cast<size_t>(dataset.num_users));
   ExtractAndFold(dataset, 0, &uda, cpu_threads);
   obs::Span graph_span("core", "correlation_graph");
@@ -107,7 +129,7 @@ Status ApplyPostsToUdaGraph(UdaGraph* uda, ForumDataset* dataset,
   metrics.uda_posts->Increment(new_posts.size());
   dataset->num_users = num_users_after;
   dataset->num_threads = num_threads_after;
-  uda->profiles.resize(static_cast<size_t>(num_users_after));
+  uda->attributes.resize(static_cast<size_t>(num_users_after));
   uda->post_features.resize(static_cast<size_t>(num_users_after));
   const size_t first = dataset->posts.size();
   dataset->posts.insert(dataset->posts.end(), new_posts.begin(),

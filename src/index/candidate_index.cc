@@ -21,10 +21,10 @@ uint64_t FingerprintForIndex(const UdaGraph& side) {
   for (NodeId u = 0; u < n; ++u) {
     h = Fnv1aValue(h, side.graph.Degree(u));
     h = Fnv1aValue(h, side.graph.WeightedDegree(u));
-    const UserProfile& profile = side.profiles[static_cast<size_t>(u)];
-    h = Fnv1aValue(h, profile.num_posts());
-    h = Fnv1aValue(h, static_cast<int>(profile.attributes().size()));
-    for (const auto& [id, weight] : profile.attributes()) {
+    const auto i = static_cast<size_t>(u);
+    h = Fnv1aValue(h, static_cast<int>(side.post_features[i].size()));
+    h = Fnv1aValue(h, static_cast<int>(side.attributes[i].size()));
+    for (const auto& [id, weight] : side.attributes[i]) {
       h = Fnv1aValue(h, id);
       h = Fnv1aValue(h, weight);
     }

@@ -55,7 +55,9 @@ uint64_t JobConfigFingerprint(const DeHealthConfig& config) {
   Put(buf, r.svm.seed);
   Put(buf, static_cast<uint8_t>(r.include_structural_features ? 1 : 0));
   Put(buf, static_cast<int32_t>(r.aggregation));
-  Put(buf, static_cast<uint8_t>(r.user_level_instances ? 1 : 0));
+  // The slot of the retired user-level training mode: always 0, so job
+  // directories written while the mode existed still resume.
+  Put(buf, uint8_t{0});
   Put(buf, static_cast<int32_t>(r.verification));
   Put(buf, r.mean_verification_r);
   Put(buf, static_cast<int32_t>(r.false_addition_count));

@@ -22,8 +22,8 @@ StatusOr<DeHealthConfig> ParseAttackFlags(const FlagParser& flags);
 /// --timeout-ms, --stats-period).
 StatusOr<ServerConfig> ParseServerFlags(const FlagParser& flags);
 
-// AttackBooleanFlags() — the valueless flags ParseAttackFlags understands,
-// derived from FlagCatalog() — comes from common/flag_catalog.h.
+// BooleanFlags() — the catalog's valueless flags, among them those
+// ParseAttackFlags understands — comes from common/flag_catalog.h.
 
 }  // namespace dehealth
 

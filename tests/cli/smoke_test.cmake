@@ -130,6 +130,16 @@ endif()
 if(EXISTS "${WORK_DIR}/g.jsonl")
   message(FATAL_ERROR "a malformed generate still wrote its output")
 endif()
+# Flags are checked against their own binary: --backends (router, ingest)
+# and --segment (query) used to be ignored by generate.
+run_cli(1 generate --users 5 --seed 1 --out "${WORK_DIR}/x.jsonl"
+        --backends a:1 --segment "${WORK_DIR}/s.dhsg")
+if(NOT RUN_ERR MATCHES "unknown flag --backends for dehealth_cli")
+  message(FATAL_ERROR "another binary's flag error unclear: ${RUN_ERR}")
+endif()
+if(EXISTS "${WORK_DIR}/x.jsonl")
+  message(FATAL_ERROR "generate with another binary's flags still wrote")
+endif()
 # In-process sharding is retired: splitting the universe is the fleet's
 # job (--shard-count behind the router).
 run_cli(1 attack --anonymized "${WORK_DIR}/anon.jsonl"

@@ -70,30 +70,62 @@ TEST(FlagParserTest, BooleanFlagsTakeNoValue) {
 TEST(FlagParserTest, UnknownFlagsAreRejected) {
   EXPECT_TRUE(RejectUnknownFlags(Parse({"prog", "attack", "--k", "5",
                                         "--idf", "--index-path", "a.dhix"},
-                                       2, AttackBooleanFlags()))
+                                       2, BooleanFlags()),
+                                 "cli")
                   .ok());
   // A misspelled flag, a retired one, and a trailing valueless unknown
   // flag all fail instead of being silently ignored.
   for (const char* unknown : {"bogus-flag", "max-candidates"}) {
     const std::string flag = std::string("--") + unknown;
     Status st = RejectUnknownFlags(
-        Parse({"prog", "attack", "--k", "5", flag.c_str(), "7"}, 2));
+        Parse({"prog", "attack", "--k", "5", flag.c_str(), "7"}, 2), "cli");
     EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << unknown;
     EXPECT_NE(st.message().find("unknown flag " + flag), std::string::npos)
         << st.ToString();
   }
-  EXPECT_FALSE(RejectUnknownFlags(Parse({"--k", "5", "--bogus"})).ok());
+  EXPECT_FALSE(
+      RejectUnknownFlags(Parse({"--k", "5", "--bogus"}), "cli").ok());
+}
+
+TEST(FlagParserTest, FlagsOfAnotherBinaryAreRejected) {
+  // --backends and --segment are router/ingest and query flags: generate
+  // used to ignore them and write its forum.
+  const FlagParser generate =
+      Parse({"prog", "generate", "--users", "5", "--out", "x.jsonl",
+             "--backends", "a:1", "--segment", "s.dhsg"},
+            2, BooleanFlags());
+  const Status st = RejectUnknownFlags(generate, "cli");
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(st.message().find("unknown flag --backends for dehealth_cli"),
+            std::string::npos)
+      << st.ToString();
+  // A switch is declared to every binary, so query names it instead of
+  // reading it as a flag missing its value.
+  const Status idf = RejectUnknownFlags(
+      Parse({"prog", "stats", "--port", "1", "--idf"}, 2, BooleanFlags()),
+      "query");
+  EXPECT_NE(idf.message().find("unknown flag --idf for dehealth_query"),
+            std::string::npos)
+      << idf.ToString();
+  // The same flags pass where the catalog lists them; "cli attack" admits
+  // a flag in every cli subcommand.
+  EXPECT_TRUE(RejectUnknownFlags(Parse({"--backends", "a:1"}), "router").ok());
+  EXPECT_TRUE(RejectUnknownFlags(Parse({"--segment", "s.dhsg"}), "query").ok());
+  EXPECT_TRUE(RejectUnknownFlags(Parse({"--idf"}, 0, BooleanFlags()), "serve")
+                  .ok());
+  EXPECT_TRUE(RejectUnknownFlags(Parse({"--threads", "2"}), "cli").ok());
+  EXPECT_FALSE(RejectUnknownFlags(Parse({"--threads", "2"}), "query").ok());
 }
 
 /// RejectUnknownFlags' verdict on `argv` (parsed from index 2, with the
 /// catalog's boolean flags) must be InvalidArgument containing `message`.
 void ExpectMalformed(std::vector<const char*> argv,
                      const std::string& message) {
-  const FlagParser flags = Parse(argv, 2, AttackBooleanFlags());
+  const FlagParser flags = Parse(argv, 2, BooleanFlags());
   EXPECT_EQ(flags.status().code(), StatusCode::kInvalidArgument) << message;
   EXPECT_NE(flags.status().message().find(message), std::string::npos)
       << flags.status().ToString();
-  const Status st = RejectUnknownFlags(flags);
+  const Status st = RejectUnknownFlags(flags, "cli");
   EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << message;
   EXPECT_NE(st.message().find(message), std::string::npos) << st.ToString();
 }
@@ -135,7 +167,7 @@ TEST(FlagParserTest, UnknownFlagIsReportedBeforeMalformedOnes) {
   // "--bogus" is both unknown and missing its value: naming it unknown
   // says more.
   const Status st = RejectUnknownFlags(
-      Parse({"prog", "attack", "--k", "5", "--k", "6", "--bogus"}, 2));
+      Parse({"prog", "attack", "--k", "5", "--k", "6", "--bogus"}, 2), "cli");
   EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(st.message().find("unknown flag --bogus"), std::string::npos)
       << st.ToString();

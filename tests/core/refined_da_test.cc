@@ -1,6 +1,7 @@
 #include "core/refined_da.h"
 
 #include <numeric>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -171,18 +172,31 @@ TEST_F(RefinedDaTest, SharedVariantRejectsDifferingCandidateSets) {
 }
 
 TEST_F(RefinedDaTest, SharedVariantMatchesPerUserOnUniformCandidates) {
-  RefinedDaConfig config;
-  config.learner = LearnerKind::kNearestCentroid;
   std::vector<int> all(static_cast<size_t>(aux_->num_users()));
   std::iota(all.begin(), all.end(), 0);
   const CandidateSets uniform(
       static_cast<size_t>(anon_->num_users()), all);
-  auto shared = RunRefinedDaShared(*anon_, *aux_, uniform,
+  for (const auto aggregation :
+       {RefinedDaConfig::PostAggregation::kScoreSum,
+        RefinedDaConfig::PostAggregation::kMajorityVote}) {
+    for (const LearnerKind learner :
+         {LearnerKind::kNearestCentroid, LearnerKind::kKnn}) {
+      SCOPED_TRACE(std::string(LearnerKindName(learner)) +
+                   (aggregation ==
+                            RefinedDaConfig::PostAggregation::kScoreSum
+                        ? " score sum"
+                        : " majority vote"));
+      RefinedDaConfig config;
+      config.learner = learner;
+      config.aggregation = aggregation;
+      auto shared = RunRefinedDaShared(
+          *anon_, *aux_, uniform, DenseCandidateSource(*similarity_), config);
+      auto per_user = RunRefinedDa(*anon_, *aux_, uniform, nullptr,
                                    DenseCandidateSource(*similarity_), config);
-  auto per_user = RunRefinedDa(*anon_, *aux_, uniform, nullptr,
-                               DenseCandidateSource(*similarity_), config);
-  ASSERT_TRUE(shared.ok() && per_user.ok());
-  EXPECT_EQ(shared->predictions, per_user->predictions);
+      ASSERT_TRUE(shared.ok() && per_user.ok());
+      EXPECT_EQ(shared->predictions, per_user->predictions);
+    }
+  }
 }
 
 TEST(LearnerKindNameTest, AllNamed) {

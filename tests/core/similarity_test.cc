@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "stylo/user_profile.h"
-
 namespace dehealth {
 namespace {
 
@@ -21,14 +19,10 @@ UdaGraph MakeUda(int n,
   UdaGraph uda;
   uda.graph = CorrelationGraph(n);
   for (const auto& [u, v, w] : edges) uda.graph.AddInteraction(u, v, w);
-  uda.profiles.resize(static_cast<size_t>(n));
-  uda.post_features.resize(static_cast<size_t>(n));
-  for (int u = 0; u < n && u < static_cast<int>(posts.size()); ++u) {
-    for (const auto& f : posts[static_cast<size_t>(u)]) {
-      uda.profiles[static_cast<size_t>(u)].AddPost(f);
-      uda.post_features[static_cast<size_t>(u)].push_back(f);
-    }
-  }
+  posts.resize(static_cast<size_t>(n));
+  uda.post_features = std::move(posts);
+  for (const std::vector<SparseVector>& user_posts : uda.post_features)
+    uda.attributes.push_back(CountAttributes(user_posts));
   return uda;
 }
 
@@ -48,60 +42,51 @@ TEST(FlattenedAttributeSimilarityTest, MatchesUserProfileVersion) {
   EXPECT_NEAR(FlattenedAttributeSimilarity(a, c), 1.0 / 3.0 + 0.25, 1e-12);
 }
 
-/// `profile`'s attribute list as ComputeUserFeatures builds it without
-/// IDF: (id, number of the user's posts having the feature), by id.
-AttributeList Attributes(const UserProfile& profile) {
-  return AttributeList(profile.attributes().begin(),
-                       profile.attributes().end());
+using Posts = std::vector<SparseVector>;
+
+/// The attribute list ComputeUserFeatures builds without IDF from a user's
+/// posts: (id, number of the posts having the feature), by id.
+AttributeList Attributes(const Posts& posts) {
+  const AttributeCounts counts = CountAttributes(posts);
+  return AttributeList(counts.begin(), counts.end());
 }
 
-double ProfileSimilarity(const UserProfile& a, const UserProfile& b) {
+double ProfileSimilarity(const Posts& a, const Posts& b) {
   return FlattenedAttributeSimilarity(Attributes(a), Attributes(b));
 }
 
 TEST(AttributeSimilarityTest, EmptyProfilesScoreZero) {
-  UserProfile a, b;
-  EXPECT_EQ(ProfileSimilarity(a, b), 0.0);
+  EXPECT_EQ(ProfileSimilarity({}, {}), 0.0);
 }
 
 TEST(AttributeSimilarityTest, IdenticalProfilesScoreTwo) {
-  UserProfile a, b;
-  a.AddPost(Vec({{1, 1.0}, {2, 1.0}}));
-  b.AddPost(Vec({{1, 1.0}, {2, 1.0}}));
+  const Posts a = {Vec({{1, 1.0}, {2, 1.0}})};
+  const Posts b = {Vec({{1, 1.0}, {2, 1.0}})};
   // Jaccard 1 + weighted Jaccard 1.
   EXPECT_NEAR(ProfileSimilarity(a, b), 2.0, 1e-12);
 }
 
 TEST(AttributeSimilarityTest, DisjointProfilesScoreZero) {
-  UserProfile a, b;
-  a.AddPost(Vec({{1, 1.0}}));
-  b.AddPost(Vec({{2, 1.0}}));
-  EXPECT_EQ(ProfileSimilarity(a, b), 0.0);
+  EXPECT_EQ(ProfileSimilarity({Vec({{1, 1.0}})}, {Vec({{2, 1.0}})}), 0.0);
 }
 
 TEST(AttributeSimilarityTest, WeightedComponentUsesMinMax) {
-  UserProfile a, b;
   // a has attribute 1 in 3 posts; b in 1 post.
-  a.AddPost(Vec({{1, 1.0}}));
-  a.AddPost(Vec({{1, 1.0}}));
-  a.AddPost(Vec({{1, 1.0}}));
-  b.AddPost(Vec({{1, 1.0}}));
+  const Posts a = {Vec({{1, 1.0}}), Vec({{1, 1.0}}), Vec({{1, 1.0}})};
+  const Posts b = {Vec({{1, 1.0}})};
   // set Jaccard = 1; weighted = min(3,1)/max(3,1) = 1/3.
   EXPECT_NEAR(ProfileSimilarity(a, b), 1.0 + 1.0 / 3.0, 1e-12);
 }
 
 TEST(AttributeSimilarityTest, Symmetric) {
-  UserProfile a, b;
-  a.AddPost(Vec({{1, 1.0}, {3, 1.0}}));
-  b.AddPost(Vec({{1, 1.0}, {2, 1.0}}));
-  b.AddPost(Vec({{2, 1.0}}));
+  const Posts a = {Vec({{1, 1.0}, {3, 1.0}})};
+  const Posts b = {Vec({{1, 1.0}, {2, 1.0}}), Vec({{2, 1.0}})};
   EXPECT_EQ(ProfileSimilarity(a, b), ProfileSimilarity(b, a));
 }
 
 TEST(AttributeSimilarityTest, PartialOverlap) {
-  UserProfile a, b;
-  a.AddPost(Vec({{1, 1.0}, {2, 1.0}}));
-  b.AddPost(Vec({{2, 1.0}, {3, 1.0}}));
+  const Posts a = {Vec({{1, 1.0}, {2, 1.0}})};
+  const Posts b = {Vec({{2, 1.0}, {3, 1.0}})};
   // set: |{2}| / |{1,2,3}| = 1/3; weights: min 1 / (1+1+1) = 1/3.
   EXPECT_NEAR(ProfileSimilarity(a, b), 2.0 / 3.0, 1e-12);
 }

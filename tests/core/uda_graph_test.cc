@@ -39,20 +39,31 @@ TEST(BuildUdaGraphTest, GraphStructureMatchesThreads) {
 
 TEST(BuildUdaGraphTest, ProfilesCountPosts) {
   UdaGraph uda = BuildUdaGraph(TinyDataset());
-  EXPECT_EQ(uda.profiles[0].num_posts(), 2);
-  EXPECT_EQ(uda.profiles[1].num_posts(), 1);
+  ASSERT_EQ(uda.attributes.size(), 3u);
+  ASSERT_EQ(uda.post_features.size(), 3u);
   EXPECT_EQ(uda.post_features[0].size(), 2u);
+  EXPECT_EQ(uda.post_features[1].size(), 1u);
   EXPECT_EQ(uda.post_features[2].size(), 1u);
+}
+
+/// The weight of attribute `id` in `attributes`, 0 when absent.
+int WeightOf(const AttributeCounts& attributes, int id) {
+  for (const auto& [attribute, weight] : attributes)
+    if (attribute == id) return weight;
+  return 0;
 }
 
 TEST(BuildUdaGraphTest, AttributesDerivedFromFeatures) {
   UdaGraph uda = BuildUdaGraph(TinyDataset());
   // Every user writes characters, so everyone has the num_chars attribute.
   for (int u = 0; u < 3; ++u)
-    EXPECT_TRUE(uda.profiles[static_cast<size_t>(u)].HasAttribute(
-        feature_layout::kNumChars));
+    EXPECT_GT(WeightOf(uda.attributes[static_cast<size_t>(u)],
+                       feature_layout::kNumChars),
+              0);
   // User 0 wrote two posts -> weight 2 on universally-present attributes.
-  EXPECT_EQ(uda.profiles[0].AttributeWeight(feature_layout::kNumChars), 2);
+  EXPECT_EQ(WeightOf(uda.attributes[0], feature_layout::kNumChars), 2);
+  for (size_t u = 0; u < 3; ++u)
+    EXPECT_EQ(uda.attributes[u], CountAttributes(uda.post_features[u]));
 }
 
 TEST(BuildUdaGraphTest, PostFeaturesNonEmpty) {
@@ -72,22 +83,23 @@ uint64_t HashEntries(uint64_t h, const SparseVector& v) {
 }
 
 // Every post vector, then every user's post count, (id, weight) attributes
-// and SumFeatures bits, in user order.
+// and the bits of the sum of its posts added in post order, in user order.
 uint64_t UdaFeatureHash(const UdaGraph& uda) {
   uint64_t h = kFnv1aBasis;
-  h = Fnv1aValue(h, static_cast<uint64_t>(uda.profiles.size()));
-  for (size_t u = 0; u < uda.profiles.size(); ++u) {
-    h = Fnv1aValue(h, static_cast<uint64_t>(uda.post_features[u].size()));
-    for (const SparseVector& post : uda.post_features[u])
-      h = HashEntries(h, post);
-    const UserProfile& profile = uda.profiles[u];
-    h = Fnv1aValue(h, profile.num_posts());
-    h = Fnv1aValue(h, static_cast<uint64_t>(profile.attributes().size()));
-    for (const auto& [id, weight] : profile.attributes()) {
+  h = Fnv1aValue(h, static_cast<uint64_t>(uda.attributes.size()));
+  for (size_t u = 0; u < uda.attributes.size(); ++u) {
+    const std::vector<SparseVector>& posts = uda.post_features[u];
+    h = Fnv1aValue(h, static_cast<uint64_t>(posts.size()));
+    for (const SparseVector& post : posts) h = HashEntries(h, post);
+    h = Fnv1aValue(h, static_cast<int>(posts.size()));
+    h = Fnv1aValue(h, static_cast<uint64_t>(uda.attributes[u].size()));
+    for (const auto& [id, weight] : uda.attributes[u]) {
       h = Fnv1aValue(h, id);
       h = Fnv1aValue(h, weight);
     }
-    h = HashEntries(h, profile.SumFeatures());
+    SparseVector sum;
+    for (const SparseVector& post : posts) sum.AddVector(post);
+    h = HashEntries(h, sum);
   }
   return h;
 }
@@ -163,7 +175,36 @@ TEST(BuildUdaGraphTest, EmptyDataset) {
   d.num_users = 2;
   UdaGraph uda = BuildUdaGraph(d);
   EXPECT_EQ(uda.num_users(), 2);
-  EXPECT_EQ(uda.profiles[0].num_posts(), 0);
+  ASSERT_EQ(uda.post_features.size(), 2u);
+  ASSERT_EQ(uda.attributes.size(), 2u);
+  EXPECT_TRUE(uda.post_features[0].empty());
+  EXPECT_TRUE(uda.attributes[0].empty());
+}
+
+SparseVector Vec(std::initializer_list<std::pair<int, double>> init) {
+  SparseVector v;
+  for (const auto& [id, value] : init) v.Set(id, value);
+  return v;
+}
+
+TEST(CountAttributesTest, NoPosts) {
+  EXPECT_TRUE(CountAttributes({}).empty());
+}
+
+TEST(CountAttributesTest, PostsSharingIdsCountPosts) {
+  // Id 1 is in both posts, whatever its values; id 2 in one.
+  EXPECT_EQ(CountAttributes({Vec({{1, 0.5}, {2, 1.0}}), Vec({{1, 0.3}})}),
+            (AttributeCounts{{1, 2}, {2, 1}}));
+}
+
+TEST(CountAttributesTest, PostsWithDisjointIdsEachCountOnce) {
+  // Emitted by id, not in the order the posts list them; the repeated call
+  // shows the per-thread counts start from zero again.
+  const std::vector<SparseVector> posts = {
+      Vec({{1757, 2.0}}), Vec({{3, 1.0}, {40, 4.0}}), Vec({{0, 1.0}})};
+  const AttributeCounts expected = {{0, 1}, {3, 1}, {40, 1}, {1757, 1}};
+  EXPECT_EQ(CountAttributes(posts), expected);
+  EXPECT_EQ(CountAttributes(posts), expected);
 }
 
 }  // namespace

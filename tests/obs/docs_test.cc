@@ -254,12 +254,31 @@ TEST(FlagCatalogTest, SortedAndUnique) {
 }
 
 TEST(FlagCatalogTest, AttackBooleanFlagsDeriveFromCatalog) {
-  // ParseAttackFlags' value-less flags must match the catalog's boolean
-  // entries; the set is small and load-bearing enough to pin exactly.
+  // The value-less flags every binary declares must match the catalog's
+  // boolean entries; the set is small and load-bearing enough to pin
+  // exactly.
   const std::set<std::string> expected = {
       "allow-epoch-skew", "filter",  "idf",
       "ingest",           "no-seal", "require-all-shards"};
-  EXPECT_EQ(AttackBooleanFlags(), expected);
+  EXPECT_EQ(BooleanFlags(), expected);
+}
+
+TEST(FlagCatalogTest, EveryBinariesItemNamesABinary) {
+  // RejectUnknownFlags admits a flag in the binaries its items' first
+  // words name; an item naming none would admit it nowhere.
+  const std::set<std::string> binaries = {"cli", "serve", "router", "query",
+                                          "ingest"};
+  for (const FlagDoc& flag : FlagCatalog()) {
+    std::istringstream items(flag.binaries);
+    std::string item;
+    while (std::getline(items, item, ',')) {
+      std::istringstream words(item);
+      std::string first;
+      words >> first;
+      EXPECT_TRUE(binaries.count(first))
+          << "--" << flag.name << ": item '" << item << "'";
+    }
+  }
 }
 
 TEST(FlagCatalogTest, EveryEntryHasHelpAndBinaries) {

@@ -84,6 +84,15 @@ RC=0
 grep -q "usage: dehealth_query" "$WORK/order.err" ||
   fail "dehealth_query --port N metrics printed no usage: $(cat "$WORK/order.err")"
 
+# --- a flag is checked against its own binary ---------------------------
+# --idf is a switch of cli attack and serve: query names it as a flag it
+# does not take instead of reading it as a flag missing its value.
+RC=0
+"$QUERY" stats --port 1 --idf >/dev/null 2>"$WORK/idf.err" || RC=$?
+[ "$RC" -eq 1 ] || fail "dehealth_query stats --idf exited $RC (expected 1)"
+grep -q "unknown flag --idf" "$WORK/idf.err" ||
+  fail "dehealth_query stats --idf did not name --idf: $(cat "$WORK/idf.err")"
+
 # --- SIGTERM must drain gracefully and exit 0 ---------------------------
 kill -TERM "$SERVER_PID"
 RC=0
