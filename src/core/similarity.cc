@@ -87,20 +87,21 @@ IdfTable ComputeIdfTable(const UdaGraph& auxiliary) {
 std::vector<UserFeatures> ComputeUserFeatures(const UdaGraph& side,
                                               int num_landmarks,
                                               int num_threads,
-                                              const IdfTable* idf) {
-  const int n = side.num_users();
+                                              const IdfTable* idf,
+                                              NodeId begin, NodeId end) {
+  assert(0 <= begin && begin <= end && end <= side.num_users());
   obs::Span span("core", "user_features");
-  span.SetArg("users", n);
+  span.SetArg("users", end - begin);
   const LandmarkIndex landmarks(side.graph, num_landmarks, num_threads);
   const std::vector<double> idf_by_id =
       idf == nullptr ? std::vector<double>() : IdfById(*idf);
-  std::vector<UserFeatures> users(static_cast<size_t>(n));
+  std::vector<UserFeatures> users(static_cast<size_t>(end - begin));
   // Each user fills only its own slot: identical for any thread count.
   ParallelFor(
-      0, n,
+      begin, end,
       [&](int64_t i) {
         const auto u = static_cast<NodeId>(i);
-        UserFeatures& f = users[static_cast<size_t>(u)];
+        UserFeatures& f = users[static_cast<size_t>(u - begin)];
         f.degree = side.graph.Degree(u);
         f.weighted_degree = side.graph.WeightedDegree(u);
         f.ncs = side.graph.NcsVector(u);
@@ -133,9 +134,11 @@ StructuralSimilarity::StructuralSimilarity(const UdaGraph& anonymized,
   if (config_.idf_weight_attributes) idf = ComputeIdfTable(auxiliary);
   const IdfTable* scale = config_.idf_weight_attributes ? &idf : nullptr;
   users_[0] = ComputeUserFeatures(anonymized, config_.num_landmarks,
-                                  config_.num_threads, scale);
+                                  config_.num_threads, scale, 0,
+                                  anonymized.num_users());
   users_[1] = ComputeUserFeatures(auxiliary, config_.num_landmarks,
-                                  config_.num_threads, scale);
+                                  config_.num_threads, scale, 0,
+                                  auxiliary.num_users());
 }
 
 double CombinedStructuralScore(const SimilarityConfig& config,

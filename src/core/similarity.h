@@ -66,14 +66,17 @@ struct IdfTable {
 /// The IDF table of `auxiliary`.
 IdfTable ComputeIdfTable(const UdaGraph& auxiliary);
 
-/// Every user's features on one side: degrees, NCS vectors, the vectors to
-/// the side's `num_landmarks` top-degree landmarks (precomputed across
+/// The features of users [begin, end) of one side, in id order: degrees,
+/// NCS vectors, the vectors to the side's `num_landmarks` top-degree
+/// landmarks (chosen and precomputed over the whole side across
 /// `num_threads` threads; results identical for any value), and the
-/// attribute list, each weight scaled by `idf` when it is non-null.
+/// attribute list, each weight scaled by `idf` when it is non-null. A
+/// user's record does not depend on the range it is computed in.
 std::vector<UserFeatures> ComputeUserFeatures(const UdaGraph& side,
                                               int num_landmarks,
                                               int num_threads,
-                                              const IdfTable* idf);
+                                              const IdfTable* idf,
+                                              NodeId begin, NodeId end);
 
 /// The pair-scoring kernel s_uv = c1·s^d + c2·s^s + c3·s^a. Both the dense
 /// path (StructuralSimilarity::Combined) and the candidate index

@@ -8,6 +8,7 @@
 #include "core/feature_store.h"
 #include "core/similarity.h"
 #include "core/uda_graph.h"
+#include "index/partition.h"
 
 namespace dehealth {
 
@@ -23,10 +24,10 @@ struct CandidateIndexData {
   double c3 = 0.9;
   int num_landmarks = 50;
   bool idf_weight_attributes = false;
-  /// Fingerprint of the FULL auxiliary universe this index (or the index
-  /// this shard was sliced from) was built against — never the slice, so
-  /// shards of the same universe agree on it and a router can fail closed
-  /// on mismatched backends.
+  /// Fingerprint of the FULL auxiliary universe this index (whole or
+  /// slice) was built against — never the slice, so shards of the same
+  /// universe agree on it and a router can fail closed on mismatched
+  /// backends.
   uint64_t auxiliary_fingerprint = 0;
   /// Shard identity (DHIX v2). An unsharded index is shard 0 of 1 covering
   /// [0, users.size()). A shard holds the universe's contiguous id range
@@ -47,42 +48,69 @@ struct CandidateIndexData {
 /// and the raw (unscaled) attribute list.
 uint64_t FingerprintForIndex(const UdaGraph& side);
 
-/// A persistent auxiliary-side score index: the auxiliary users' similarity
-/// features (ComputeUserFeatures, the builder StructuralSimilarity uses),
-/// packed into a FeatureStore for the batched score kernel and persisted as
-/// a DHIX snapshot so a warm start skips the landmark precomputation. It
-/// answers exact per-anonymized-user scores WITHOUT forming the dense
-/// |Δ1|×|Δ2| similarity matrix: a query's row is one FeatureStore scan,
-/// bitwise equal to the dense row (see DESIGN.md "Candidate index").
+/// The part of an auxiliary universe one index covers: shard
+/// `shard_index` of `shard_count`, the users in `range` (global ids,
+/// ComputeShardRanges). The whole index is shard 0 of 1.
+/// `universe_size` and `universe_fingerprint` describe the whole
+/// universe, so every slice of one universe agrees on them.
+struct IndexSlice {
+  int shard_index = 0;
+  int shard_count = 1;
+  ShardRange range;
+  int universe_size = 0;
+  uint64_t universe_fingerprint = 0;
+  bool operator==(const IndexSlice&) const = default;
+};
+
+/// Shard `shard_index` of `shard_count` of `auxiliary`: the one
+/// FingerprintForIndex walk a build or load of it makes. InvalidArgument
+/// unless 0 <= shard_index < shard_count.
+StatusOr<IndexSlice> ComputeIndexSlice(const UdaGraph& auxiliary,
+                                       int shard_index, int shard_count);
+
+/// A persistent auxiliary-side score index over one slice of the
+/// auxiliary universe (the whole index is shard 0 of 1): the slice's users'
+/// similarity features (ComputeUserFeatures, the builder
+/// StructuralSimilarity uses), packed into a FeatureStore for the batched
+/// score kernel and persisted as a DHIX snapshot so a warm start skips the
+/// landmark precomputation. It answers exact per-anonymized-user scores
+/// WITHOUT forming the dense |Δ1|×|Δ2| similarity matrix: a query's row is
+/// one FeatureStore scan, bitwise equal to the slice's segment of the
+/// dense row (see DESIGN.md "Candidate index" and "Sharding").
 class CandidateIndex {
  public:
-  /// Builds the index from the auxiliary side. `config.num_threads` drives
-  /// the landmark precomputation; every other field shapes the scores and
-  /// is persisted. O(ħ·(V+E log V) + Σ|A(v)|).
+  /// Builds `slice` of the index over `auxiliary`. The fingerprint, the
+  /// IDF table and the landmarks cover the whole universe; the per-user
+  /// features and the feature store cover only the slice's users, under
+  /// local ids (global id - range.begin). The per-pair kernel never looks
+  /// outside the pair, so a slice scores every pair bitwise as the whole
+  /// index does. `config.num_threads` drives the precomputation and
+  /// `config.simd` is the tier the index scores with; every other field
+  /// shapes the scores and is persisted. O(ħ·(V+E log V) + Σ|A(v)|).
   static StatusOr<CandidateIndex> Build(const UdaGraph& auxiliary,
-                                        const SimilarityConfig& config);
+                                        const SimilarityConfig& config,
+                                        const IndexSlice& slice);
 
   /// Wraps deserialized snapshot data, rebuilding the derived feature
-  /// store across `num_threads` threads (0 = all hardware threads).
+  /// store across `num_threads` threads (0 = all hardware threads). The
+  /// index scores with the SIMD tier `simd`, which is never persisted:
+  /// every tier scores the same features bitwise-identically.
   /// InvalidArgument when the data is internally inconsistent or holds
   /// attributes the score kernel cannot reproduce (CheckWalkableAttributes,
   /// on every user and on the IDF table).
   static StatusOr<CandidateIndex> FromData(CandidateIndexData data,
-                                           int num_threads = 0);
+                                           int num_threads = 0,
+                                           SimdMode simd = SimdMode::kAuto);
 
   int num_auxiliary() const { return static_cast<int>(data_.users.size()); }
   const CandidateIndexData& data() const { return data_; }
 
-  /// The score-shaping fields as a SimilarityConfig (num_threads = 0,
-  /// simd = the runtime simd_mode()).
-  SimilarityConfig similarity_config() const;
+  /// The slice this index covers, as its data records it.
+  IndexSlice slice() const;
 
-  /// Runtime SIMD tier for exact scoring (NOT persisted — a snapshot holds
-  /// features, and every tier scores them bitwise-identically). Defaults
-  /// to kAuto; Build() copies the config's choice, FromData callers (the
-  /// snapshot path) set it afterwards.
-  SimdMode simd_mode() const { return simd_mode_; }
-  void set_simd_mode(SimdMode mode) { simd_mode_ = mode; }
+  /// The score-shaping fields as a SimilarityConfig (num_threads = 0,
+  /// simd = the tier FromData was given).
+  SimilarityConfig similarity_config() const;
 
   /// Query-side features: ComputeUserFeatures on the anonymized graph with
   /// the index's stored IDF table — exactly what StructuralSimilarity
@@ -100,10 +128,10 @@ class CandidateIndex {
   void ExactRowTo(const UserFeatures& query, double* out) const;
 
  private:
-  explicit CandidateIndex(CandidateIndexData data);
+  CandidateIndex(CandidateIndexData data, SimdMode simd);
 
   CandidateIndexData data_;
-  SimdMode simd_mode_ = SimdMode::kAuto;
+  SimdMode simd_mode_;
   /// Blocked SoA mirror of data_.users for batched exact scoring (rebuilt
   /// by FromData; never persisted).
   FeatureStore store_;

@@ -1,4 +1,4 @@
-#include "shard/partition.h"
+#include "index/partition.h"
 
 namespace dehealth {
 
@@ -19,7 +19,7 @@ std::vector<ShardRange> ComputeShardRanges(int total, int num_shards) {
 
 std::string ShardSnapshotPath(const std::string& base, int shard_index,
                               int shard_count) {
-  if (base.empty()) return base;
+  if (base.empty() || shard_count == 1) return base;
   std::string stem = base;
   constexpr const char kExt[] = ".dhix";
   constexpr size_t kExtLen = sizeof(kExt) - 1;

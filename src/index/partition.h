@@ -1,5 +1,5 @@
-#ifndef DEHEALTH_SHARD_PARTITION_H_
-#define DEHEALTH_SHARD_PARTITION_H_
+#ifndef DEHEALTH_INDEX_PARTITION_H_
+#define DEHEALTH_INDEX_PARTITION_H_
 
 #include <string>
 #include <vector>
@@ -14,6 +14,7 @@ struct ShardRange {
   int begin = 0;
   int end = 0;
   int size() const { return end - begin; }
+  bool operator==(const ShardRange&) const = default;
 };
 
 /// Splits [0, total) into `num_shards` near-equal contiguous ranges: the
@@ -24,13 +25,13 @@ struct ShardRange {
 /// back empty.
 std::vector<ShardRange> ComputeShardRanges(int total, int num_shards);
 
-/// Snapshot path of shard i of n derived from the unsharded snapshot path:
-/// a trailing ".dhix" is stripped and ".shard-<i>-of-<n>.dhix" appended
-/// (so "aux.dhix" → "aux.shard-0-of-3.dhix"). Empty `base` stays empty
-/// (persistence off).
+/// Snapshot file of shard i of n under the snapshot path `base`: the whole
+/// index (shard 0 of 1) keeps `base`; a slice strips a trailing ".dhix"
+/// and appends ".shard-<i>-of-<n>.dhix" (so "aux.dhix" →
+/// "aux.shard-0-of-3.dhix"). Empty `base` stays empty (persistence off).
 std::string ShardSnapshotPath(const std::string& base, int shard_index,
                               int shard_count);
 
 }  // namespace dehealth
 
-#endif  // DEHEALTH_SHARD_PARTITION_H_
+#endif  // DEHEALTH_INDEX_PARTITION_H_

@@ -6,6 +6,7 @@
 
 #include "core/de_health.h"
 #include "core/uda_graph.h"
+#include "index/candidate_index.h"
 
 namespace dehealth {
 
@@ -19,32 +20,27 @@ struct AttackScoreSource {
   /// Empty for the structural engine, which scores through the index.
   std::vector<std::vector<double>> similarity;
   std::unique_ptr<CandidateSource> source;
-  /// Shard identity of this bundle (filled in every mode; trivially 0 of 1
-  /// outside slice mode). `universe_size`/`universe_fingerprint` always
-  /// describe the FULL auxiliary side, and `shard_begin` is the global
-  /// auxiliary id of the source's local id 0 — what a slice-mode backend
-  /// adds back when answering DHQP clients, and what the router checks
-  /// across backends before serving.
-  int shard_index = 0;
-  int shard_count = 1;
-  int shard_begin = 0;
-  int universe_size = 0;
-  uint64_t universe_fingerprint = 0;
+  /// The auxiliary users `source` scores (shard 0 of 1 outside slice
+  /// mode). `slice.range.begin` is the global auxiliary id of the source's
+  /// local id 0 — what a slice-mode backend adds back when answering DHQP
+  /// clients — and the universe size and fingerprint are what the router
+  /// checks across backends before serving.
+  IndexSlice slice;
 };
 
 /// Builds the engine's score source. The structural engine always scores
-/// through an IndexedCandidateSource over one candidate index: the whole
-/// index, or one fleet slice (config.shard_count > 1 — local auxiliary ids
-/// over that shard's range). The index is loaded from
-/// config.index_snapshot_path when the snapshot matches, else rebuilt and
-/// saved there; a path that cannot be loaded, built or saved warns and
-/// continues on an index kept in memory only, so an unusable snapshot file
-/// never takes the attack down. Every mode answers bitwise what the dense
-/// structural matrix answers (restricted to the slice). Matrix-backed
-/// engines (--engine=blind|community) reject config.index_snapshot_path
-/// and, in slice mode, keep their shard's columns.
-/// Defined in src/shard/attack_pipeline.cc (slice mode pulls in
-/// src/shard/, which layers above src/index/).
+/// through an IndexedCandidateSource over one candidate index:
+/// LoadOrBuildIndex's shard config.shard_index of config.shard_count (the
+/// whole index is shard 0 of 1; a slice answers local auxiliary ids over
+/// its range). The index is loaded from config.index_snapshot_path when
+/// the snapshot matches, else built and saved there; a snapshot that
+/// cannot be saved warns and the run goes on with the index it built, so
+/// an unusable snapshot path never takes the attack down. Every mode
+/// answers bitwise what the dense structural matrix answers (restricted to
+/// the slice). Matrix-backed engines (--engine=blind|community) reject
+/// config.index_snapshot_path and, in slice mode, keep their shard's
+/// columns. Defined in src/shard/attack_pipeline.cc, which links the
+/// engines as well as the index.
 StatusOr<std::unique_ptr<AttackScoreSource>> BuildAttackScoreSource(
     const UdaGraph& anonymized, const UdaGraph& auxiliary,
     const DeHealthConfig& config);

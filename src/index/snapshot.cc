@@ -1,6 +1,7 @@
 #include "index/snapshot.h"
 
 #include "common/fault_injection.h"
+#include "index/partition.h"
 #include "io/byte_codec.h"
 #include "io/file_util.h"
 #include "obs/standard_metrics.h"
@@ -56,6 +57,20 @@ Status ReadWeightedIds(ByteReader& reader,
   return Status::OK();
 }
 
+/// True when `index` is exactly `slice` of the index `config` shapes: the
+/// score-shaping fields, the universe fingerprint, the shard identity and
+/// the user count all match. The one rule a snapshot, whole or slice, must
+/// pass to be reused: the fingerprint alone would accept another slice of
+/// the same universe, or a whole index that lost users.
+bool SnapshotMatches(const CandidateIndex& index,
+                     const SimilarityConfig& config, const IndexSlice& slice) {
+  const CandidateIndexData& data = index.data();
+  return data.c1 == config.c1 && data.c2 == config.c2 &&
+         data.c3 == config.c3 && data.num_landmarks == config.num_landmarks &&
+         data.idf_weight_attributes == config.idf_weight_attributes &&
+         index.slice() == slice;
+}
+
 }  // namespace
 
 std::string EncodeIndexSnapshot(const CandidateIndex& index) {
@@ -92,7 +107,7 @@ std::string EncodeIndexSnapshot(const CandidateIndexData& data) {
 
 StatusOr<CandidateIndex> DecodeIndexSnapshot(const std::string& bytes,
                                              const std::string& path,
-                                             int num_threads) {
+                                             int num_threads, SimdMode simd) {
   StatusOr<ByteReader> frame =
       OpenFrame(bytes, kMagic, kVersion, "index snapshot", path);
   if (!frame.ok()) return frame.status();
@@ -136,7 +151,7 @@ StatusOr<CandidateIndex> DecodeIndexSnapshot(const std::string& bytes,
       static_cast<uint64_t>(data.shard_begin) + num_users >
           data.shard_total)
     return reader.Fail("shard range exceeds universe size");
-  return CandidateIndex::FromData(std::move(data), num_threads);
+  return CandidateIndex::FromData(std::move(data), num_threads, simd);
 }
 
 Status SaveIndexSnapshot(const CandidateIndex& index,
@@ -146,50 +161,50 @@ Status SaveIndexSnapshot(const CandidateIndex& index,
 }
 
 StatusOr<CandidateIndex> LoadIndexSnapshot(const std::string& path,
-                                           int num_threads) {
+                                           int num_threads, SimdMode simd) {
   DEHEALTH_RETURN_IF_ERROR(InjectFaultPoint("snapshot.load"));
   StatusOr<std::string> bytes = ReadFileToString(path);
   if (!bytes.ok()) return bytes.status();
   // Simulated snapshot corruption: the checksum/bounds-checked decoder
   // must answer with a Status (load-or-rebuild then recovers), never UB.
   InjectDataFault("snapshot.load.data", &*bytes);
-  return DecodeIndexSnapshot(*bytes, path, num_threads);
+  return DecodeIndexSnapshot(*bytes, path, num_threads, simd);
 }
 
 StatusOr<CandidateIndex> LoadOrBuildIndex(const std::string& path,
                                           const UdaGraph& auxiliary,
-                                          const SimilarityConfig& config) {
-  if (!path.empty()) {
+                                          const SimilarityConfig& config,
+                                          int shard_index, int shard_count,
+                                          Status* save_status) {
+  StatusOr<IndexSlice> slice =
+      ComputeIndexSlice(auxiliary, shard_index, shard_count);
+  if (!slice.ok()) return slice.status();
+  const std::string file = ShardSnapshotPath(path, shard_index, shard_count);
+  if (!file.empty()) {
     obs::Span span("index", "snapshot_load");
     StatusOr<CandidateIndex> loaded =
-        LoadIndexSnapshot(path, config.num_threads);
-    if (loaded.ok()) {
-      const CandidateIndexData& data = loaded->data();
-      const bool config_matches =
-          data.c1 == config.c1 && data.c2 == config.c2 &&
-          data.c3 == config.c3 &&
-          data.num_landmarks == config.num_landmarks &&
-          data.idf_weight_attributes == config.idf_weight_attributes;
-      // A shard-slice snapshot carries the UNIVERSE fingerprint, so the
-      // fingerprint check alone would wrongly accept it as a full index —
-      // only shard 0 of 1 is reusable here.
-      if (config_matches && data.shard_count == 1 && data.shard_index == 0 &&
-          data.auxiliary_fingerprint == FingerprintForIndex(auxiliary)) {
-        obs::GetIndexMetrics().snapshot_loads->Increment();
-        return loaded;
-      }
-    } else if (loaded.status().code() != StatusCode::kNotFound) {
-      // Damaged (or unreadable) rather than stale: keep the bytes aside for
-      // a post-mortem; the rebuild below writes a fresh file at `path`.
-      QuarantineFile(path, loaded.status());
+        LoadIndexSnapshot(file, config.num_threads, config.simd);
+    if (loaded.ok() && SnapshotMatches(*loaded, config, *slice)) {
+      obs::GetIndexMetrics().snapshot_loads->Increment();
+      return loaded;
+    }
+    // A missing file is the normal first run and a stale one is simply
+    // rebuilt; one that exists but does not load is damaged (bad magic,
+    // checksum, bounds): keep its bytes aside for a post-mortem. A failed
+    // rename is not fatal, the rebuild's save overwrites the file.
+    if (!loaded.ok() && loaded.status().code() != StatusCode::kNotFound) {
+      QuarantineFile(file, loaded.status());
+      obs::GetShardMetrics().snapshot_quarantines->Increment();
     }
   }
   obs::Span span("index", "index_rebuild");
   obs::GetIndexMetrics().snapshot_rebuilds->Increment();
-  StatusOr<CandidateIndex> built = CandidateIndex::Build(auxiliary, config);
-  if (!built.ok()) return built.status();
-  if (!path.empty())
-    DEHEALTH_RETURN_IF_ERROR(SaveIndexSnapshot(*built, path));
+  StatusOr<CandidateIndex> built =
+      CandidateIndex::Build(auxiliary, config, *slice);
+  if (built.ok() && !file.empty()) {
+    const Status saved = SaveIndexSnapshot(*built, file);
+    if (save_status != nullptr) *save_status = saved;
+  }
   return built;
 }
 

@@ -28,10 +28,12 @@ std::string EncodeIndexSnapshot(const CandidateIndexData& data);
 /// names the originating file in error messages (every decode error also
 /// carries the byte offset where parsing failed); pass "" for in-memory
 /// buffers. `num_threads` packs the index's feature store (0 = all
-/// hardware threads).
+/// hardware threads) and `simd` is the tier it scores with
+/// (CandidateIndex::FromData).
 StatusOr<CandidateIndex> DecodeIndexSnapshot(const std::string& bytes,
                                              const std::string& path = "",
-                                             int num_threads = 0);
+                                             int num_threads = 0,
+                                             SimdMode simd = SimdMode::kAuto);
 
 /// Writes `index` to `path` atomically (`<path>.tmp` + fsync + rename, see
 /// WriteStringToFileAtomic): a crash mid-save can never leave a truncated
@@ -41,20 +43,28 @@ Status SaveIndexSnapshot(const CandidateIndex& index,
 
 /// Reads and decodes the snapshot at `path`.
 StatusOr<CandidateIndex> LoadIndexSnapshot(const std::string& path,
-                                           int num_threads = 0);
+                                           int num_threads = 0,
+                                           SimdMode simd = SimdMode::kAuto);
 
-/// The load-or-rebuild entry point the pipeline uses: when `path` is empty,
-/// always builds from `auxiliary`. Otherwise tries to load `path` and
-/// reuses the snapshot only when its score-shaping config fields AND its
-/// auxiliary fingerprint match AND it is an unsharded (shard 0 of 1)
-/// index — a shard slice shares the universe fingerprint but covers only
-/// part of it; on any mismatch, missing file, or decode error it rebuilds
-/// from `auxiliary` and overwrites the snapshot (a failing save is
-/// surfaced — the caller asked for persistence). A file that exists but
-/// does not load is first quarantined to `<path>.quarantined`.
+/// The one way an index is loaded or built: shard `shard_index` of
+/// `shard_count` of the index over `auxiliary` (the whole index is shard 0
+/// of 1; InvalidArgument outside [0, shard_count)). With an empty `path`
+/// it always builds. Otherwise it loads the slice's snapshot file,
+/// ShardSnapshotPath(path, shard_index, shard_count), and reuses it only
+/// when its score-shaping config, universe fingerprint, shard identity and
+/// user count all match the slice asked for; on any mismatch, missing
+/// file or decode error it builds the slice and saves it there. A file
+/// that exists but does not load is first quarantined to
+/// `<file>.quarantined`. A failing save never costs the built index: it
+/// is returned, and the save's Status goes to `*save_status` (when
+/// non-null) so the caller can report that nothing was persisted.
+/// `config.num_threads` and `config.simd` are the index's runtime knobs.
 StatusOr<CandidateIndex> LoadOrBuildIndex(const std::string& path,
                                           const UdaGraph& auxiliary,
-                                          const SimilarityConfig& config);
+                                          const SimilarityConfig& config,
+                                          int shard_index = 0,
+                                          int shard_count = 1,
+                                          Status* save_status = nullptr);
 
 }  // namespace dehealth
 

@@ -40,15 +40,10 @@ void Matrix::AddDiagonal(double value) {
   for (size_t i = 0; i < rows_; ++i) At(i, i) += value;
 }
 
-StatusOr<std::vector<double>> CholeskySolve(const Matrix& a,
-                                            const std::vector<double>& b) {
+StatusOr<Matrix> CholeskyFactor(const Matrix& a) {
   const size_t n = a.rows();
   if (a.cols() != n)
-    return Status::InvalidArgument("CholeskySolve: matrix not square");
-  if (b.size() != n)
-    return Status::InvalidArgument("CholeskySolve: rhs size mismatch");
-
-  // Lower-triangular factor L with A = L L^T.
+    return Status::InvalidArgument("CholeskyFactor: matrix not square");
   Matrix l(n, n);
   for (size_t i = 0; i < n; ++i) {
     for (size_t j = 0; j <= i; ++j) {
@@ -57,13 +52,21 @@ StatusOr<std::vector<double>> CholeskySolve(const Matrix& a,
       if (i == j) {
         if (sum <= 0.0)
           return Status::FailedPrecondition(
-              "CholeskySolve: matrix not positive definite");
+              "CholeskyFactor: matrix not positive definite");
         l.At(i, i) = std::sqrt(sum);
       } else {
         l.At(i, j) = sum / l.At(j, j);
       }
     }
   }
+  return l;
+}
+
+StatusOr<std::vector<double>> CholeskySolve(const Matrix& l,
+                                            const std::vector<double>& b) {
+  const size_t n = l.rows();
+  if (b.size() != n)
+    return Status::InvalidArgument("CholeskySolve: rhs size mismatch");
 
   // Forward substitution: L y = b.
   std::vector<double> y(n);

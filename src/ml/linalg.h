@@ -37,10 +37,16 @@ class Matrix {
   std::vector<double> data_;
 };
 
-/// Solves A x = b for symmetric positive-definite A via Cholesky
-/// decomposition. Fails with InvalidArgument on shape mismatch and
-/// FailedPrecondition if A is not (numerically) positive definite.
-StatusOr<std::vector<double>> CholeskySolve(const Matrix& a,
+/// The lower-triangular Cholesky factor L of a symmetric positive-definite
+/// A (A = L L^T), which CholeskySolve reuses for any number of right-hand
+/// sides. Fails with InvalidArgument when A is not square and
+/// FailedPrecondition when it is not (numerically) positive definite.
+StatusOr<Matrix> CholeskyFactor(const Matrix& a);
+
+/// Solves A x = b given A's factor `l` from CholeskyFactor: one forward
+/// and one back substitution. Fails with InvalidArgument when b's size is
+/// not l's.
+StatusOr<std::vector<double>> CholeskySolve(const Matrix& l,
                                             const std::vector<double>& b);
 
 /// Euclidean distance between equal-length vectors.

@@ -26,12 +26,15 @@ Status RlscClassifier::Fit(const Dataset& data) {
   }
   Matrix gram = x.Gram();
   gram.AddDiagonal(lambda_);
+  // Every class solves against the same Gram matrix: factor it once.
+  StatusOr<Matrix> factor = CholeskyFactor(gram);
+  if (!factor.ok()) return factor.status();
 
   for (int cls : classes_) {
     std::vector<double> y(n);
     for (size_t i = 0; i < n; ++i) y[i] = data[i].label == cls ? 1.0 : -1.0;
     const std::vector<double> xty = x.TransposeMatVec(y);
-    StatusOr<std::vector<double>> w = CholeskySolve(gram, xty);
+    StatusOr<std::vector<double>> w = CholeskySolve(*factor, xty);
     if (!w.ok()) return w.status();
     weights_.push_back(std::move(w).value());
   }

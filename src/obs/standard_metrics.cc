@@ -29,7 +29,8 @@ const MetricDef kCoreRefinedUsers = {
     "core", "Anonymized users processed by phase-2 refined DA"};
 const MetricDef kCoreSimdKernel = {
     "dehealth_core_simd_kernel", MetricType::kGauge, "1", "core",
-    "Score-kernel SIMD tier last dispatched (1=scalar, 2=sse2, 3=avx2)"};
+    "Score-kernel SIMD tier last dispatched (1 = scalar, 3 = avx2; 2 was "
+    "the retired sse2 tier)"};
 const MetricDef kCoreScoreBlockSize = {
     "dehealth_core_score_block_size", MetricType::kHistogram, "candidates",
     "core", "Candidates per block handed to the batched score kernel"};
@@ -73,7 +74,9 @@ const MetricDef kShardBackendLatency = {
     "shard", "Per-backend round-trip latency across all shards"};
 const MetricDef kShardSnapshotQuarantines = {
     "dehealth_shard_snapshot_quarantines_total", MetricType::kCounter,
-    "files", "shard", "Corrupt per-shard DHIX snapshots quarantined"};
+    "files", "shard",
+    "Corrupt DHIX snapshots quarantined and rebuilt, whole index (shard 0 "
+    "of 1) or slice"};
 
 // ---- replica ----
 const MetricDef kReplicaFailovers = {

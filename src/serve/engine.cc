@@ -101,9 +101,10 @@ StatusOr<TopKAnswer> QueryEngine::TopK(const std::vector<int>& users,
   // shard_begin + num_auxiliary) of the universe under LOCAL ids; answers
   // leave the engine under GLOBAL auxiliary ids so a router (or a client
   // comparing against a full run) never sees shard-relative ids.
-  if (bundle_->shard_begin != 0)
+  const int shard_begin = bundle_->slice.range.begin;
+  if (shard_begin != 0)
     for (auto& list : answer->candidates)
-      for (int& v : list) v += bundle_->shard_begin;
+      for (int& v : list) v += shard_begin;
   return answer;
 }
 
@@ -122,7 +123,7 @@ StatusOr<ScoredTopKAnswer> QueryEngine::TopKScored(
     scored.reserve(plain->candidates[i].size());
     for (int v : plain->candidates[i])
       scored.push_back(ScoredUser{scores().Score(u, v),
-                                  v + bundle_->shard_begin});
+                                  v + bundle_->slice.range.begin});
     answer.candidates.push_back(std::move(scored));
   }
   return answer;
@@ -130,11 +131,12 @@ StatusOr<ScoredTopKAnswer> QueryEngine::TopKScored(
 
 ShardInfoAnswer QueryEngine::ShardInfo() const {
   ShardInfoAnswer info;
-  info.shard_index = static_cast<uint32_t>(bundle_->shard_index);
-  info.shard_count = static_cast<uint32_t>(bundle_->shard_count);
-  info.shard_begin = static_cast<uint64_t>(bundle_->shard_begin);
-  info.shard_total = static_cast<uint64_t>(bundle_->universe_size);
-  info.universe_fingerprint = bundle_->universe_fingerprint;
+  const IndexSlice& slice = bundle_->slice;
+  info.shard_index = static_cast<uint32_t>(slice.shard_index);
+  info.shard_count = static_cast<uint32_t>(slice.shard_count);
+  info.shard_begin = static_cast<uint64_t>(slice.range.begin);
+  info.shard_total = static_cast<uint64_t>(slice.universe_size);
+  info.universe_fingerprint = slice.universe_fingerprint;
   info.num_anonymized = static_cast<uint64_t>(num_anonymized());
   info.default_top_k = static_cast<uint64_t>(attack_.config().top_k);
   info.engine = static_cast<uint32_t>(attack_.config().engine);
@@ -143,7 +145,7 @@ ShardInfoAnswer QueryEngine::ShardInfo() const {
 
 StatusOr<RefinedAnswer> QueryEngine::Refine(
     const std::vector<int>& users) const {
-  if (bundle_->shard_count > 1)
+  if (bundle_->slice.shard_count > 1)
     return Status::FailedPrecondition(
         "QueryEngine::Refine: refined DA is universe-global and cannot run "
         "on a shard slice (--shard-count > 1); query an unsharded server");
@@ -158,7 +160,7 @@ StatusOr<RefinedAnswer> QueryEngine::Refine(
 
 StatusOr<FilteredAnswer> QueryEngine::Filtered(
     const std::vector<int>& users) const {
-  if (bundle_->shard_count > 1)
+  if (bundle_->slice.shard_count > 1)
     return Status::FailedPrecondition(
         "QueryEngine::Filtered: filtering thresholds are universe-global "
         "and cannot run on a shard slice (--shard-count > 1)");

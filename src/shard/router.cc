@@ -15,7 +15,7 @@
 #include "common/parallel.h"
 #include "core/engine_kind.h"
 #include "core/top_k.h"
-#include "shard/partition.h"
+#include "index/partition.h"
 
 namespace dehealth {
 

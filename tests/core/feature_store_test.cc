@@ -24,6 +24,7 @@
 #include "datagen/forum_generator.h"
 #include "datagen/split.h"
 #include "index/candidate_index.h"
+#include "index/snapshot.h"
 
 namespace dehealth {
 namespace {
@@ -339,7 +340,7 @@ TEST(FeatureStoreTest, GeneratedForumMatchesGoldenForEveryModeAndIdf) {
     SCOPED_TRACE(idf ? "idf=on" : "idf=off");
     SimilarityConfig sim;
     sim.idf_weight_attributes = idf;
-    auto index = CandidateIndex::Build(s.auxiliary, sim);
+    auto index = LoadOrBuildIndex("", s.auxiliary, sim);
     ASSERT_TRUE(index.ok()) << index.status().ToString();
     const auto queries = index->ComputeQueryFeatures(s.anonymized, 1);
     // Golden row: per-pair scores through the per-pair kernel.
@@ -349,9 +350,10 @@ TEST(FeatureStoreTest, GeneratedForumMatchesGoldenForEveryModeAndIdf) {
         golden[v] = index->ExactScore(queries[u], static_cast<int>(v));
       for (const SimdMode mode : kAllModes) {
         SCOPED_TRACE(std::string("simd=") + SimdModeName(mode));
-        index->set_simd_mode(mode);
+        auto tiered = CandidateIndex::FromData(index->data(), 1, mode);
+        ASSERT_TRUE(tiered.ok()) << tiered.status().ToString();
         std::vector<double> row(golden.size());
-        index->ExactRowTo(queries[u], row.data());
+        tiered->ExactRowTo(queries[u], row.data());
         ASSERT_EQ(row.size(), golden.size());
         for (size_t v = 0; v < golden.size(); ++v)
           EXPECT_TRUE(BitsEqual(golden[v], row[v]))

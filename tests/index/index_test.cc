@@ -17,6 +17,7 @@
 #include "index/candidate_index.h"
 #include "index/indexed_source.h"
 #include "index/pipeline.h"
+#include "index/snapshot.h"
 
 namespace dehealth {
 namespace {
@@ -57,7 +58,7 @@ TEST(IndexEquivalenceTest, TopKMatchesDenseAcrossSizesAndThreads) {
       SimilarityConfig sim;
       sim.idf_weight_attributes = idf;
       const auto matrix = DenseMatrix(s, sim);
-      auto index = CandidateIndex::Build(s.auxiliary, sim);
+      auto index = LoadOrBuildIndex("", s.auxiliary, sim);
       ASSERT_TRUE(index.ok()) << index.status().ToString();
       const IndexedCandidateSource source(s.anonymized, *index);
       for (const int k : {1, 5, 17}) {
@@ -79,7 +80,7 @@ TEST(IndexEquivalenceTest, ScoreAndRowAreBitwiseIdenticalToDense) {
   SimilarityConfig sim;
   sim.idf_weight_attributes = true;
   const auto matrix = DenseMatrix(s, sim);
-  auto index = CandidateIndex::Build(s.auxiliary, sim);
+  auto index = LoadOrBuildIndex("", s.auxiliary, sim);
   ASSERT_TRUE(index.ok());
   const IndexedCandidateSource source(s.anonymized, *index);
   ASSERT_EQ(source.num_anonymized(), static_cast<int>(matrix.size()));
@@ -100,7 +101,7 @@ TEST(IndexEquivalenceTest, KLargerThanAuxiliarySideMatchesDense) {
   const SimilarityConfig sim;
   const auto matrix = DenseMatrix(s, sim);
   const int n2 = s.auxiliary.num_users();
-  auto index = CandidateIndex::Build(s.auxiliary, sim);
+  auto index = LoadOrBuildIndex("", s.auxiliary, sim);
   ASSERT_TRUE(index.ok());
   const IndexedCandidateSource source(s.anonymized, *index);
   auto dense = SelectTopKCandidates(matrix, n2 + 50);
@@ -112,7 +113,7 @@ TEST(IndexEquivalenceTest, KLargerThanAuxiliarySideMatchesDense) {
 
 TEST(IndexEquivalenceTest, RejectsInvalidK) {
   const Scenario s = MakeScenario(16, 9);
-  auto index = CandidateIndex::Build(s.auxiliary, SimilarityConfig{});
+  auto index = LoadOrBuildIndex("", s.auxiliary, SimilarityConfig{});
   ASSERT_TRUE(index.ok());
   const IndexedCandidateSource source(s.anonymized, *index);
   auto result = source.TopK(0, 1);
@@ -193,7 +194,7 @@ TEST(IndexPipelineTest, TopKRangeEqualsRowMajorFold) {
         s_max = std::max(s_max, score);
         s_min = std::min(s_min, score);
       }
-    auto index = CandidateIndex::Build(s.auxiliary, sim);
+    auto index = LoadOrBuildIndex("", s.auxiliary, sim);
     ASSERT_TRUE(index.ok());
     const IndexedCandidateSource source(s.anonymized, *index);
     for (const int threads : {1, 3, 8}) {

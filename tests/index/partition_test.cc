@@ -1,4 +1,4 @@
-#include "shard/partition.h"
+#include "index/partition.h"
 
 #include <gtest/gtest.h>
 
@@ -52,6 +52,8 @@ TEST(ShardSnapshotPathTest, StripsAndAppends) {
   EXPECT_EQ(ShardSnapshotPath("/tmp/idx", 1, 2),
             "/tmp/idx.shard-1-of-2.dhix");
   EXPECT_EQ(ShardSnapshotPath("", 0, 4), "");
+  // The whole index is shard 0 of 1 and keeps the path it was given.
+  EXPECT_EQ(ShardSnapshotPath("aux.dhix", 0, 1), "aux.dhix");
 }
 
 TEST(ShardSnapshotPathTest, DistinctPerShard) {

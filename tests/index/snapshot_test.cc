@@ -17,8 +17,10 @@
 #include "datagen/split.h"
 #include "index/candidate_index.h"
 #include "index/indexed_source.h"
+#include "index/pipeline.h"
 #include "index/snapshot.h"
 #include "io/file_util.h"
+#include "obs/standard_metrics.h"
 #include "testing/scoped_temp_dir.h"
 
 namespace dehealth {
@@ -44,7 +46,7 @@ Scenario MakeScenario(int num_users, uint64_t seed) {
 CandidateIndex BuildIndex(const Scenario& s, bool idf) {
   SimilarityConfig sim;
   sim.idf_weight_attributes = idf;
-  auto index = CandidateIndex::Build(s.auxiliary, sim);
+  auto index = LoadOrBuildIndex("", s.auxiliary, sim);
   EXPECT_TRUE(index.ok()) << index.status().ToString();
   return std::move(index).value();
 }
@@ -100,16 +102,21 @@ TEST(IndexSnapshotTest, FeatureBytesMatchPinnedValues) {
   // equivalence tests cannot notice the features themselves changing.
   // These literals (computed by the build that still had two builders)
   // pin both: a change strands the DHIX files already on disk and splits
-  // mixed-version fleets.
+  // mixed-version fleets. The slice literals (shard 1 of 3) were computed
+  // by the build that still sliced a whole built index, so they hold the
+  // direct slice build to the same bytes.
   const Scenario s = MakeScenario(60, 29);
   struct Pinned {
     bool idf;
     uint64_t snapshot;
+    uint64_t slice;
     uint64_t matrix;
   };
   for (const Pinned& pinned :
-       {Pinned{false, 0x13d2c92f8a3a365aULL, 0x2886b33153869029ULL},
-        Pinned{true, 0x67e428dbe45fb3d3ULL, 0x3757d636f238734eULL}}) {
+       {Pinned{false, 0x13d2c92f8a3a365aULL, 0x7f206e780a2e2da5ULL,
+               0x2886b33153869029ULL},
+        Pinned{true, 0x67e428dbe45fb3d3ULL, 0x4ac8c262aa107954ULL,
+               0x3757d636f238734eULL}}) {
     SCOPED_TRACE(pinned.idf ? "idf=on" : "idf=off");
     const std::string bytes = EncodeIndexSnapshot(BuildIndex(s, pinned.idf));
     EXPECT_EQ(Fnv1a(bytes.data(), bytes.size()), pinned.snapshot);
@@ -117,6 +124,11 @@ TEST(IndexSnapshotTest, FeatureBytesMatchPinnedValues) {
     SimilarityConfig sim;
     sim.idf_weight_attributes = pinned.idf;
     sim.num_threads = 2;
+    auto slice = LoadOrBuildIndex("", s.auxiliary, sim, 1, 3);
+    ASSERT_TRUE(slice.ok()) << slice.status().ToString();
+    const std::string slice_bytes = EncodeIndexSnapshot(*slice);
+    EXPECT_EQ(Fnv1a(slice_bytes.data(), slice_bytes.size()), pinned.slice);
+
     uint64_t matrix_hash = Fnv1a(nullptr, 0);
     for (const std::vector<double>& row :
          StructuralSimilarity(s.anonymized, s.auxiliary, sim).ComputeMatrix())
@@ -276,8 +288,14 @@ TEST(IndexLoadOrBuildTest, RecoversFromCorruptSnapshot) {
   corrupted[corrupted.size() / 3] ^= 0xFF;
   ASSERT_TRUE(WriteStringToFile(corrupted, file).ok());
   // LoadOrBuild treats the corrupt file as stale: rebuilds and rewrites.
+  // A whole index is shard 0 of 1, so its quarantine counts where every
+  // DHIX quarantine does.
+  const uint64_t quarantines =
+      obs::GetShardMetrics().snapshot_quarantines->Value();
   auto recovered = LoadOrBuildIndex(file, s.auxiliary, sim);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(obs::GetShardMetrics().snapshot_quarantines->Value(),
+            quarantines + 1);
   EXPECT_TRUE(LoadIndexSnapshot(file).ok());
   // ...after moving the corrupt bytes aside for a post-mortem.
   auto quarantined = ReadFileToString(file + ".quarantined");
@@ -337,14 +355,17 @@ TEST(IndexLoadOrBuildTest, RecoversFromInjectedLoadFaults) {
         << spec << ": " << recovered.status().ToString();
     EXPECT_EQ(recovered->num_auxiliary(), s.auxiliary.num_users());
   }
-  // Save-side faults are surfaced (the caller asked for persistence).
+  // Save-side faults are surfaced (the caller asked for persistence), and
+  // the index that was built is still returned.
   ASSERT_TRUE(
       FaultInjector::Global().Configure("snapshot.save:enospc:1").ok());
   std::remove(file.c_str());
-  auto failed = LoadOrBuildIndex(file, s.auxiliary, sim);
+  Status saved;
+  auto unsaved = LoadOrBuildIndex(file, s.auxiliary, sim, 0, 1, &saved);
   FaultInjector::Global().Reset();
-  ASSERT_FALSE(failed.ok());
-  EXPECT_EQ(failed.status().code(), StatusCode::kInternal);
+  ASSERT_TRUE(unsaved.ok()) << unsaved.status().ToString();
+  EXPECT_EQ(unsaved->num_auxiliary(), s.auxiliary.num_users());
+  EXPECT_EQ(saved.code(), StatusCode::kInternal) << saved.ToString();
 }
 
 TEST(IndexLoadOrBuildTest, QuarantinesAndRebuildsDataTheKernelCannotScore) {
@@ -426,10 +447,79 @@ TEST(IndexLoadOrBuildTest, QuarantinesAndRebuildsDataTheKernelCannotScore) {
 
 TEST(IndexLoadOrBuildTest, UnwritablePathSurfacesError) {
   const Scenario s = MakeScenario(16, 8);
+  Status saved;
   auto r = LoadOrBuildIndex("/nonexistent_dir/idx.dhix", s.auxiliary,
-                            SimilarityConfig{});
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
+                            SimilarityConfig{}, 0, 1, &saved);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->num_auxiliary(), s.auxiliary.num_users());
+  EXPECT_EQ(saved.code(), StatusCode::kNotFound) << saved.ToString();
+}
+
+TEST(IndexLoadOrBuildTest, UnwritablePathBuildsTheIndexOnce) {
+  // The score source keeps the index whose save failed instead of
+  // building it a second time in memory.
+  const Scenario s = MakeScenario(16, 8);
+  DeHealthConfig config;
+  config.top_k = 5;
+  config.index_snapshot_path = "/nonexistent_dir/idx.dhix";
+  const uint64_t rebuilds = obs::GetIndexMetrics().snapshot_rebuilds->Value();
+  auto bundle = BuildAttackScoreSource(s.anonymized, s.auxiliary, config);
+  ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
+  EXPECT_EQ(obs::GetIndexMetrics().snapshot_rebuilds->Value(), rebuilds + 1);
+  EXPECT_EQ((*bundle)->source->num_auxiliary(), s.auxiliary.num_users());
+}
+
+/// Writes `data` as the snapshot at `file`, then checks that
+/// LoadOrBuildIndex refuses it as the whole index: it rebuilds all of
+/// `s.auxiliary` and rewrites `file` as `clean`. The file decodes, so it
+/// is stale rather than damaged and is not quarantined.
+void ExpectWholeIndexRebuiltFrom(const CandidateIndexData& data,
+                                 const Scenario& s, const std::string& file,
+                                 const std::string& clean) {
+  const std::string bytes = EncodeIndexSnapshot(data);
+  ASSERT_TRUE(DecodeIndexSnapshot(bytes).ok());
+  ASSERT_TRUE(WriteStringToFile(bytes, file).ok());
+  const uint64_t loads = obs::GetIndexMetrics().snapshot_loads->Value();
+  auto r = LoadOrBuildIndex(file, s.auxiliary, SimilarityConfig{});
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(obs::GetIndexMetrics().snapshot_loads->Value(), loads);
+  EXPECT_EQ(r->num_auxiliary(), s.auxiliary.num_users());
+  EXPECT_EQ(r->data().shard_begin, 0u);
+  auto rewritten = ReadFileToString(file);
+  ASSERT_TRUE(rewritten.ok());
+  EXPECT_EQ(*rewritten, clean);
+  EXPECT_FALSE(ReadFileToString(file + ".quarantined").ok());
+}
+
+TEST(IndexLoadOrBuildTest, RebuildsAWholeIndexMissingItsLastUser) {
+  // Same config, fingerprint and shard 0 of 1, but one user short: the
+  // last auxiliary user could never be a candidate.
+  const Scenario s = MakeScenario(24, 4);
+  const ScopedTempDir tmp;
+  const std::string file = tmp.File("dehealth_index_short.dhix");
+  auto built = LoadOrBuildIndex(file, s.auxiliary, SimilarityConfig{});
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  auto clean = ReadFileToString(file);
+  ASSERT_TRUE(clean.ok());
+  CandidateIndexData data = built->data();
+  data.users.pop_back();
+  ExpectWholeIndexRebuiltFrom(data, s, file, *clean);
+}
+
+TEST(IndexLoadOrBuildTest, RebuildsAWholeIndexWithNonzeroShardBegin) {
+  // Shard 0 of 1 whose users start at global id 1: every local id would
+  // name the wrong auxiliary user.
+  const Scenario s = MakeScenario(24, 4);
+  const ScopedTempDir tmp;
+  const std::string file = tmp.File("dehealth_index_offset.dhix");
+  auto built = LoadOrBuildIndex(file, s.auxiliary, SimilarityConfig{});
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  auto clean = ReadFileToString(file);
+  ASSERT_TRUE(clean.ok());
+  CandidateIndexData data = built->data();
+  data.shard_begin = 1;
+  data.users.erase(data.users.begin());
+  ExpectWholeIndexRebuiltFrom(data, s, file, *clean);
 }
 
 }  // namespace

@@ -62,7 +62,7 @@ std::vector<Post> TailOf(const ForumDataset& full, size_t from, size_t to) {
 /// Byte-exact witness of a UDA graph: the encoded DHIX built from it.
 std::string IndexBytes(const UdaGraph& uda) {
   SimilarityConfig sim;
-  auto index = CandidateIndex::Build(uda, sim);
+  auto index = LoadOrBuildIndex("", uda, sim);
   EXPECT_TRUE(index.ok()) << index.status().ToString();
   return EncodeIndexSnapshot(*index);
 }

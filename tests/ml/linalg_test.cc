@@ -55,32 +55,47 @@ TEST(CholeskySolveTest, SolvesSpdSystem) {
   a.At(0, 1) = 2.0;
   a.At(1, 0) = 2.0;
   a.At(1, 1) = 3.0;
-  auto x = CholeskySolve(a, {10.0, 8.0});
+  auto l = CholeskyFactor(a);
+  ASSERT_TRUE(l.ok());
+  EXPECT_EQ(l->At(0, 0), 2.0);  // sqrt(4)
+  EXPECT_EQ(l->At(1, 0), 1.0);  // 2 / 2
+  EXPECT_EQ(l->At(0, 1), 0.0);  // lower-triangular
+  auto x = CholeskySolve(*l, {10.0, 8.0});
   ASSERT_TRUE(x.ok());
   EXPECT_NEAR((*x)[0], 1.75, 1e-9);
   EXPECT_NEAR((*x)[1], 1.5, 1e-9);
+  // One factor serves every right-hand side: A [1, 1] = [6, 5].
+  auto y = CholeskySolve(*l, {6.0, 5.0});
+  ASSERT_TRUE(y.ok());
+  EXPECT_NEAR((*y)[0], 1.0, 1e-12);
+  EXPECT_NEAR((*y)[1], 1.0, 1e-12);
 }
 
 TEST(CholeskySolveTest, IdentitySolve) {
   Matrix a(3, 3);
   a.AddDiagonal(1.0);
-  auto x = CholeskySolve(a, {1.0, 2.0, 3.0});
+  auto l = CholeskyFactor(a);
+  ASSERT_TRUE(l.ok());
+  auto x = CholeskySolve(*l, {1.0, 2.0, 3.0});
   ASSERT_TRUE(x.ok());
   EXPECT_NEAR((*x)[2], 3.0, 1e-12);
 }
 
 TEST(CholeskySolveTest, RejectsNonSquare) {
   Matrix a(2, 3);
-  auto x = CholeskySolve(a, {1.0, 2.0});
-  EXPECT_FALSE(x.ok());
-  EXPECT_EQ(x.status().code(), StatusCode::kInvalidArgument);
+  auto l = CholeskyFactor(a);
+  EXPECT_FALSE(l.ok());
+  EXPECT_EQ(l.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(CholeskySolveTest, RejectsSizeMismatch) {
   Matrix a(2, 2);
   a.AddDiagonal(1.0);
-  auto x = CholeskySolve(a, {1.0});
+  auto l = CholeskyFactor(a);
+  ASSERT_TRUE(l.ok());
+  auto x = CholeskySolve(*l, {1.0});
   EXPECT_FALSE(x.ok());
+  EXPECT_EQ(x.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(CholeskySolveTest, RejectsIndefiniteMatrix) {
@@ -89,9 +104,9 @@ TEST(CholeskySolveTest, RejectsIndefiniteMatrix) {
   a.At(0, 1) = 5.0;
   a.At(1, 0) = 5.0;
   a.At(1, 1) = 1.0;  // eigenvalues 6, -4
-  auto x = CholeskySolve(a, {1.0, 1.0});
-  EXPECT_FALSE(x.ok());
-  EXPECT_EQ(x.status().code(), StatusCode::kFailedPrecondition);
+  auto l = CholeskyFactor(a);
+  EXPECT_FALSE(l.ok());
+  EXPECT_EQ(l.status().code(), StatusCode::kFailedPrecondition);
 }
 
 TEST(DistanceTest, EuclideanAndDot) {

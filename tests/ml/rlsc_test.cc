@@ -1,8 +1,12 @@
 #include "ml/rlsc.h"
 
+#include <bit>
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "io/byte_codec.h"
 
 namespace dehealth {
 namespace {
@@ -98,6 +102,27 @@ TEST(RlscTest, HighDimensionalFewSamples) {
   std::vector<double> probe(50, 0.0);
   probe[0] = 4.0;
   EXPECT_EQ(rlsc.Predict(probe), 0);
+}
+
+TEST(RlscTest, DecisionScoresMatchPinnedValues) {
+  // Three classes in ten dimensions: every class solves against one Gram
+  // matrix. The literal was computed by the build that factored that
+  // matrix once per class; factoring it once must not move a bit.
+  Rng rng(37);
+  Dataset d(10);
+  for (int i = 0; i < 24; ++i) {
+    std::vector<double> x(10);
+    for (double& v : x) v = rng.NextGaussian();
+    x[static_cast<size_t>(i % 3)] += 3.0;
+    ASSERT_TRUE(d.Add({std::move(x), i % 3}).ok());
+  }
+  RlscClassifier rlsc(0.1);
+  ASSERT_TRUE(rlsc.Fit(d).ok());
+  uint64_t hash = kFnv1aBasis;
+  for (size_t i = 0; i < d.size(); ++i)
+    for (const double score : rlsc.DecisionScores(d[i].features))
+      hash = Fnv1aValue(hash, std::bit_cast<uint64_t>(score));
+  EXPECT_EQ(hash, 0x7d527af5af8384faULL);
 }
 
 }  // namespace

@@ -9,7 +9,7 @@
 
 #include "common/rng.h"
 #include "core/top_k.h"
-#include "shard/partition.h"
+#include "index/partition.h"
 
 namespace dehealth {
 namespace {

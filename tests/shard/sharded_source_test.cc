@@ -1,8 +1,8 @@
 // Fleet slices: each backend's IndexedCandidateSource over its one
-// candidate-index slice (LoadOrBuildShardIndex) must answer bitwise the
-// segment of what the whole index answers, and the slices' local Top-K
-// lists must merge (MergeScoredTopK, the router's kernel) into the whole
-// index's Top-K — for every shard and thread count.
+// candidate-index slice (LoadOrBuildIndex's shard i of n) must answer
+// bitwise the segment of what the whole index answers, and the slices'
+// local Top-K lists must merge (MergeScoredTopK, the router's kernel) into
+// the whole index's Top-K — for every shard and thread count.
 
 #include <bit>
 #include <cstdint>
@@ -19,10 +19,10 @@
 #include "datagen/forum_generator.h"
 #include "datagen/split.h"
 #include "index/indexed_source.h"
+#include "index/partition.h"
 #include "index/pipeline.h"
 #include "index/snapshot.h"
-#include "shard/partition.h"
-#include "shard/shard_index.h"
+#include "obs/standard_metrics.h"
 #include "testing/scoped_temp_dir.h"
 
 namespace dehealth {
@@ -45,7 +45,7 @@ class ShardedSourceTest : public ::testing::Test {
     ASSERT_TRUE(scenario.ok());
     anon_ = new UdaGraph(BuildUdaGraph(scenario->anonymized));
     aux_ = new UdaGraph(BuildUdaGraph(scenario->auxiliary));
-    auto index = CandidateIndex::Build(*aux_, SimConfig());
+    auto index = LoadOrBuildIndex("", *aux_, SimConfig());
     ASSERT_TRUE(index.ok()) << index.status().ToString();
     full_ = new CandidateIndex(std::move(index).value());
     reference_ = new IndexedCandidateSource(*anon_, *full_);
@@ -55,7 +55,7 @@ class ShardedSourceTest : public ::testing::Test {
   /// over ComputeShardRanges' i-th range.
   static StatusOr<IndexedCandidateSource> MakeSlice(int i, int n,
                                                     int num_threads = 0) {
-    auto shard = LoadOrBuildShardIndex("", *aux_, SimConfig(), i, n);
+    auto shard = LoadOrBuildIndex("", *aux_, SimConfig(), i, n);
     if (!shard.ok()) return shard.status();
     return IndexedCandidateSource(*anon_, std::move(shard).value(),
                                   num_threads);
@@ -162,12 +162,13 @@ TEST_F(ShardedSourceTest, RejectsBadArguments) {
       slice->TopKForUsers({slice->num_anonymized()}, 3, 1, nullptr).ok());
 }
 
-TEST_F(ShardedSourceTest, SliceIndexDataKeepsGlobalState) {
+TEST_F(ShardedSourceTest, SliceKeepsGlobalState) {
   const std::vector<ShardRange> ranges =
       ComputeShardRanges(full_->num_auxiliary(), 3);
   for (int i = 0; i < 3; ++i) {
-    const CandidateIndexData slice =
-        SliceIndexData(full_->data(), ranges[static_cast<size_t>(i)], i, 3);
+    auto shard = LoadOrBuildIndex("", *aux_, SimConfig(), i, 3);
+    ASSERT_TRUE(shard.ok()) << shard.status().ToString();
+    const CandidateIndexData& slice = shard->data();
     EXPECT_EQ(slice.shard_index, static_cast<uint32_t>(i));
     EXPECT_EQ(slice.shard_count, 3u);
     EXPECT_EQ(slice.shard_begin,
@@ -185,8 +186,8 @@ TEST_F(ShardedSourceTest, SliceIndexDataKeepsGlobalState) {
   }
 }
 
-TEST_F(ShardedSourceTest, LoadOrBuildShardIndexMatchesSlicing) {
-  auto shard = LoadOrBuildShardIndex("", *aux_, SimConfig(), 1, 3);
+TEST_F(ShardedSourceTest, SliceScoresMatchWholeIndex) {
+  auto shard = LoadOrBuildIndex("", *aux_, SimConfig(), 1, 3);
   ASSERT_TRUE(shard.ok()) << shard.status().ToString();
   const std::vector<ShardRange> ranges =
       ComputeShardRanges(full_->num_auxiliary(), 3);
@@ -197,8 +198,12 @@ TEST_F(ShardedSourceTest, LoadOrBuildShardIndexMatchesSlicing) {
     for (int local = 0; local < shard->num_auxiliary(); ++local)
       ASSERT_EQ(shard->ExactScore(queries[static_cast<size_t>(u)], local),
                 reference_->Score(u, ranges[1].begin + local));
-  EXPECT_FALSE(LoadOrBuildShardIndex("", *aux_, SimConfig(), 3, 3).ok());
-  EXPECT_FALSE(LoadOrBuildShardIndex("", *aux_, SimConfig(), -1, 3).ok());
+  const std::pair<int, int> out_of_range[] = {{3, 3}, {-1, 3}, {0, 0}};
+  for (const auto& [i, n] : out_of_range) {
+    auto bad = LoadOrBuildIndex("", *aux_, SimConfig(), i, n);
+    ASSERT_FALSE(bad.ok()) << i << " of " << n;
+    EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST_F(ShardedSourceTest, ShardSnapshotsRoundTripAndQuarantine) {
@@ -207,7 +212,7 @@ TEST_F(ShardedSourceTest, ShardSnapshotsRoundTripAndQuarantine) {
   auto build_all = [&] {
     std::vector<CandidateIndex> shards;
     for (int i = 0; i < 3; ++i) {
-      auto shard = LoadOrBuildShardIndex(base, *aux_, SimConfig(), i, 3);
+      auto shard = LoadOrBuildIndex(base, *aux_, SimConfig(), i, 3);
       EXPECT_TRUE(shard.ok()) << shard.status().ToString();
       if (shard.ok()) shards.push_back(std::move(shard).value());
     }
@@ -218,12 +223,25 @@ TEST_F(ShardedSourceTest, ShardSnapshotsRoundTripAndQuarantine) {
   ASSERT_EQ(built.size(), 3u);
   for (int i = 0; i < 3; ++i)
     EXPECT_TRUE(std::filesystem::exists(ShardSnapshotPath(base, i, 3)));
+  // Slices never write the whole index's file.
+  EXPECT_FALSE(std::filesystem::exists(base));
 
   // Warm start: loads the snapshots, byte for byte what was built.
+  const uint64_t loads = obs::GetIndexMetrics().snapshot_loads->Value();
   const std::vector<CandidateIndex> reloaded = build_all();
   ASSERT_EQ(reloaded.size(), 3u);
+  EXPECT_EQ(obs::GetIndexMetrics().snapshot_loads->Value(), loads + 3);
   for (size_t i = 0; i < 3; ++i)
     EXPECT_EQ(EncodeIndexSnapshot(reloaded[i]), EncodeIndexSnapshot(built[i]));
+
+  // Another slice's file is never taken for this one: it is stale, so it
+  // is rebuilt (and overwritten) rather than loaded.
+  std::filesystem::copy_file(ShardSnapshotPath(base, 0, 3),
+                             ShardSnapshotPath(base, 2, 3),
+                             std::filesystem::copy_options::overwrite_existing);
+  auto restored = LoadOrBuildIndex(base, *aux_, SimConfig(), 2, 3);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_EQ(EncodeIndexSnapshot(*restored), EncodeIndexSnapshot(built[2]));
 
   // Corrupt ONE shard file: that shard is quarantined and rebuilt — the
   // backend never fails — and the rebuild equals the original.
@@ -236,8 +254,12 @@ TEST_F(ShardedSourceTest, ShardSnapshotsRoundTripAndQuarantine) {
     const char garbage[8] = {'X', 'X', 'X', 'X', 'X', 'X', 'X', 'X'};
     f.write(garbage, sizeof(garbage));
   }
-  auto recovered = LoadOrBuildShardIndex(base, *aux_, SimConfig(), 1, 3);
+  const uint64_t quarantines =
+      obs::GetShardMetrics().snapshot_quarantines->Value();
+  auto recovered = LoadOrBuildIndex(base, *aux_, SimConfig(), 1, 3);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(obs::GetShardMetrics().snapshot_quarantines->Value(),
+            quarantines + 1);
   EXPECT_TRUE(std::filesystem::exists(victim + ".quarantined"));
   EXPECT_TRUE(std::filesystem::exists(victim));  // rewritten after rebuild
   EXPECT_EQ(EncodeIndexSnapshot(*recovered), EncodeIndexSnapshot(built[1]));

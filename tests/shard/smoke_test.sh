@@ -7,6 +7,9 @@
 # router serves only the shardable query types — dump/refined/filtered need
 # universe-global state and are refused upstream.
 #
+# The backends share one --index-path: each persists its own slice file,
+# and a second backend of the same slice warm-starts from it.
+#
 # Usage: smoke_test.sh <dehealth_cli> <dehealth_serve> <dehealth_router>
 #                      <dehealth_query> <work_dir>
 set -eu
@@ -72,13 +75,37 @@ GOLDEN_PORT="$LAST_PORT"
 [ -s "$WORK/golden.topk" ] || fail "unsharded server returned no topk output"
 
 # --- three shard backends + the router ----------------------------------
+# Each backend builds only its own slice and persists it next to the
+# shared snapshot path; the whole-index file itself is never written.
 BACKENDS=""
 for i in 0 1 2; do
   start_and_wait "shard$i" "$SERVE" $DATA_FLAGS --shard-index "$i" \
-    --shard-count 3
+    --shard-count 3 --index-path "$WORK/aux.dhix"
   BACKENDS="$BACKENDS,127.0.0.1:$LAST_PORT"
+  if [ "$i" -eq 1 ]; then SHARD1_PORT="$LAST_PORT"; fi
 done
 BACKENDS="${BACKENDS#,}"
+for i in 0 1 2; do
+  [ -s "$WORK/aux.shard-$i-of-3.dhix" ] ||
+    fail "shard $i did not write aux.shard-$i-of-3.dhix"
+done
+[ ! -e "$WORK/aux.dhix" ] || fail "a slice backend wrote the whole index"
+
+# A second shard-1 backend on the same path loads the slice snapshot
+# instead of building it, and answers byte for byte like the cold one.
+start_and_wait shard1warm "$SERVE" $DATA_FLAGS --shard-index 1 \
+  --shard-count 3 --index-path "$WORK/aux.dhix"
+WARM_PORT="$LAST_PORT"
+"$QUERY" metrics --port "$WARM_PORT" >"$WORK/warm.metrics"
+grep -q "^dehealth_index_snapshot_loads_total 1$" "$WORK/warm.metrics" ||
+  fail "warm shard-1 backend did not load its snapshot: $(grep snapshot "$WORK/warm.metrics")"
+grep -q "^dehealth_index_snapshot_rebuilds_total 0$" "$WORK/warm.metrics" ||
+  fail "warm shard-1 backend rebuilt its slice"
+"$QUERY" topk --port "$SHARD1_PORT" --users all >"$WORK/shard1.cold.topk"
+"$QUERY" topk --port "$WARM_PORT" --users all >"$WORK/shard1.warm.topk"
+[ -s "$WORK/shard1.cold.topk" ] || fail "shard-1 backend returned no topk"
+cmp "$WORK/shard1.cold.topk" "$WORK/shard1.warm.topk" ||
+  fail "warm shard-1 backend answers differ from the cold one"
 
 start_and_wait router "$ROUTER" --backends "$BACKENDS"
 ROUTER_PID="$LAST_PID"
