@@ -5,7 +5,7 @@
 #include <memory>
 #include <numeric>
 #include <span>
-#include <unordered_map>
+#include <string>
 #include <unordered_set>
 
 #include "common/parallel.h"
@@ -16,6 +16,7 @@
 #include "ml/metrics.h"
 #include "ml/nearest_centroid.h"
 #include "ml/rlsc.h"
+#include "stylo/feature_layout.h"
 
 namespace dehealth {
 
@@ -45,107 +46,134 @@ std::unique_ptr<Classifier> MakeLearner(const RefinedDaConfig& config) {
   return nullptr;
 }
 
-/// Collects the union of nonzero feature ids across a set of sparse
-/// vectors and maps them to compact dense indices — the per-user training
-/// problems only touch a few hundred of the ~1.8K feature dimensions.
-class CompactIndex {
+/// The dense columns of one training problem: each feature id some post
+/// holds gets the next column, in order of first appearance. The per-user
+/// problems only touch a few hundred of the kTotalFeatures dimensions.
+class ColumnMap {
  public:
-  void Collect(const SparseVector& v) {
-    for (const auto& [id, value] : v.entries())
-      index_.insert({id, static_cast<int>(index_.size())});
+  /// Gives each id of `v` not seen before the next column. InvalidArgument
+  /// for an id outside [0, kTotalFeatures).
+  Status Collect(const SparseVector& v) {
+    for (const auto& [id, value] : v.entries()) {
+      if (id < 0 || id >= feature_layout::kTotalFeatures)
+        return Status::InvalidArgument(
+            "refined DA: feature id " + std::to_string(id) +
+            " outside [0, " + std::to_string(feature_layout::kTotalFeatures) +
+            ")");
+      int& column = column_[static_cast<size_t>(id)];
+      if (column < 0) column = dims_++;
+    }
+    return Status::OK();
   }
 
-  int dims() const { return static_cast<int>(index_.size()); }
+  int dims() const { return dims_; }
 
-  std::vector<double> Densify(const SparseVector& v, int extra_dims) const {
-    std::vector<double> dense(index_.size() + static_cast<size_t>(extra_dims),
-                              0.0);
-    for (const auto& [id, value] : v.entries()) {
-      auto it = index_.find(id);
-      if (it != index_.end()) dense[static_cast<size_t>(it->second)] = value;
-    }
-    return dense;
+  /// Writes `v`'s values into their columns of `row`; every id of `v` must
+  /// have been collected.
+  void Scatter(const SparseVector& v, std::span<double> row) const {
+    for (const auto& [id, value] : v.entries())
+      row[static_cast<size_t>(column_[static_cast<size_t>(id)])] = value;
   }
 
  private:
-  std::unordered_map<int, int> index_;
+  std::vector<int> column_ =
+      std::vector<int>(feature_layout::kTotalFeatures, -1);
+  int dims_ = 0;
 };
 
 constexpr int kNumStructuralFeatures = 3;
 
-void AppendStructural(const UdaGraph& side, NodeId user,
-                      std::vector<double>& dense) {
-  const size_t base = dense.size() - kNumStructuralFeatures;
-  dense[base + 0] = static_cast<double>(side.graph.Degree(user));
-  dense[base + 1] = side.graph.WeightedDegree(user);
-  dense[base + 2] = std::log(
+/// Writes the structural features of `user` into the last
+/// kNumStructuralFeatures entries of `row`.
+void SetStructural(const UdaGraph& side, NodeId user, std::span<double> row) {
+  const size_t base = row.size() - kNumStructuralFeatures;
+  row[base + 0] = static_cast<double>(side.graph.Degree(user));
+  row[base + 1] = side.graph.WeightedDegree(user);
+  row[base + 2] = std::log(
       1.0 + static_cast<double>(
                 side.post_features[static_cast<size_t>(user)].size()));
 }
 
-/// A learner trained on the posts of a label set, with the compact index
-/// and the scaler its inputs go through.
+/// A learner trained on the posts of a label set, with the column map and
+/// the scaler its inputs go through.
 struct TrainedModel {
-  int extra_dims = 0;
-  CompactIndex index;
+  bool structural = false;
+  size_t dims = 0;
+  ColumnMap columns;
   StandardScaler scaler;
   /// Null when no label has a post to train on.
   std::unique_ptr<Classifier> learner;
 };
 
+/// Writes `post` into `row` (zeroed) as a training or query sample of
+/// `user` on `side`.
+void WriteRow(const TrainedModel& model, const UdaGraph& side, NodeId user,
+              const SparseVector& post, std::span<double> row) {
+  model.columns.Scatter(post, row);
+  if (model.structural) SetStructural(side, user, row);
+}
+
 /// Trains `model` on every post of every user in `labels`, each labelled
-/// with that auxiliary id. The compact index covers the training posts,
-/// then the posts of `queries` in order, so every post Predict reads has
-/// its columns.
+/// with that auxiliary id. The column map covers the training posts, then
+/// the posts of `queries` in order, so every post Predict reads has its
+/// columns. The posts go straight into the rows of one zeroed matrix,
+/// which is standardized in place and handed to the learner.
 Status Train(const UdaGraph& auxiliary, const std::vector<int>& labels,
              std::span<const std::vector<SparseVector>> queries,
              const RefinedDaConfig& config, TrainedModel& model) {
-  size_t num_samples = 0;
+  std::vector<int> row_labels;
   for (int v : labels)
-    num_samples += auxiliary.post_features[static_cast<size_t>(v)].size();
-  if (num_samples == 0) return Status();
+    row_labels.insert(row_labels.end(),
+                      auxiliary.post_features[static_cast<size_t>(v)].size(),
+                      v);
+  if (row_labels.empty()) return Status();
 
   for (int v : labels)
     for (const SparseVector& f :
          auxiliary.post_features[static_cast<size_t>(v)])
-      model.index.Collect(f);
+      DEHEALTH_RETURN_IF_ERROR(model.columns.Collect(f));
   for (const std::vector<SparseVector>& posts : queries)
-    for (const SparseVector& f : posts) model.index.Collect(f);
+    for (const SparseVector& f : posts)
+      DEHEALTH_RETURN_IF_ERROR(model.columns.Collect(f));
 
-  model.extra_dims =
-      config.include_structural_features ? kNumStructuralFeatures : 0;
-  Dataset train(static_cast<size_t>(model.index.dims() + model.extra_dims));
+  model.structural = config.include_structural_features;
+  model.dims = static_cast<size_t>(model.columns.dims()) +
+               (model.structural ? kNumStructuralFeatures : 0);
+  const size_t rows = row_labels.size();
+  Dataset train(model.dims, std::vector<double>(rows * model.dims),
+                std::move(row_labels));
+  size_t r = 0;
   for (int v : labels)
     for (const SparseVector& f :
-         auxiliary.post_features[static_cast<size_t>(v)]) {
-      std::vector<double> dense = model.index.Densify(f, model.extra_dims);
-      if (model.extra_dims > 0) AppendStructural(auxiliary, v, dense);
-      DEHEALTH_RETURN_IF_ERROR(train.Add({std::move(dense), v}));
-    }
+         auxiliary.post_features[static_cast<size_t>(v)])
+      WriteRow(model, auxiliary, v, f, train.row(r++));
 
   DEHEALTH_RETURN_IF_ERROR(model.scaler.Fit(train));
-  const Dataset scaled = model.scaler.TransformDataset(train);
+  model.scaler.Transform(train);
   std::unique_ptr<Classifier> learner = MakeLearner(config);
   if (learner == nullptr)
     return Status::InvalidArgument("RunRefinedDa: unknown learner");
-  DEHEALTH_RETURN_IF_ERROR(learner->Fit(scaled));
+  DEHEALTH_RETURN_IF_ERROR(learner->Fit(std::move(train)));
   model.learner = std::move(learner);
   return Status();
 }
 
 /// The label u's posts point to: their decision scores summed, or their
 /// argmax votes counted under kMajorityVote, then the highest total (the
-/// first on ties). Reads the model only, so users predict in parallel.
+/// first on ties). Reads the model only, so users predict in parallel;
+/// each post goes through one reused row and score buffer.
 int Predict(const TrainedModel& model, const UdaGraph& anonymized, NodeId u,
             RefinedDaConfig::PostAggregation aggregation) {
   const std::vector<int>& classes = model.learner->classes();
   std::vector<double> total_scores(classes.size(), 0.0);
+  std::vector<double> decision(classes.size());
+  std::vector<double> row(model.dims);
   for (const SparseVector& f :
        anonymized.post_features[static_cast<size_t>(u)]) {
-    std::vector<double> dense = model.index.Densify(f, model.extra_dims);
-    if (model.extra_dims > 0) AppendStructural(anonymized, u, dense);
-    const std::vector<double> decision =
-        model.learner->DecisionScores(model.scaler.Transform(dense));
+    std::fill(row.begin(), row.end(), 0.0);
+    WriteRow(model, anonymized, u, f, row);
+    model.scaler.Transform(row);
+    model.learner->DecisionScores(row, decision);
     if (aggregation == RefinedDaConfig::PostAggregation::kMajorityVote) {
       size_t argmax = 0;
       for (size_t c = 1; c < decision.size(); ++c)

@@ -1,5 +1,7 @@
 #include "index/snapshot.h"
 
+#include <optional>
+
 #include "common/fault_injection.h"
 #include "index/partition.h"
 #include "io/byte_codec.h"
@@ -57,18 +59,110 @@ Status ReadWeightedIds(ByteReader& reader,
   return Status::OK();
 }
 
-/// True when `index` is exactly `slice` of the index `config` shapes: the
-/// score-shaping fields, the universe fingerprint, the shard identity and
-/// the user count all match. The one rule a snapshot, whole or slice, must
-/// pass to be reused: the fingerprint alone would accept another slice of
-/// the same universe, or a whole index that lost users.
-bool SnapshotMatches(const CandidateIndex& index,
-                     const SimilarityConfig& config, const IndexSlice& slice) {
-  const CandidateIndexData& data = index.data();
-  return data.c1 == config.c1 && data.c2 == config.c2 &&
-         data.c3 == config.c3 && data.num_landmarks == config.num_landmarks &&
-         data.idf_weight_attributes == config.idf_weight_attributes &&
-         index.slice() == slice;
+/// Reads the fields before the per-user records, up to and including the
+/// user count: all a load needs to tell whether the file is the slice it
+/// wants.
+Status ReadHeader(ByteReader& reader, CandidateIndexData* data,
+                  uint32_t* num_users) {
+  DEHEALTH_RETURN_IF_ERROR(reader.Read(&data->c1));
+  DEHEALTH_RETURN_IF_ERROR(reader.Read(&data->c2));
+  DEHEALTH_RETURN_IF_ERROR(reader.Read(&data->c3));
+  int32_t num_landmarks = 0;
+  DEHEALTH_RETURN_IF_ERROR(reader.Read(&num_landmarks));
+  data->num_landmarks = num_landmarks;
+  uint8_t idf_flag = 0;
+  DEHEALTH_RETURN_IF_ERROR(reader.Read(&idf_flag));
+  data->idf_weight_attributes = idf_flag != 0;
+  DEHEALTH_RETURN_IF_ERROR(reader.Read(&data->auxiliary_fingerprint));
+  DEHEALTH_RETURN_IF_ERROR(reader.Read(&data->shard_index));
+  DEHEALTH_RETURN_IF_ERROR(reader.Read(&data->shard_count));
+  DEHEALTH_RETURN_IF_ERROR(reader.Read(&data->shard_begin));
+  DEHEALTH_RETURN_IF_ERROR(reader.Read(&data->shard_total));
+  if (data->shard_count == 0) return reader.Fail("shard count must be >= 1");
+  if (data->shard_index >= data->shard_count)
+    return reader.Fail("shard index out of range");
+  DEHEALTH_RETURN_IF_ERROR(ReadWeightedIds(reader, &data->idf.weights));
+  DEHEALTH_RETURN_IF_ERROR(reader.Read(&data->idf.default_weight));
+  // 2 doubles + 4 u32 lengths is the smallest possible per-user record.
+  return reader.ReadCount(2 * sizeof(double) + 4 * sizeof(uint32_t),
+                          num_users);
+}
+
+/// Reads the `num_users` per-user records that follow the header, to the
+/// end of the frame.
+Status ReadUsers(ByteReader& reader, uint32_t num_users,
+                 CandidateIndexData* data) {
+  data->users.resize(num_users);
+  for (UserFeatures& f : data->users) {
+    DEHEALTH_RETURN_IF_ERROR(reader.Read(&f.degree));
+    DEHEALTH_RETURN_IF_ERROR(reader.Read(&f.weighted_degree));
+    DEHEALTH_RETURN_IF_ERROR(ReadDoubleVector(reader, &f.ncs));
+    DEHEALTH_RETURN_IF_ERROR(ReadDoubleVector(reader, &f.hop));
+    DEHEALTH_RETURN_IF_ERROR(ReadDoubleVector(reader, &f.weighted_hop));
+    DEHEALTH_RETURN_IF_ERROR(ReadWeightedIds(reader, &f.attributes));
+  }
+  DEHEALTH_RETURN_IF_ERROR(reader.ExpectEnd());
+  if (data->shard_begin > data->shard_total ||
+      static_cast<uint64_t>(data->shard_begin) + num_users >
+          data->shard_total)
+    return reader.Fail("shard range exceeds universe size");
+  return Status::OK();
+}
+
+/// True when a snapshot whose header is `header` and `num_users` holds
+/// exactly `slice` of the index `config` shapes: the score-shaping fields,
+/// the universe fingerprint, the shard identity and the user count all
+/// match. The one rule a snapshot, whole or slice, must pass to be reused:
+/// the fingerprint alone would accept another slice of the same universe,
+/// or a whole index that lost users.
+bool HeaderMatches(const CandidateIndexData& header, uint32_t num_users,
+                   const SimilarityConfig& config, const IndexSlice& slice) {
+  return header.c1 == config.c1 && header.c2 == config.c2 &&
+         header.c3 == config.c3 &&
+         header.num_landmarks == config.num_landmarks &&
+         header.idf_weight_attributes == config.idf_weight_attributes &&
+         header.auxiliary_fingerprint == slice.universe_fingerprint &&
+         header.shard_index == static_cast<uint32_t>(slice.shard_index) &&
+         header.shard_count == static_cast<uint32_t>(slice.shard_count) &&
+         header.shard_begin == static_cast<uint32_t>(slice.range.begin) &&
+         header.shard_total == static_cast<uint32_t>(slice.universe_size) &&
+         num_users ==
+             static_cast<uint32_t>(slice.range.end - slice.range.begin);
+}
+
+/// The bytes of the snapshot file at `path`, through the load fault points.
+StatusOr<std::string> ReadSnapshotFile(const std::string& path) {
+  DEHEALTH_RETURN_IF_ERROR(InjectFaultPoint("snapshot.load"));
+  StatusOr<std::string> bytes = ReadFileToString(path);
+  if (!bytes.ok()) return bytes.status();
+  // Simulated snapshot corruption: the checksum/bounds-checked decoder
+  // must answer with a Status (load-or-rebuild then recovers), never UB.
+  InjectDataFault("snapshot.load.data", &*bytes);
+  return bytes;
+}
+
+/// Loads the snapshot at `file` when its header says it holds `slice` of
+/// the index `config` shapes (HeaderMatches). A stale file yields nullopt
+/// before its per-user records are decoded or its feature store packed;
+/// a file that does not load yields its error.
+StatusOr<std::optional<CandidateIndex>> LoadMatchingSnapshot(
+    const std::string& file, const SimilarityConfig& config,
+    const IndexSlice& slice) {
+  StatusOr<std::string> bytes = ReadSnapshotFile(file);
+  if (!bytes.ok()) return bytes.status();
+  StatusOr<ByteReader> frame =
+      OpenFrame(*bytes, kMagic, kVersion, "index snapshot", file);
+  if (!frame.ok()) return frame.status();
+  CandidateIndexData data;
+  uint32_t num_users = 0;
+  DEHEALTH_RETURN_IF_ERROR(ReadHeader(*frame, &data, &num_users));
+  if (!HeaderMatches(data, num_users, config, slice))
+    return std::optional<CandidateIndex>();
+  DEHEALTH_RETURN_IF_ERROR(ReadUsers(*frame, num_users, &data));
+  StatusOr<CandidateIndex> index = CandidateIndex::FromData(
+      std::move(data), config.num_threads, config.simd);
+  if (!index.ok()) return index.status();
+  return std::optional<CandidateIndex>(std::move(index).value());
 }
 
 }  // namespace
@@ -111,46 +205,10 @@ StatusOr<CandidateIndex> DecodeIndexSnapshot(const std::string& bytes,
   StatusOr<ByteReader> frame =
       OpenFrame(bytes, kMagic, kVersion, "index snapshot", path);
   if (!frame.ok()) return frame.status();
-  ByteReader& reader = *frame;
   CandidateIndexData data;
-  DEHEALTH_RETURN_IF_ERROR(reader.Read(&data.c1));
-  DEHEALTH_RETURN_IF_ERROR(reader.Read(&data.c2));
-  DEHEALTH_RETURN_IF_ERROR(reader.Read(&data.c3));
-  int32_t num_landmarks = 0;
-  DEHEALTH_RETURN_IF_ERROR(reader.Read(&num_landmarks));
-  data.num_landmarks = num_landmarks;
-  uint8_t idf_flag = 0;
-  DEHEALTH_RETURN_IF_ERROR(reader.Read(&idf_flag));
-  data.idf_weight_attributes = idf_flag != 0;
-  DEHEALTH_RETURN_IF_ERROR(reader.Read(&data.auxiliary_fingerprint));
-  DEHEALTH_RETURN_IF_ERROR(reader.Read(&data.shard_index));
-  DEHEALTH_RETURN_IF_ERROR(reader.Read(&data.shard_count));
-  DEHEALTH_RETURN_IF_ERROR(reader.Read(&data.shard_begin));
-  DEHEALTH_RETURN_IF_ERROR(reader.Read(&data.shard_total));
-  if (data.shard_count == 0) return reader.Fail("shard count must be >= 1");
-  if (data.shard_index >= data.shard_count)
-    return reader.Fail("shard index out of range");
-  DEHEALTH_RETURN_IF_ERROR(ReadWeightedIds(reader, &data.idf.weights));
-  DEHEALTH_RETURN_IF_ERROR(reader.Read(&data.idf.default_weight));
-
   uint32_t num_users = 0;
-  // 2 doubles + 4 u32 lengths is the smallest possible per-user record.
-  DEHEALTH_RETURN_IF_ERROR(reader.ReadCount(
-      2 * sizeof(double) + 4 * sizeof(uint32_t), &num_users));
-  data.users.resize(num_users);
-  for (UserFeatures& f : data.users) {
-    DEHEALTH_RETURN_IF_ERROR(reader.Read(&f.degree));
-    DEHEALTH_RETURN_IF_ERROR(reader.Read(&f.weighted_degree));
-    DEHEALTH_RETURN_IF_ERROR(ReadDoubleVector(reader, &f.ncs));
-    DEHEALTH_RETURN_IF_ERROR(ReadDoubleVector(reader, &f.hop));
-    DEHEALTH_RETURN_IF_ERROR(ReadDoubleVector(reader, &f.weighted_hop));
-    DEHEALTH_RETURN_IF_ERROR(ReadWeightedIds(reader, &f.attributes));
-  }
-  DEHEALTH_RETURN_IF_ERROR(reader.ExpectEnd());
-  if (data.shard_begin > data.shard_total ||
-      static_cast<uint64_t>(data.shard_begin) + num_users >
-          data.shard_total)
-    return reader.Fail("shard range exceeds universe size");
+  DEHEALTH_RETURN_IF_ERROR(ReadHeader(*frame, &data, &num_users));
+  DEHEALTH_RETURN_IF_ERROR(ReadUsers(*frame, num_users, &data));
   return CandidateIndex::FromData(std::move(data), num_threads, simd);
 }
 
@@ -162,12 +220,8 @@ Status SaveIndexSnapshot(const CandidateIndex& index,
 
 StatusOr<CandidateIndex> LoadIndexSnapshot(const std::string& path,
                                            int num_threads, SimdMode simd) {
-  DEHEALTH_RETURN_IF_ERROR(InjectFaultPoint("snapshot.load"));
-  StatusOr<std::string> bytes = ReadFileToString(path);
+  StatusOr<std::string> bytes = ReadSnapshotFile(path);
   if (!bytes.ok()) return bytes.status();
-  // Simulated snapshot corruption: the checksum/bounds-checked decoder
-  // must answer with a Status (load-or-rebuild then recovers), never UB.
-  InjectDataFault("snapshot.load.data", &*bytes);
   return DecodeIndexSnapshot(*bytes, path, num_threads, simd);
 }
 
@@ -182,11 +236,11 @@ StatusOr<CandidateIndex> LoadOrBuildIndex(const std::string& path,
   const std::string file = ShardSnapshotPath(path, shard_index, shard_count);
   if (!file.empty()) {
     obs::Span span("index", "snapshot_load");
-    StatusOr<CandidateIndex> loaded =
-        LoadIndexSnapshot(file, config.num_threads, config.simd);
-    if (loaded.ok() && SnapshotMatches(*loaded, config, *slice)) {
+    StatusOr<std::optional<CandidateIndex>> loaded =
+        LoadMatchingSnapshot(file, config, *slice);
+    if (loaded.ok() && loaded->has_value()) {
       obs::GetIndexMetrics().snapshot_loads->Increment();
-      return loaded;
+      return std::move(**loaded);
     }
     // A missing file is the normal first run and a stale one is simply
     // rebuilt; one that exists but does not load is damaged (bad magic,

@@ -52,10 +52,12 @@ StatusOr<CandidateIndex> LoadIndexSnapshot(const std::string& path,
 /// it always builds. Otherwise it loads the slice's snapshot file,
 /// ShardSnapshotPath(path, shard_index, shard_count), and reuses it only
 /// when its score-shaping config, universe fingerprint, shard identity and
-/// user count all match the slice asked for; on any mismatch, missing
-/// file or decode error it builds the slice and saves it there. A file
-/// that exists but does not load is first quarantined to
-/// `<file>.quarantined`. A failing save never costs the built index: it
+/// user count all match the slice asked for. Those fields precede the
+/// per-user records, so a stale file is refused from its header (after
+/// the frame checksum) without its records decoded or its feature store
+/// packed. On any mismatch, missing file or decode error it builds the
+/// slice and saves it there. A file that exists but does not load is
+/// first quarantined to `<file>.quarantined`. A failing save never costs the built index: it
 /// is returned, and the save's Status goes to `*save_status` (when
 /// non-null) so the caller can report that nothing was persisted.
 /// `config.num_threads` and `config.simd` are the index's runtime knobs.

@@ -3,22 +3,20 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <set>
 
 namespace dehealth {
 
-Status Dataset::Add(Sample sample) {
-  if (samples_.empty() && dims_ == 0) dims_ = sample.features.size();
-  if (sample.features.size() != dims_)
-    return Status::InvalidArgument("Dataset::Add: feature size mismatch");
-  samples_.push_back(std::move(sample));
-  return Status::OK();
+Dataset::Dataset(size_t dims, std::vector<double> values,
+                 std::vector<int> labels)
+    : dims_(dims), values_(std::move(values)), labels_(std::move(labels)) {
+  assert(values_.size() == labels_.size() * dims_);
 }
 
 std::vector<int> Dataset::Labels() const {
-  std::set<int> labels;
-  for (const Sample& s : samples_) labels.insert(s.label);
-  return {labels.begin(), labels.end()};
+  std::vector<int> labels = labels_;
+  std::sort(labels.begin(), labels.end());
+  labels.erase(std::unique(labels.begin(), labels.end()), labels.end());
+  return labels;
 }
 
 Status StandardScaler::Fit(const Dataset& data) {
@@ -27,38 +25,33 @@ Status StandardScaler::Fit(const Dataset& data) {
   const size_t dims = data.dims();
   mean_.assign(dims, 0.0);
   stddev_.assign(dims, 0.0);
-  for (const Sample& s : data.samples())
-    for (size_t d = 0; d < dims; ++d) mean_[d] += s.features[d];
+  for (size_t i = 0; i < data.size(); ++i) {
+    const std::span<const double> x = data.row(i);
+    for (size_t d = 0; d < dims; ++d) mean_[d] += x[d];
+  }
   const double n = static_cast<double>(data.size());
   for (double& m : mean_) m /= n;
-  for (const Sample& s : data.samples())
+  for (size_t i = 0; i < data.size(); ++i) {
+    const std::span<const double> x = data.row(i);
     for (size_t d = 0; d < dims; ++d) {
-      const double diff = s.features[d] - mean_[d];
+      const double diff = x[d] - mean_[d];
       stddev_[d] += diff * diff;
     }
+  }
   for (double& sd : stddev_) sd = std::sqrt(sd / n);
   return Status::OK();
 }
 
-std::vector<double> StandardScaler::Transform(
-    const std::vector<double>& x) const {
+void StandardScaler::Transform(std::span<double> x) const {
   assert(fitted() && x.size() == mean_.size());
-  std::vector<double> out(x.size());
   for (size_t d = 0; d < x.size(); ++d) {
     const double sd = stddev_[d];
-    out[d] = sd > 0.0 ? (x[d] - mean_[d]) / sd : 0.0;
+    x[d] = sd > 0.0 ? (x[d] - mean_[d]) / sd : 0.0;
   }
-  return out;
 }
 
-Dataset StandardScaler::TransformDataset(const Dataset& data) const {
-  Dataset out(data.dims());
-  for (const Sample& s : data.samples()) {
-    Status st = out.Add({Transform(s.features), s.label});
-    assert(st.ok());
-    (void)st;
-  }
-  return out;
+void StandardScaler::Transform(Dataset& data) const {
+  for (size_t i = 0; i < data.size(); ++i) Transform(data.row(i));
 }
 
 }  // namespace dehealth

@@ -2,46 +2,46 @@
 #define DEHEALTH_ML_DATASET_H_
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "common/status.h"
 
 namespace dehealth {
 
-/// One labeled training/testing instance.
-struct Sample {
-  std::vector<double> features;
-  int label = 0;
-};
-
-/// A labeled dataset with a fixed feature dimensionality.
+/// A labeled dataset: size() rows of dims() features in one row-major
+/// array, and one label per row.
 class Dataset {
  public:
   Dataset() = default;
-  explicit Dataset(size_t dims) : dims_(dims) {}
+  /// labels.size() rows of `dims` features, row-major in `values` (which
+  /// must hold labels.size() * dims of them); row i is labelled labels[i].
+  Dataset(size_t dims, std::vector<double> values, std::vector<int> labels);
 
-  /// Appends a sample; its feature size must match dims() (the first Add on
-  /// a default-constructed dataset fixes the dimensionality).
-  Status Add(Sample sample);
-
-  size_t size() const { return samples_.size(); }
+  size_t size() const { return labels_.size(); }
   size_t dims() const { return dims_; }
-  bool empty() const { return samples_.empty(); }
+  bool empty() const { return labels_.empty(); }
 
-  const Sample& operator[](size_t i) const { return samples_[i]; }
-  const std::vector<Sample>& samples() const { return samples_; }
+  std::span<const double> row(size_t i) const {
+    return {values_.data() + i * dims_, dims_};
+  }
+  std::span<double> row(size_t i) {
+    return {values_.data() + i * dims_, dims_};
+  }
+  int label(size_t i) const { return labels_[i]; }
 
   /// Distinct labels, sorted ascending.
   std::vector<int> Labels() const;
 
  private:
   size_t dims_ = 0;
-  std::vector<Sample> samples_;
+  std::vector<double> values_;
+  std::vector<int> labels_;
 };
 
 /// Fits mean/stddev on a dataset and standardizes features to zero mean and
-/// unit variance (constant features pass through unchanged). The same
-/// transform must be applied to test points.
+/// unit variance (constant features map to 0). The same transform must be
+/// applied to test points.
 class StandardScaler {
  public:
   StandardScaler() = default;
@@ -49,15 +49,15 @@ class StandardScaler {
   /// Learns per-dimension mean and stddev. Fails on an empty dataset.
   Status Fit(const Dataset& data);
 
-  /// (x - mean) / stddev per dimension. `x` must match the fitted dims.
-  std::vector<double> Transform(const std::vector<double>& x) const;
+  /// Replaces each x[d] by (x[d] - mean) / stddev in place. `x` must match
+  /// the fitted dims.
+  void Transform(std::span<double> x) const;
 
-  /// Transforms a whole dataset (labels preserved).
-  Dataset TransformDataset(const Dataset& data) const;
+  /// Transforms every row of `data` in place (labels untouched).
+  void Transform(Dataset& data) const;
 
   bool fitted() const { return !mean_.empty(); }
   const std::vector<double>& mean() const { return mean_; }
-  const std::vector<double>& stddev() const { return stddev_; }
 
  private:
   std::vector<double> mean_;

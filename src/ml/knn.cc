@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <map>
 
 #include "ml/linalg.h"
 
@@ -10,48 +9,35 @@ namespace dehealth {
 
 KnnClassifier::KnnClassifier(int k) : k_(k) { assert(k >= 1); }
 
-Status KnnClassifier::Fit(const Dataset& data) {
+Status KnnClassifier::Fit(Dataset data) {
   if (data.empty())
     return Status::InvalidArgument("KnnClassifier::Fit: empty dataset");
-  train_ = data;
   classes_ = data.Labels();
+  train_ = std::move(data);
   if (k_ > static_cast<int>(train_.size()))
     k_ = static_cast<int>(train_.size());
   return Status::OK();
 }
 
-std::vector<double> KnnClassifier::DecisionScores(
-    const std::vector<double>& x) const {
-  assert(!train_.empty() && x.size() == train_.dims());
+void KnnClassifier::DecisionScores(std::span<const double> x,
+                                   std::span<double> scores) const {
+  assert(!train_.empty() && x.size() == train_.dims() &&
+         scores.size() == classes_.size());
   // Distances to all training points; take the k nearest.
   std::vector<std::pair<double, int>> dist_label;
   dist_label.reserve(train_.size());
-  for (const Sample& s : train_.samples())
-    dist_label.emplace_back(EuclideanDistance(x, s.features), s.label);
+  for (size_t i = 0; i < train_.size(); ++i)
+    dist_label.emplace_back(EuclideanDistance(x, train_.row(i)),
+                            train_.label(i));
   const size_t k = static_cast<size_t>(k_);
   std::partial_sort(dist_label.begin(), dist_label.begin() + k,
                     dist_label.end());
 
   // Inverse-distance-weighted votes per class.
-  std::map<int, double> votes;
-  for (size_t i = 0; i < k; ++i) {
-    const double w = 1.0 / (1e-9 + dist_label[i].first);
-    votes[dist_label[i].second] += w;
-  }
-  std::vector<double> scores(classes_.size(), 0.0);
-  for (size_t c = 0; c < classes_.size(); ++c) {
-    auto it = votes.find(classes_[c]);
-    if (it != votes.end()) scores[c] = it->second;
-  }
-  return scores;
-}
-
-int KnnClassifier::Predict(const std::vector<double>& x) const {
-  const std::vector<double> scores = DecisionScores(x);
-  size_t best = 0;
-  for (size_t c = 1; c < scores.size(); ++c)
-    if (scores[c] > scores[best]) best = c;
-  return classes_[best];
+  std::fill(scores.begin(), scores.end(), 0.0);
+  for (size_t i = 0; i < k; ++i)
+    scores[ClassIndex(classes_, dist_label[i].second)] +=
+        1.0 / (1e-9 + dist_label[i].first);
 }
 
 }  // namespace dehealth

@@ -15,10 +15,9 @@ class KnnClassifier : public Classifier {
   /// `k` must be >= 1; it is capped at the training-set size on Fit.
   explicit KnnClassifier(int k = 5);
 
-  Status Fit(const Dataset& data) override;
-  int Predict(const std::vector<double>& x) const override;
-  std::vector<double> DecisionScores(
-      const std::vector<double>& x) const override;
+  Status Fit(Dataset data) override;
+  void DecisionScores(std::span<const double> x,
+                      std::span<double> scores) const override;
   const std::vector<int>& classes() const override { return classes_; }
 
   int k() const { return k_; }

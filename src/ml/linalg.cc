@@ -86,8 +86,8 @@ StatusOr<std::vector<double>> CholeskySolve(const Matrix& l,
   return x;
 }
 
-double EuclideanDistance(const std::vector<double>& a,
-                         const std::vector<double>& b) {
+double EuclideanDistance(std::span<const double> a,
+                         std::span<const double> b) {
   assert(a.size() == b.size());
   double acc = 0.0;
   for (size_t i = 0; i < a.size(); ++i) {
@@ -97,7 +97,7 @@ double EuclideanDistance(const std::vector<double>& a,
   return std::sqrt(acc);
 }
 
-double DotProduct(const std::vector<double>& a, const std::vector<double>& b) {
+double DotProduct(std::span<const double> a, std::span<const double> b) {
   assert(a.size() == b.size());
   double acc = 0.0;
   for (size_t i = 0; i < a.size(); ++i) acc += a[i] * b[i];

@@ -2,6 +2,7 @@
 #define DEHEALTH_ML_LINALG_H_
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "common/status.h"
@@ -50,11 +51,11 @@ StatusOr<std::vector<double>> CholeskySolve(const Matrix& l,
                                             const std::vector<double>& b);
 
 /// Euclidean distance between equal-length vectors.
-double EuclideanDistance(const std::vector<double>& a,
-                         const std::vector<double>& b);
+double EuclideanDistance(std::span<const double> a,
+                         std::span<const double> b);
 
 /// Dot product of equal-length vectors.
-double DotProduct(const std::vector<double>& a, const std::vector<double>& b);
+double DotProduct(std::span<const double> a, std::span<const double> b);
 
 }  // namespace dehealth
 

@@ -1,48 +1,37 @@
 #include "ml/nearest_centroid.h"
 
 #include <cassert>
-#include <unordered_map>
 
 #include "ml/linalg.h"
 
 namespace dehealth {
 
-Status NearestCentroidClassifier::Fit(const Dataset& data) {
+Status NearestCentroidClassifier::Fit(Dataset data) {
   if (data.empty())
     return Status::InvalidArgument(
         "NearestCentroidClassifier::Fit: empty dataset");
   classes_ = data.Labels();
-  centroids_.assign(classes_.size(),
-                    std::vector<double>(data.dims(), 0.0));
-  std::unordered_map<int, size_t> class_index;
-  for (size_t c = 0; c < classes_.size(); ++c) class_index[classes_[c]] = c;
+  dims_ = data.dims();
+  centroids_.assign(classes_.size() * dims_, 0.0);
   std::vector<int> counts(classes_.size(), 0);
-  for (const Sample& s : data.samples()) {
-    const size_t c = class_index[s.label];
+  for (size_t i = 0; i < data.size(); ++i) {
+    const size_t c = ClassIndex(classes_, data.label(i));
     ++counts[c];
-    for (size_t j = 0; j < data.dims(); ++j)
-      centroids_[c][j] += s.features[j];
+    const std::span<const double> x = data.row(i);
+    double* centroid = centroids_.data() + c * dims_;
+    for (size_t j = 0; j < dims_; ++j) centroid[j] += x[j];
   }
   for (size_t c = 0; c < classes_.size(); ++c)
-    for (double& v : centroids_[c]) v /= counts[c];
+    for (size_t j = 0; j < dims_; ++j) centroids_[c * dims_ + j] /= counts[c];
   return Status::OK();
 }
 
-std::vector<double> NearestCentroidClassifier::DecisionScores(
-    const std::vector<double>& x) const {
-  assert(!centroids_.empty());
-  std::vector<double> scores(classes_.size());
+void NearestCentroidClassifier::DecisionScores(
+    std::span<const double> x, std::span<double> scores) const {
+  assert(!classes_.empty() && scores.size() == classes_.size());
   for (size_t c = 0; c < classes_.size(); ++c)
-    scores[c] = -EuclideanDistance(x, centroids_[c]);
-  return scores;
-}
-
-int NearestCentroidClassifier::Predict(const std::vector<double>& x) const {
-  const std::vector<double> scores = DecisionScores(x);
-  size_t best = 0;
-  for (size_t c = 1; c < scores.size(); ++c)
-    if (scores[c] > scores[best]) best = c;
-  return classes_[best];
+    scores[c] = -EuclideanDistance(
+        x, std::span<const double>(centroids_).subspan(c * dims_, dims_));
 }
 
 }  // namespace dehealth

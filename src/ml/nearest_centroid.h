@@ -15,18 +15,16 @@ class NearestCentroidClassifier : public Classifier {
  public:
   NearestCentroidClassifier() = default;
 
-  Status Fit(const Dataset& data) override;
-  int Predict(const std::vector<double>& x) const override;
-  std::vector<double> DecisionScores(
-      const std::vector<double>& x) const override;
+  Status Fit(Dataset data) override;
+  void DecisionScores(std::span<const double> x,
+                      std::span<double> scores) const override;
   const std::vector<int>& classes() const override { return classes_; }
-
-  /// The learned centroid of classes()[i].
-  const std::vector<double>& Centroid(size_t i) const { return centroids_[i]; }
 
  private:
   std::vector<int> classes_;
-  std::vector<std::vector<double>> centroids_;
+  size_t dims_ = 0;
+  /// classes_.size() x dims_, row c the centroid of classes_[c].
+  std::vector<double> centroids_;
 };
 
 }  // namespace dehealth

@@ -16,13 +16,10 @@ class RlscClassifier : public Classifier {
  public:
   explicit RlscClassifier(double lambda = 1.0);
 
-  Status Fit(const Dataset& data) override;
-  int Predict(const std::vector<double>& x) const override;
-  std::vector<double> DecisionScores(
-      const std::vector<double>& x) const override;
+  Status Fit(Dataset data) override;
+  void DecisionScores(std::span<const double> x,
+                      std::span<double> scores) const override;
   const std::vector<int>& classes() const override { return classes_; }
-
-  double lambda() const { return lambda_; }
 
  private:
   double lambda_;

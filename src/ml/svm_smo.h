@@ -6,6 +6,7 @@
 
 #include "common/rng.h"
 #include "ml/classifier.h"
+#include "ml/linalg.h"
 
 namespace dehealth {
 
@@ -26,44 +27,36 @@ struct SvmConfig {
   uint64_t seed = 1;         // second-index heuristic randomization
 };
 
+/// The n x n Gram matrix K(row i, row j) of `data` under `config`'s
+/// kernel: computed once and shared by every one-vs-rest machine.
+Matrix KernelGram(const Dataset& data, const SvmConfig& config);
+
 /// Binary soft-margin SVM trained with Platt's Sequential Minimal
 /// Optimization (the simplified variant with a randomized second-choice
-/// heuristic). Labels are +1 / -1.
+/// heuristic): one class (+1) against the rest (-1).
 class BinarySvm {
  public:
   explicit BinarySvm(SvmConfig config = {});
 
-  /// Trains on `features` (rows) with `labels[i]` in {+1, -1}.
-  Status Fit(const std::vector<std::vector<double>>& features,
-             const std::vector<int>& labels);
+  /// Trains on the rows of `data`, those labelled `positive` as +1 and the
+  /// others as -1, given `gram` = KernelGram(data, config). Fails on empty
+  /// data or a Gram of another size.
+  Status Fit(const Dataset& data, int positive, const Matrix& gram);
 
-  /// Same, with a caller-precomputed Gram matrix (gram[i][j] =
-  /// K(features[i], features[j])). Lets one-vs-rest multiclass training
-  /// share a single kernel evaluation pass.
-  Status FitWithGram(const std::vector<std::vector<double>>& features,
-                     const std::vector<int>& labels,
-                     const std::vector<std::vector<double>>& gram);
-
-  /// Decision value w·x + b (positive => class +1).
-  double Decision(const std::vector<double>& x) const;
-
-  int PredictSign(const std::vector<double>& x) const {
-    return Decision(x) >= 0.0 ? 1 : -1;
-  }
-
-  const SvmConfig& config() const { return config_; }
+  /// Decision value w·x + b (positive => the `positive` class).
+  double Decision(std::span<const double> x) const;
 
  private:
-  double Kernel(const std::vector<double>& a,
-                const std::vector<double>& b) const;
-
   SvmConfig config_;
-  std::vector<std::vector<double>> support_;  // training rows (all kept)
-  std::vector<int> labels_;
-  std::vector<double> alpha_;
   double b_ = 0.0;
-  // Linear kernel only: collapsed weight vector for O(dims) decisions.
+  // Linear kernel: the support expansion collapsed into one weight vector
+  // for O(dims) decisions.
   std::vector<double> linear_weights_;
+  // RBF kernel: the support rows (alpha > 0) in training order, row-major,
+  // and their coefficients alpha * y.
+  size_t dims_ = 0;
+  std::vector<double> support_;
+  std::vector<double> coefficients_;
 };
 
 /// Multiclass SVM via one-vs-rest binary SMO machines. This is the paper's
@@ -72,10 +65,9 @@ class SmoSvmClassifier : public Classifier {
  public:
   explicit SmoSvmClassifier(SvmConfig config = {});
 
-  Status Fit(const Dataset& data) override;
-  int Predict(const std::vector<double>& x) const override;
-  std::vector<double> DecisionScores(
-      const std::vector<double>& x) const override;
+  Status Fit(Dataset data) override;
+  void DecisionScores(std::span<const double> x,
+                      std::span<double> scores) const override;
   const std::vector<int>& classes() const override { return classes_; }
 
  private:

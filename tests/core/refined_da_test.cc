@@ -1,5 +1,6 @@
 #include "core/refined_da.h"
 
+#include <cstdint>
 #include <numeric>
 #include <string>
 
@@ -8,6 +9,8 @@
 #include "core/evaluation.h"
 #include "datagen/forum_generator.h"
 #include "datagen/split.h"
+#include "io/byte_codec.h"
+#include "stylo/feature_layout.h"
 
 namespace dehealth {
 namespace {
@@ -195,6 +198,119 @@ TEST_F(RefinedDaTest, SharedVariantMatchesPerUserOnUniformCandidates) {
                                    DenseCandidateSource(*similarity_), config);
       ASSERT_TRUE(shared.ok() && per_user.ok());
       EXPECT_EQ(shared->predictions, per_user->predictions);
+    }
+  }
+}
+
+/// FNV-1a over a result's answers: every prediction, then every rejection
+/// bit.
+uint64_t HashAnswers(uint64_t hash, const RefinedDaResult& r) {
+  for (const int p : r.predictions) hash = Fnv1aValue(hash, p);
+  for (const bool rejected : r.rejected)
+    hash = Fnv1aValue(hash, static_cast<uint8_t>(rejected));
+  return hash;
+}
+
+TEST_F(RefinedDaTest, PredictionsMatchPinnedValues) {
+  // Every learner under both aggregations, with and without structural
+  // features, closed world and false addition; then the shared variant.
+  // The literals were computed by the build that trained on one
+  // std::vector per post through a hash-map column index: the flat
+  // per-user matrix must not move an answer.
+  const struct {
+    LearnerKind learner;
+    uint64_t per_user;
+    uint64_t shared;  // 0: the shared variant is not pinned
+  } pins[] = {
+      {LearnerKind::kKnn, 0x9504678a13ed15caULL, 0xafd6adbd177b8c96ULL},
+      {LearnerKind::kSmoSvm, 0x611433b159f35082ULL, 0},
+      {LearnerKind::kRlsc, 0xff66c40be7babea4ULL, 0},
+      {LearnerKind::kNearestCentroid, 0x1b010e82fe1a8dd9ULL,
+       0x2a560a5434590048ULL},
+  };
+  std::vector<int> all(static_cast<size_t>(aux_->num_users()));
+  std::iota(all.begin(), all.end(), 0);
+  const CandidateSets uniform(static_cast<size_t>(anon_->num_users()), all);
+  const DenseCandidateSource scores(*similarity_);
+  for (const auto& pin : pins) {
+    SCOPED_TRACE(LearnerKindName(pin.learner));
+    RefinedDaConfig config;
+    config.learner = pin.learner;
+    uint64_t per_user = kFnv1aBasis;
+    uint64_t shared = kFnv1aBasis;
+    for (const auto aggregation :
+         {RefinedDaConfig::PostAggregation::kScoreSum,
+          RefinedDaConfig::PostAggregation::kMajorityVote}) {
+      config.aggregation = aggregation;
+      for (const bool structural : {true, false}) {
+        config.include_structural_features = structural;
+        for (const VerificationScheme verification :
+             {VerificationScheme::kNone, VerificationScheme::kFalseAddition}) {
+          config.verification = verification;
+          auto r = RunRefinedDa(*anon_, *aux_, *candidates_, nullptr, scores,
+                                config);
+          ASSERT_TRUE(r.ok()) << r.status().ToString();
+          per_user = HashAnswers(per_user, *r);
+        }
+        if (pin.shared == 0) continue;
+        config.verification = VerificationScheme::kNone;
+        auto r = RunRefinedDaShared(*anon_, *aux_, uniform, scores, config);
+        ASSERT_TRUE(r.ok()) << r.status().ToString();
+        shared = HashAnswers(shared, *r);
+      }
+    }
+    EXPECT_EQ(per_user, pin.per_user) << std::hex << per_user;
+    if (pin.shared != 0) {
+      EXPECT_EQ(shared, pin.shared) << std::hex << shared;
+    }
+  }
+}
+
+/// A side of `posts.size()` isolated users, user i holding the one post
+/// posts[i].
+UdaGraph OnePostPerUser(const std::vector<SparseVector>& posts) {
+  UdaGraph side;
+  side.graph = CorrelationGraph(static_cast<int>(posts.size()));
+  side.attributes.resize(posts.size());
+  for (const SparseVector& post : posts) side.post_features.push_back({post});
+  return side;
+}
+
+SparseVector Post(int id) {
+  SparseVector post;
+  post.Set(3, 1.0);
+  post.Set(id, 2.0);
+  return post;
+}
+
+TEST(RefinedDaFailClosedTest, RejectsFeatureIdsOutsideTheLayout) {
+  // Every entry point refuses a post, training or query, whose feature id
+  // has no column, instead of indexing past the column map.
+  const std::vector<std::vector<double>> matrix = {{0.5, 0.25}};
+  const DenseCandidateSource scores(matrix);
+  const CandidateSets candidates = {{0, 1}};
+  RefinedDaConfig config;
+  config.learner = LearnerKind::kNearestCentroid;
+  const UdaGraph good_anon = OnePostPerUser({Post(7)});
+  const UdaGraph good_aux = OnePostPerUser({Post(5), Post(9)});
+  ASSERT_TRUE(RunRefinedDa(good_anon, good_aux, candidates, nullptr, scores,
+                           config)
+                  .ok());
+  for (const int bad : {-1, feature_layout::kTotalFeatures}) {
+    SCOPED_TRACE(bad);
+    const UdaGraph bad_anon = OnePostPerUser({Post(bad)});
+    const UdaGraph bad_aux = OnePostPerUser({Post(5), Post(bad)});
+    for (const auto& [anon, aux] :
+         {std::pair(&bad_anon, &good_aux), std::pair(&good_anon, &bad_aux)}) {
+      auto full = RunRefinedDa(*anon, *aux, candidates, nullptr, scores,
+                               config);
+      EXPECT_EQ(full.status().code(), StatusCode::kInvalidArgument);
+      auto batch = RunRefinedDaForUsers(*anon, *aux, {0}, candidates, nullptr,
+                                        scores, config);
+      EXPECT_EQ(batch.status().code(), StatusCode::kInvalidArgument);
+      auto shared = RunRefinedDaShared(*anon, *aux, candidates, scores,
+                                       config);
+      EXPECT_EQ(shared.status().code(), StatusCode::kInvalidArgument);
     }
   }
 }

@@ -21,6 +21,7 @@
 #include "index/snapshot.h"
 #include "io/file_util.h"
 #include "obs/standard_metrics.h"
+#include "obs/trace.h"
 #include "testing/scoped_temp_dir.h"
 
 namespace dehealth {
@@ -259,6 +260,31 @@ TEST(IndexLoadOrBuildTest, RebuildsOnConfigMismatch) {
   auto loaded = LoadIndexSnapshot(file);
   ASSERT_TRUE(loaded.ok());
   EXPECT_TRUE(loaded->data().idf_weight_attributes);
+}
+
+TEST(IndexLoadOrBuildTest, RefusesAStaleSnapshotFromItsHeader) {
+  // An --idf load of a snapshot written without IDF: the header's config
+  // field already says the file is stale, so only the rebuild packs a
+  // feature store.
+  const Scenario s = MakeScenario(24, 4);
+  const ScopedTempDir tmp;
+  const std::string file = tmp.File("dehealth_index_stale.dhix");
+  SimilarityConfig sim;
+  ASSERT_TRUE(LoadOrBuildIndex(file, s.auxiliary, sim).ok());
+  sim.idf_weight_attributes = true;
+  obs::Tracer::Global().StartForTest();
+  auto rebuilt = LoadOrBuildIndex(file, s.auxiliary, sim);
+  const std::vector<obs::TraceEvent> events =
+      obs::Tracer::Global().DrainForTest();
+  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
+  EXPECT_TRUE(rebuilt->data().idf_weight_attributes);
+  int store_builds = 0;
+  for (const obs::TraceEvent& event : events)
+    if (std::string(event.category) == "core" &&
+        std::string(event.name) == "feature_store_build")
+      ++store_builds;
+  EXPECT_EQ(store_builds, 1);
+  EXPECT_FALSE(ReadFileToString(file + ".quarantined").ok());
 }
 
 TEST(IndexLoadOrBuildTest, RebuildsOnAuxiliaryChange) {

@@ -5,25 +5,19 @@
 namespace dehealth {
 namespace {
 
-TEST(DatasetTest, AddFixesDimensionality) {
-  Dataset d;
-  ASSERT_TRUE(d.Add({{1.0, 2.0}, 0}).ok());
-  EXPECT_EQ(d.dims(), 2u);
-  EXPECT_FALSE(d.Add({{1.0}, 0}).ok());  // mismatched size rejected
-  EXPECT_EQ(d.size(), 1u);
-}
-
 TEST(DatasetTest, ExplicitDims) {
-  Dataset d(3);
-  EXPECT_FALSE(d.Add({{1.0}, 0}).ok());
-  EXPECT_TRUE(d.Add({{1.0, 2.0, 3.0}, 1}).ok());
+  const Dataset d(3, {1.0, 2.0, 3.0, 4.0, 5.0, 6.0}, {1, 2});
+  EXPECT_EQ(d.dims(), 3u);
+  EXPECT_EQ(d.size(), 2u);
+  EXPECT_EQ(d.row(1).size(), 3u);
+  EXPECT_EQ(d.row(1)[0], 4.0);
+  const Dataset none(3, {}, {});
+  EXPECT_EQ(none.dims(), 3u);
+  EXPECT_TRUE(none.empty());
 }
 
 TEST(DatasetTest, LabelsSortedUnique) {
-  Dataset d;
-  ASSERT_TRUE(d.Add({{1.0}, 5}).ok());
-  ASSERT_TRUE(d.Add({{2.0}, 1}).ok());
-  ASSERT_TRUE(d.Add({{3.0}, 5}).ok());
+  const Dataset d(1, {1.0, 2.0, 3.0}, {5, 1, 5});
   auto labels = d.Labels();
   ASSERT_EQ(labels.size(), 2u);
   EXPECT_EQ(labels[0], 1);
@@ -31,30 +25,29 @@ TEST(DatasetTest, LabelsSortedUnique) {
 }
 
 TEST(DatasetTest, Indexing) {
-  Dataset d;
-  ASSERT_TRUE(d.Add({{1.0, 2.0}, 7}).ok());
-  EXPECT_EQ(d[0].label, 7);
-  EXPECT_EQ(d[0].features[1], 2.0);
+  Dataset d(2, {1.0, 2.0}, {7});
+  EXPECT_EQ(d.label(0), 7);
+  EXPECT_EQ(d.row(0)[1], 2.0);
+  d.row(0)[1] = 5.0;  // rows are written in place
+  EXPECT_EQ(d.row(0)[1], 5.0);
 }
 
 TEST(StandardScalerTest, FitRejectsEmpty) {
   StandardScaler s;
-  Dataset d;
-  EXPECT_FALSE(s.Fit(d).ok());
+  EXPECT_FALSE(s.Fit(Dataset()).ok());
   EXPECT_FALSE(s.fitted());
 }
 
 TEST(StandardScalerTest, StandardizesToZeroMeanUnitVariance) {
-  Dataset d;
-  ASSERT_TRUE(d.Add({{1.0, 10.0}, 0}).ok());
-  ASSERT_TRUE(d.Add({{3.0, 10.0}, 1}).ok());
   StandardScaler s;
-  ASSERT_TRUE(s.Fit(d).ok());
+  ASSERT_TRUE(s.Fit(Dataset(2, {1.0, 10.0, 3.0, 10.0}, {0, 1})).ok());
   EXPECT_TRUE(s.fitted());
   EXPECT_NEAR(s.mean()[0], 2.0, 1e-12);
 
-  auto t0 = s.Transform({1.0, 10.0});
-  auto t1 = s.Transform({3.0, 10.0});
+  std::vector<double> t0 = {1.0, 10.0};
+  std::vector<double> t1 = {3.0, 10.0};
+  s.Transform(t0);
+  s.Transform(t1);
   EXPECT_NEAR(t0[0], -1.0, 1e-12);
   EXPECT_NEAR(t1[0], 1.0, 1e-12);
   // Constant feature maps to 0.
@@ -62,16 +55,15 @@ TEST(StandardScalerTest, StandardizesToZeroMeanUnitVariance) {
 }
 
 TEST(StandardScalerTest, TransformDatasetPreservesLabels) {
-  Dataset d;
-  ASSERT_TRUE(d.Add({{0.0}, 3}).ok());
-  ASSERT_TRUE(d.Add({{2.0}, 4}).ok());
+  Dataset d(1, {0.0, 2.0}, {3, 4});
   StandardScaler s;
   ASSERT_TRUE(s.Fit(d).ok());
-  Dataset t = s.TransformDataset(d);
-  EXPECT_EQ(t.size(), 2u);
-  EXPECT_EQ(t[0].label, 3);
-  EXPECT_EQ(t[1].label, 4);
-  EXPECT_NEAR(t[0].features[0], -1.0, 1e-12);
+  s.Transform(d);
+  EXPECT_EQ(d.size(), 2u);
+  EXPECT_EQ(d.label(0), 3);
+  EXPECT_EQ(d.label(1), 4);
+  EXPECT_NEAR(d.row(0)[0], -1.0, 1e-12);
+  EXPECT_NEAR(d.row(1)[0], 1.0, 1e-12);
 }
 
 }  // namespace

@@ -1,35 +1,35 @@
 #include "ml/knn.h"
 
+#include <bit>
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "io/byte_codec.h"
+#include "testing/classify.h"
 
 namespace dehealth {
 namespace {
 
 Dataset TwoClusters() {
   // Class 0 near origin, class 1 near (10, 10).
-  Dataset d;
-  EXPECT_TRUE(d.Add({{0.0, 0.0}, 0}).ok());
-  EXPECT_TRUE(d.Add({{0.5, 0.5}, 0}).ok());
-  EXPECT_TRUE(d.Add({{-0.5, 0.2}, 0}).ok());
-  EXPECT_TRUE(d.Add({{10.0, 10.0}, 1}).ok());
-  EXPECT_TRUE(d.Add({{10.5, 9.5}, 1}).ok());
-  EXPECT_TRUE(d.Add({{9.5, 10.2}, 1}).ok());
-  return d;
+  return Dataset(2,
+                 {0.0, 0.0, 0.5, 0.5, -0.5, 0.2,  //
+                  10.0, 10.0, 10.5, 9.5, 9.5, 10.2},
+                 {0, 0, 0, 1, 1, 1});
 }
 
 TEST(KnnTest, RejectsEmptyTraining) {
   KnnClassifier knn(3);
-  Dataset empty;
-  EXPECT_FALSE(knn.Fit(empty).ok());
+  EXPECT_FALSE(knn.Fit(Dataset()).ok());
 }
 
 TEST(KnnTest, ClassifiesClusters) {
   KnnClassifier knn(3);
   ASSERT_TRUE(knn.Fit(TwoClusters()).ok());
-  EXPECT_EQ(knn.Predict({0.1, 0.1}), 0);
-  EXPECT_EQ(knn.Predict({9.9, 9.9}), 1);
+  EXPECT_EQ(PredictedClass(knn, {0.1, 0.1}), 0);
+  EXPECT_EQ(PredictedClass(knn, {9.9, 9.9}), 1);
 }
 
 TEST(KnnTest, KCappedAtTrainingSize) {
@@ -37,16 +37,13 @@ TEST(KnnTest, KCappedAtTrainingSize) {
   ASSERT_TRUE(knn.Fit(TwoClusters()).ok());
   EXPECT_EQ(knn.k(), 6);
   // Still classifies by distance-weighted voting.
-  EXPECT_EQ(knn.Predict({0.0, 0.0}), 0);
+  EXPECT_EQ(PredictedClass(knn, {0.0, 0.0}), 0);
 }
 
 TEST(KnnTest, SingleClassAlwaysPredictsIt) {
-  Dataset d;
-  ASSERT_TRUE(d.Add({{1.0}, 42}).ok());
-  ASSERT_TRUE(d.Add({{2.0}, 42}).ok());
   KnnClassifier knn(1);
-  ASSERT_TRUE(knn.Fit(d).ok());
-  EXPECT_EQ(knn.Predict({100.0}), 42);
+  ASSERT_TRUE(knn.Fit(Dataset(1, {1.0, 2.0}, {42, 42})).ok());
+  EXPECT_EQ(PredictedClass(knn, {100.0}), 42);
 }
 
 TEST(KnnTest, DecisionScoresAlignWithClasses) {
@@ -54,7 +51,7 @@ TEST(KnnTest, DecisionScoresAlignWithClasses) {
   ASSERT_TRUE(knn.Fit(TwoClusters()).ok());
   const auto& classes = knn.classes();
   ASSERT_EQ(classes.size(), 2u);
-  auto scores = knn.DecisionScores({0.0, 0.0});
+  auto scores = Scores(knn, {0.0, 0.0});
   ASSERT_EQ(scores.size(), 2u);
   // Class 0 is closer => higher vote mass.
   EXPECT_GT(scores[0], scores[1]);
@@ -63,7 +60,27 @@ TEST(KnnTest, DecisionScoresAlignWithClasses) {
 TEST(KnnTest, ExactMatchDominates) {
   KnnClassifier knn(1);
   ASSERT_TRUE(knn.Fit(TwoClusters()).ok());
-  EXPECT_EQ(knn.Predict({10.0, 10.0}), 1);
+  EXPECT_EQ(PredictedClass(knn, {10.0, 10.0}), 1);
+}
+
+TEST(KnnTest, DecisionScoresMatchPinnedValues) {
+  // Three classes in ten dimensions, scored at 3 neighbours on points that
+  // are not training rows. The literal was computed by the build that kept
+  // one std::vector per training row; reading the rows of one flat matrix
+  // must not move a bit.
+  KnnClassifier knn(3);
+  ASSERT_TRUE(knn.Fit(ThreeClassesInTenDims()).ok());
+  // The queries continue the stream the training rows were drawn from.
+  Rng rng(37);
+  for (int i = 0; i < 24 * 10; ++i) rng.NextGaussian();
+  uint64_t hash = kFnv1aBasis;
+  for (int q = 0; q < 12; ++q) {
+    std::vector<double> x(10);
+    for (double& v : x) v = rng.NextGaussian(0.0, 2.0);
+    for (const double score : Scores(knn, x))
+      hash = Fnv1aValue(hash, std::bit_cast<uint64_t>(score));
+  }
+  EXPECT_EQ(hash, 0x8ac16b12cf41d313ULL) << std::hex << hash;
 }
 
 // Property: on a linearly separated random problem, 1-NN training accuracy
@@ -72,19 +89,20 @@ class KnnPropertyTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(KnnPropertyTest, PerfectTrainingAccuracyWithK1) {
   Rng rng(static_cast<uint64_t>(GetParam()) + 100);
-  Dataset d;
+  std::vector<double> values;
+  std::vector<int> labels;
   for (int i = 0; i < 30; ++i) {
     const int label = i % 2;
     const double cx = label == 0 ? 0.0 : 8.0;
-    ASSERT_TRUE(d.Add({{cx + rng.NextGaussian(0.0, 1.0),
-                        cx + rng.NextGaussian(0.0, 1.0)},
-                       label})
-                    .ok());
+    values.push_back(cx + rng.NextGaussian(0.0, 1.0));
+    values.push_back(cx + rng.NextGaussian(0.0, 1.0));
+    labels.push_back(label);
   }
+  const Dataset d(2, values, labels);
   KnnClassifier knn(1);
   ASSERT_TRUE(knn.Fit(d).ok());
   for (size_t i = 0; i < d.size(); ++i)
-    EXPECT_EQ(knn.Predict(d[i].features), d[i].label);
+    EXPECT_EQ(PredictedClass(knn, d.row(i)), d.label(i));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, KnnPropertyTest, ::testing::Range(0, 5));

@@ -110,9 +110,10 @@ TEST(CholeskySolveTest, RejectsIndefiniteMatrix) {
 }
 
 TEST(DistanceTest, EuclideanAndDot) {
-  EXPECT_NEAR(EuclideanDistance({0.0, 0.0}, {3.0, 4.0}), 5.0, 1e-12);
-  EXPECT_EQ(EuclideanDistance({1.0}, {1.0}), 0.0);
-  EXPECT_EQ(DotProduct({1.0, 2.0}, {3.0, 4.0}), 11.0);
+  using V = std::vector<double>;
+  EXPECT_NEAR(EuclideanDistance(V{0.0, 0.0}, V{3.0, 4.0}), 5.0, 1e-12);
+  EXPECT_EQ(EuclideanDistance(V{1.0}, V{1.0}), 0.0);
+  EXPECT_EQ(DotProduct(V{1.0, 2.0}, V{3.0, 4.0}), 11.0);
   EXPECT_EQ(DotProduct({}, {}), 0.0);
 }
 
